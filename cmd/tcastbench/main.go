@@ -574,6 +574,10 @@ type trialState struct {
 	// Reset re-grades in place and nothing reads the verdict's node
 	// account after the trial, so the pooled store is never observed stale.
 	aud *audit.Auditor
+	// inj and fr are query-2tbins-faulted's recycled fault injector
+	// and its stream, mirroring the sweep driver's pooled fault layer.
+	inj faults.Injector
+	fr  rng.Source
 }
 
 var trialPool = sync.Pool{New: func() any { return new(trialState) }}
@@ -713,7 +717,9 @@ func faultedTrialsBench(spec string) bench {
 		defer trialPool.Put(st)
 		r.SplitInto(1, &st.chr)
 		st.ch.ResetRandom(n, x, cfg, &st.chr)
-		q := query.WithRetry(faults.New(&st.ch, fcfg, n, r.Split(9)), retry)
+		r.SplitInto(9, &st.fr)
+		st.inj.Reset(&st.ch, fcfg, n, &st.fr)
+		q := query.WithRetry(&st.inj, retry)
 		r.SplitInto(2, &st.algr)
 		res, err := (core.TwoTBins{}).RunIn(&st.arena, q, n, t, &st.algr)
 		if err != nil {

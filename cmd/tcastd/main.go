@@ -88,6 +88,13 @@ func run(addr, addrFile string, cfg serve.Config, obsCfg obs.Config, drainTimeou
 	cfg.Bus = plane.Bus()
 	pool := serve.NewPool(cfg)
 
+	// Catch SIGTERM/SIGINT before the listener opens: a daemon signalled
+	// the moment it answers /healthz (or writes -addr-file) must drain,
+	// not die of the signal's default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	mux := obs.NewMux(reg, plane)
 	serve.Register(mux, pool)
 	srv, err := metrics.StartServer(addr, mux)
@@ -103,8 +110,6 @@ func run(addr, addrFile string, cfg serve.Config, obsCfg obs.Config, drainTimeou
 	fmt.Printf("tcastd: listening on %s (%d field(s), %d active + %d queued per field)\n",
 		srv.Addr(), cfg.Fields, cfg.MaxActive, cfg.MaxQueue)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("tcastd: %s, draining (%d in flight)\n", s, pool.InFlight())

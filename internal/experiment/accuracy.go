@@ -54,7 +54,7 @@ func accuracyPoint(missPct int, o Options, root *rng.Source) (*audit.Collector, 
 		if err != nil {
 			return 0, err
 		}
-		var q query.Querier = metrics.Wrap(o.wrapFaults(sess, accN, r), o.Metrics)
+		var q query.Querier = metrics.Wrap(o.wrapFaults(sess, accN, r, nil), o.Metrics)
 		aud, err := audit.New(q, audit.Config{N: accN, T: accT, Metrics: o.Metrics})
 		if err != nil {
 			return 0, err

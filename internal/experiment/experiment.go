@@ -110,13 +110,27 @@ type Options struct {
 // faulted reports whether fault injection is configured AND can fire.
 func (o Options) faulted() bool { return o.Faults != nil && o.Faults.Active() }
 
+// faultLayer is a trial's fault injector and the stream it draws from,
+// pooled with the rest of the trial scratch so a faulted trial reuses
+// the injector's per-node state and event storage.
+type faultLayer struct {
+	inj faults.Injector
+	r   rng.Source
+}
+
 // wrapFaults stacks the injector (when configured) and the retry policy
 // above a trial's substrate, returning the querier the observability
 // layers should wrap. r must be the trial's root stream: the injector
-// draws from its reserved split, never from the substrate's.
-func (o Options) wrapFaults(q query.Querier, n int, r *rng.Source) query.Querier {
+// draws from its reserved split, never from the substrate's. fl is the
+// injector to reuse; nil allocates one when faults are configured.
+func (o Options) wrapFaults(q query.Querier, n int, r *rng.Source, fl *faultLayer) query.Querier {
 	if o.Faults != nil {
-		q = faults.New(q, *o.Faults, n, r.Split(faultStream))
+		if fl == nil {
+			fl = new(faultLayer)
+		}
+		r.SplitInto(faultStream, &fl.r)
+		fl.inj.Reset(q, *o.Faults, n, &fl.r)
+		q = &fl.inj
 	}
 	return query.WithRetry(q, o.Retry)
 }
@@ -291,11 +305,12 @@ func plainAlg(a core.Algorithm) algChannelFactory {
 }
 
 // trialState is the pooled per-trial scratch of tcastCost: the simulated
-// channel, the session arena, and the two derived RNG streams every trial
-// draws. Pooling it takes the bare trial path (no observability layers
-// configured) down to zero allocations per trial; the reseeding calls
-// (ResetRandom, SplitInto, RunIn) draw exactly the sequences their
-// allocating equivalents do, so pooled trials are bit-identical.
+// channel, the session arena, the two derived RNG streams every trial
+// draws, and the fault layer of faulted sweeps. Pooling it takes the
+// bare trial path (no observability layers configured) down to zero
+// allocations per trial; the reseeding calls (ResetRandom, SplitInto,
+// Reset, RunIn) draw exactly the sequences their allocating equivalents
+// do, so pooled trials are bit-identical.
 type trialState struct {
 	ch        fastsim.Channel
 	arena     core.Arena
@@ -305,6 +320,10 @@ type trialState struct {
 	// knowledge), and the collector extracts verdict scalars immediately,
 	// so nothing observes the store after the trial returns it.
 	aud *audit.Auditor
+	// faults is the recycled injector of faulted sweeps. Like the
+	// auditor, everything that reads its event log (audit attribution,
+	// obs chain events) does so before the trial returns.
+	faults faultLayer
 }
 
 var trialPool = sync.Pool{New: func() any { return new(trialState) }}
@@ -325,7 +344,7 @@ func tcastCost(fac algChannelFactory, n, t, x int, cfg fastsim.Config, o Options
 		st.ch.ResetRandom(n, x, cfg, &st.chr)
 		ch := &st.ch
 		alg := fac(ch)
-		q := metrics.Wrap(o.wrapFaults(ch, n, r), o.Metrics)
+		q := metrics.Wrap(o.wrapFaults(ch, n, r, &st.faults), o.Metrics)
 		var aud *audit.Auditor
 		var label string
 		if o.Audit != nil || o.Obs != nil {

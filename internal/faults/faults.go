@@ -17,11 +17,21 @@
 //
 // The Injector wraps a query.Querier (any substrate); Medium wraps a
 // radio.Channel for packet-level injection below a pollcast session or
-// mote firmware.
+// mote firmware. Both step their per-node churn and link chains with one
+// shared stepper that draws the sequence a per-node Bernoulli loop would
+// — one Uint64 per transition whose probability lies strictly between 0
+// and 1, none at 0 or 1 — but compares precomputed rng.Thresholds
+// against a register-resident rng.Stream instead of converting every
+// draw to a float. The draw order is the determinism contract every
+// faulted golden digest rests on; the Bernoulli loop survives as the test
+// oracle that pins it. An Injector can be Reset for a new session,
+// reusing its node state and event-log storage, which is how pooled
+// trial harnesses run faulted sessions without per-trial allocation.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,13 +126,17 @@ func (c Config) normalized() Config {
 //	corrupt=P   per-decode probability the decoded ID is corrupted to a
 //	            uniformly random node (2+ substrates only)
 //
-// The empty string parses to the zero Config.
+// Every value must be a finite number: NaN and ±Inf are rejected with an
+// error naming the key, as is a frac the burst length cannot reach (one
+// that needs PGoodBad > 1). An accepted spec therefore yields finite
+// probabilities in [0, 1]. The empty string parses to the zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(spec) == "" {
 		return cfg, nil
 	}
-	var burstLen, frac float64 = 0, -1
+	var burstLen, frac float64
+	fracSet := false
 	for _, part := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -132,11 +146,14 @@ func ParseSpec(spec string) (Config, error) {
 		if err != nil {
 			return Config{}, fmt.Errorf("faults: %s: %w", key, err)
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return Config{}, fmt.Errorf("faults: %s: %v is not a finite number", key, f)
+		}
 		switch key {
 		case "burst":
 			burstLen = f
 		case "frac":
-			frac = f
+			frac, fracSet = f, true
 		case "missgood":
 			cfg.Burst.MissGood = f
 		case "missbad":
@@ -157,15 +174,19 @@ func ParseSpec(spec string) (Config, error) {
 		return Config{}, fmt.Errorf("faults: burst length %v must be >= 1 (or 0 for none)", burstLen)
 	}
 	if burstLen > 0 {
-		if frac < 0 {
+		if !fracSet {
 			frac = 0.2
 		}
-		if frac >= 1 {
+		if frac < 0 || frac >= 1 {
 			return Config{}, fmt.Errorf("faults: bad fraction %v must be in [0, 1)", frac)
 		}
 		cfg.Burst.PBadGood = 1 / burstLen
 		cfg.Burst.PGoodBad = frac / (1 - frac) * cfg.Burst.PBadGood
-	} else if frac >= 0 {
+		if cfg.Burst.PGoodBad > 1 {
+			return Config{}, fmt.Errorf("faults: bad fraction %v unreachable with burst length %v (needs PGoodBad %v > 1)",
+				frac, burstLen, cfg.Burst.PGoodBad)
+		}
+	} else if fracSet {
 		return Config{}, fmt.Errorf("faults: frac without burst")
 	}
 	if cfg.Churn.Active() && cfg.Churn.RecoverProb == 0 {
@@ -201,12 +222,6 @@ type PollFault struct {
 	// corrupted; ForgedID is the ID the initiator decoded instead.
 	CorruptDecode bool
 	ForgedID      int
-}
-
-// touched reports whether anything observable happened at this poll.
-func (f PollFault) touched() bool {
-	return f.Skewed || f.CorruptDecode || len(f.Lost) > 0 || len(f.Silenced) > 0 ||
-		len(f.Crashed) > 0 || len(f.Recovered) > 0
 }
 
 // String renders the event for audit attribution.
@@ -265,13 +280,28 @@ type Injector struct {
 	cfg Config
 	r   *rng.Source
 	n   int
+	chains
 
-	bad     []bool // Gilbert–Elliott state per node (true = bad)
-	down    []bool // churn state per node (true = crashed)
 	poll    int
-	scratch []int
-	events  []PollFault
-	counts  Counts
+	scratch []int // the filtered bin handed to the substrate
+	// This poll's filter casualties, reused every poll. A touched poll
+	// appends them and the step's churn transitions to ids, the arena
+	// its event's ID lists are runs of.
+	silenced, lost []int
+	ids            []int
+	events         []event
+	counts         Counts
+}
+
+// event is the injector's compact record of a touched poll. Its four ID
+// lists are consecutive runs of the arena — Lost is ids[at[0]:at[1]],
+// Silenced ids[at[1]:at[2]], Crashed ids[at[2]:at[3]] and Recovered
+// ids[at[3]:at[4]] — so logging a poll appends to two reused slices
+// instead of allocating a PollFault's four.
+type event struct {
+	poll, forged    int
+	at              [5]int32
+	skewed, corrupt bool
 }
 
 // New wraps q with a fault injector over the population {0..n-1}, drawing
@@ -279,28 +309,45 @@ type Injector struct {
 // Split), never shared with the substrate. An inactive cfg yields a
 // transparent injector that consumes no randomness.
 func New(q query.Querier, cfg Config, n int, r *rng.Source) *Injector {
-	return &Injector{
-		q: q, cfg: cfg.normalized(), r: r, n: n,
-		bad:  make([]bool, n),
-		down: make([]bool, n),
-	}
+	j := new(Injector)
+	j.Reset(q, cfg, n, r)
+	return j
+}
+
+// Reset re-targets j at a new session, exactly as New(q, cfg, n, r)
+// would build it, but reusing j's per-node state, bin scratch and event
+// log storage, so a pooled injector allocates nothing per session once
+// warm. Events returned before Reset — and the ID lists in them — are
+// overwritten by the new session.
+func (j *Injector) Reset(q query.Querier, cfg Config, n int, r *rng.Source) {
+	j.q, j.cfg, j.r, j.n = q, cfg.normalized(), r, n
+	j.chains.reset(j.cfg, n)
+	j.poll = 0
+	j.silenced, j.lost = j.silenced[:0], j.lost[:0]
+	j.ids = j.ids[:0]
+	j.events = j.events[:0]
+	j.counts = Counts{}
 }
 
 // Query implements query.Querier: advance the fault processes one step,
 // filter the bin, forward the poll, then apply listen-window skew.
 func (j *Injector) Query(bin []int) query.Response {
-	pf := PollFault{Poll: j.poll}
+	ev := event{poll: j.poll}
 	j.poll++
 	j.counts.Polls++
 
+	// An inactive config never steps or filters, so the four ID lists
+	// stay empty from Reset on.
 	effective := bin
 	if j.cfg.Active() {
-		j.step(&pf)
-		effective = j.filter(bin, &pf)
+		j.step(j.r)
+		j.counts.Crashes += len(j.crashed)
+		j.counts.Recovers += len(j.recovered)
+		effective = j.filter(bin)
 	}
 	resp := j.q.Query(effective)
 	if j.cfg.SkewProb > 0 && j.r.Bernoulli(j.cfg.SkewProb) {
-		pf.Skewed = true
+		ev.skewed = true
 		j.counts.Skewed++
 		resp = query.Response{Kind: query.Empty}
 	}
@@ -308,63 +355,40 @@ func (j *Injector) Query(bin []int) query.Response {
 		j.r.Bernoulli(j.cfg.DecodeCorruptProb) {
 		// Corrupt the frame's ID field: the initiator decodes a uniform
 		// random node, which may be negative or already eliminated.
-		pf.CorruptDecode = true
-		pf.ForgedID = j.r.Intn(j.n)
+		ev.corrupt = true
+		ev.forged = j.r.Intn(j.n)
 		j.counts.Corrupted++
-		resp.DecodedID = pf.ForgedID
+		resp.DecodedID = ev.forged
 	}
-	if pf.touched() {
-		j.events = append(j.events, pf)
+	if ev.skewed || ev.corrupt ||
+		len(j.lost)+len(j.silenced)+len(j.crashed)+len(j.recovered) > 0 {
+		ev.at[0] = int32(len(j.ids))
+		for i, ids := range [4][]int{j.lost, j.silenced, j.crashed, j.recovered} {
+			j.ids = append(j.ids, ids...)
+			ev.at[i+1] = int32(len(j.ids))
+		}
+		j.events = append(j.events, ev)
 	}
 	return resp
 }
 
-// step advances every node's churn and link chains by one poll.
-func (j *Injector) step(pf *PollFault) {
-	for id := 0; id < j.n; id++ {
-		if j.down[id] {
-			if j.r.Bernoulli(j.cfg.Churn.RecoverProb) {
-				j.down[id] = false
-				j.counts.Recovers++
-				pf.Recovered = append(pf.Recovered, id)
-			}
-		} else if j.r.Bernoulli(j.cfg.Churn.CrashProb) {
-			j.down[id] = true
-			j.counts.Crashes++
-			pf.Crashed = append(pf.Crashed, id)
-		}
-		if j.bad[id] {
-			if j.r.Bernoulli(j.cfg.Burst.PBadGood) {
-				j.bad[id] = false
-			}
-		} else if j.r.Bernoulli(j.cfg.Burst.PGoodBad) {
-			j.bad[id] = true
-		}
-	}
-}
-
-// filter returns bin minus this poll's casualties. The input slice is
-// returned untouched when nothing drops; otherwise the survivors land in
-// a reused scratch buffer (substrates consume the bin synchronously).
-func (j *Injector) filter(bin []int, pf *PollFault) []int {
+// filter returns bin minus this poll's casualties, recording them in
+// j.silenced and j.lost. The input slice is returned untouched when
+// nothing drops; otherwise the survivors land in a reused scratch buffer
+// (substrates consume the bin synchronously).
+func (j *Injector) filter(bin []int) []int {
+	j.silenced, j.lost = j.silenced[:0], j.lost[:0]
 	eff := bin
 	copied := false
+	st := j.r.Detach()
 	for i, id := range bin {
 		drop := false
 		if id >= 0 && id < j.n {
-			switch {
-			case j.down[id]:
+			if j.down[id] {
 				drop = true
-				j.counts.Silenced++
-				pf.Silenced = append(pf.Silenced, id)
-			case j.bad[id] && j.r.Bernoulli(j.cfg.Burst.MissBad):
-				drop = true
-				j.counts.Lost++
-				pf.Lost = append(pf.Lost, id)
-			case !j.bad[id] && j.r.Bernoulli(j.cfg.Burst.MissGood):
-				drop = true
-				j.counts.Lost++
-				pf.Lost = append(pf.Lost, id)
+				j.silenced = append(j.silenced, id)
+			} else if drop, st = st.Hit(j.miss[b2i(j.bad[id])]); drop {
+				j.lost = append(j.lost, id)
 			}
 		}
 		switch {
@@ -375,6 +399,9 @@ func (j *Injector) filter(bin []int, pf *PollFault) []int {
 			eff = append(eff, id)
 		}
 	}
+	j.r.Resume(st)
+	j.counts.Silenced += len(j.silenced)
+	j.counts.Lost += len(j.lost)
 	if copied {
 		j.scratch = eff
 	}
@@ -422,17 +449,49 @@ func (j *Injector) TraceAttrs() []trace.Attr {
 func (j *Injector) Counts() Counts { return j.counts }
 
 // Events returns the per-poll fault log: one entry per poll that a fault
-// touched, in poll order.
-func (j *Injector) Events() []PollFault { return j.events }
+// touched, in poll order. Its ID lists stay valid until the next Reset.
+// Events builds a new slice on every call; a caller that only walks the
+// log should use NumEvents and Event, which allocate nothing.
+func (j *Injector) Events() []PollFault {
+	if len(j.events) == 0 {
+		return nil
+	}
+	out := make([]PollFault, len(j.events))
+	for i := range out {
+		out[i] = j.Event(i)
+	}
+	return out
+}
+
+// NumEvents returns the number of entries in the fault log.
+func (j *Injector) NumEvents() int { return len(j.events) }
+
+// Event returns entry i of the fault log, 0 <= i < NumEvents(). Its ID
+// lists slice the injector's arena, each capped at its length so that
+// appending to one cannot clobber the next, and stay valid until the next
+// Reset; an empty list is nil.
+func (j *Injector) Event(i int) PollFault {
+	ev := &j.events[i]
+	var lists [4][]int
+	for k := range lists {
+		if lo, hi := ev.at[k], ev.at[k+1]; lo < hi {
+			lists[k] = j.ids[lo:hi:hi]
+		}
+	}
+	return PollFault{
+		Poll: ev.poll, Skewed: ev.skewed, CorruptDecode: ev.corrupt, ForgedID: ev.forged,
+		Lost: lists[0], Silenced: lists[1], Crashed: lists[2], Recovered: lists[3],
+	}
+}
 
 // Describe names the fault event at the given poll, for joining an audit
 // verdict's causal poll to its cause. Polls no fault touched — and
 // out-of-range indices such as the -1 of an unattributed verdict — read
 // "no injected fault".
 func (j *Injector) Describe(poll int) string {
-	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].Poll >= poll })
-	if i < len(j.events) && j.events[i].Poll == poll {
-		return fmt.Sprintf("poll %d: %s", poll, j.events[i])
+	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].poll >= poll })
+	if i < len(j.events) && j.events[i].poll == poll {
+		return fmt.Sprintf("poll %d: %s", poll, j.Event(i))
 	}
 	return "no injected fault"
 }

@@ -89,6 +89,22 @@ func TestParseSpec(t *testing.T) {
 		{spec: "bogus=1", wantErr: "unknown key"},
 		{spec: "burst", wantErr: "not key=value"},
 		{spec: "burst=x", wantErr: "invalid syntax"},
+		// Non-finite values are rejected by key, never turned into a
+		// silently inactive or NaN-valued config.
+		{spec: "churn=NaN", wantErr: "churn: NaN is not a finite number"},
+		{spec: "skew=nan", wantErr: "skew: NaN is not a finite number"},
+		{spec: "burst=Inf", wantErr: "burst: +Inf is not a finite number"},
+		{spec: "burst=NaN", wantErr: "burst: NaN is not a finite number"},
+		{spec: "burst=8,frac=NaN", wantErr: "frac: NaN is not a finite number"},
+		{spec: "missbad=-inf", wantErr: "missbad: -Inf is not a finite number"},
+		{spec: "corrupt=+Infinity", wantErr: "corrupt: +Inf is not a finite number"},
+		{spec: "burst=1e400", wantErr: "value out of range"},
+		// An explicit negative fraction is an error, not the default.
+		{spec: "burst=4,frac=-0.5", wantErr: "bad fraction"},
+		{spec: "frac=-1", wantErr: "frac without burst"},
+		// A fraction the burst length cannot reach would need PGoodBad > 1.
+		{spec: "burst=1,frac=0.9", wantErr: "unreachable"},
+		{spec: "burst=1,frac=0.5", want: Config{Burst: BurstConfig{PGoodBad: 1, PBadGood: 1}}},
 	}
 	for _, tc := range cases {
 		got, err := ParseSpec(tc.spec)
@@ -111,6 +127,52 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseSpec: every accepted spec yields finite probabilities in
+// [0, 1] whose thresholds agree with Active and drive an injector
+// without panicking; every rejected spec returns an error and the zero
+// Config.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", "burst=4", "burst=2,frac=0.5,missbad=0.8", "churn=0.05,recover=0.5,skew=0.01",
+		"burst=8,frac=0.2,churn=0.002,recover=0.1,skew=0.01", "corrupt=0.25,missgood=0.1",
+		"frac=0.2", "burst=0.5", "burst=2,frac=1", "skew=1.5", "churn=NaN", "burst=Inf",
+		"burst=8,frac=NaN", "burst=1,frac=0.9", "burst=1e300,frac=0.999", " burst = 2 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			if cfg != (Config{}) {
+				t.Fatalf("ParseSpec(%q) failed with %v but returned %+v", spec, err, cfg)
+			}
+			return
+		}
+		norm := cfg.normalized()
+		probs := []float64{
+			norm.Burst.PGoodBad, norm.Burst.PBadGood, norm.Burst.MissGood, norm.Burst.MissBad,
+			norm.Churn.CrashProb, norm.Churn.RecoverProb, norm.SkewProb, norm.DecodeCorruptProb,
+		}
+		for _, p := range probs {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseSpec(%q) = %+v: probability %v outside [0, 1]", spec, cfg, p)
+			}
+		}
+		var c chains
+		c.reset(norm, 1)
+		never := rng.Threshold{}
+		fires := c.link[0] != never || c.miss[0] != never || c.churn[0] != never ||
+			rng.NewThreshold(norm.SkewProb) != never || rng.NewThreshold(norm.DecodeCorruptProb) != never
+		if cfg.Active() != fires {
+			t.Fatalf("ParseSpec(%q) = %+v: Active() = %v but thresholds say %v", spec, cfg, cfg.Active(), fires)
+		}
+		j := New(&echoQ{}, cfg, 4, rng.New(1))
+		for i := 0; i < 3; i++ {
+			j.Query([]int{0, 1, 2, 3})
+		}
+	})
 }
 
 func TestChurnSilencesCrashedNodes(t *testing.T) {
@@ -193,14 +255,10 @@ func TestDescribeJoinsPollsToEvents(t *testing.T) {
 func TestFilterReusesScratchWithoutAliasing(t *testing.T) {
 	inner := &recordQ{resp: query.Response{Kind: query.Active}}
 	// Node 0 permanently down, others up: every poll drops exactly node 0.
-	j := New(inner, Config{Churn: ChurnConfig{CrashProb: 0}}, 4, rng.New(1))
+	// The crash rate keeps the injector active but never fires, and with
+	// no recover rate node 0 never comes back.
+	j := New(inner, Config{Churn: ChurnConfig{CrashProb: 1e-300}}, 4, rng.New(1))
 	j.down[0] = true
-	j.cfg.Churn.RecoverProb = 0
-	j.cfg.SkewProb = 0
-	// Force the active path without churn draws by setting a burst chain
-	// that never transitions and never misses in the good state.
-	j.cfg.Burst.MissGood = 0
-	j.cfg.Churn.CrashProb = 1e-300 // active but effectively never fires
 
 	bin := []int{0, 1, 2, 3}
 	j.Query(bin)

@@ -28,19 +28,16 @@ type Medium struct {
 	r     *rng.Source
 	n     int
 
-	bad    []bool
-	down   []bool
+	chains
 	skewed bool
 	counts Counts
 }
 
 // NewMedium wraps inner with fault injection over participants {0..n-1}.
 func NewMedium(inner radio.Channel, cfg Config, n int, r *rng.Source) *Medium {
-	return &Medium{
-		inner: inner, cfg: cfg.normalized(), r: r, n: n,
-		bad:  make([]bool, n),
-		down: make([]bool, n),
-	}
+	m := &Medium{inner: inner, cfg: cfg.normalized(), r: r, n: n}
+	m.chains.reset(m.cfg, n)
+	return m
 }
 
 // BeginSlot advances the fault chains one slot and opens the inner slot.
@@ -49,24 +46,9 @@ func (m *Medium) BeginSlot() {
 	if !m.cfg.Active() {
 		return
 	}
-	for id := 0; id < m.n; id++ {
-		if m.down[id] {
-			if m.r.Bernoulli(m.cfg.Churn.RecoverProb) {
-				m.down[id] = false
-				m.counts.Recovers++
-			}
-		} else if m.r.Bernoulli(m.cfg.Churn.CrashProb) {
-			m.down[id] = true
-			m.counts.Crashes++
-		}
-		if m.bad[id] {
-			if m.r.Bernoulli(m.cfg.Burst.PBadGood) {
-				m.bad[id] = false
-			}
-		} else if m.r.Bernoulli(m.cfg.Burst.PGoodBad) {
-			m.bad[id] = true
-		}
-	}
+	m.step(m.r)
+	m.counts.Crashes += len(m.crashed)
+	m.counts.Recovers += len(m.recovered)
 	m.skewed = m.cfg.SkewProb > 0 && m.r.Bernoulli(m.cfg.SkewProb)
 }
 

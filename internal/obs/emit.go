@@ -100,7 +100,8 @@ func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 	}
 	rq, inj := chainLayers(q)
 	if inj != nil {
-		for _, pf := range inj.Events() {
+		for i := 0; i < inj.NumEvents(); i++ {
+			pf := inj.Event(i)
 			b.Publish(Event{
 				Kind: KindFault, Session: session, Trial: trial, Poll: pf.Poll,
 				Detail: pf.String(),

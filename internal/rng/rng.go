@@ -18,7 +18,7 @@ import (
 // Source is a deterministic pseudo-random stream. It is NOT safe for
 // concurrent use; derive one Source per goroutine with Split.
 type Source struct {
-	s [4]uint64
+	st Stream
 	// key identifies this stream for Split derivation. It is fixed at
 	// construction so Split results do not depend on how many values the
 	// parent has emitted.
@@ -44,13 +44,11 @@ func New(seed uint64) *Source {
 	var s Source
 	x := seed
 	s.key = splitMix64(&x)
-	for i := range s.s {
-		s.s[i] = splitMix64(&x)
-	}
+	s.st.seed(&x)
 	// xoshiro256** must not start from the all-zero state; SplitMix64 of any
 	// seed cannot produce four zero words, but guard anyway.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
+	if s.st.zero() {
+		s.st.s0 = 0x9e3779b97f4a7c15
 	}
 	return &s
 }
@@ -75,30 +73,31 @@ func (r *Source) Split(label uint64) *Source {
 func (r *Source) SplitInto(label uint64, dst *Source) {
 	x := r.key ^ (label * 0xd1342543de82ef95)
 	dst.key = splitMix64(&x)
-	for i := range dst.s {
-		dst.s[i] = splitMix64(&x)
-	}
-	if dst.s[0]|dst.s[1]|dst.s[2]|dst.s[3] == 0 {
-		dst.s[0] = 1
+	dst.st.seed(&x)
+	if dst.st.zero() {
+		dst.st.s0 = 1
 	}
 	dst.spare = 0
 	dst.hasSpare = false
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	u, st := r.st.Uint64()
+	r.st = st
+	return u
 }
+
+// Detach hands the Source's xoshiro256** state to the caller as a value,
+// so a hot loop can keep it in registers instead of loading and storing
+// it through the Source on every draw. The Source must not be used again
+// until Resume returns the advanced state to it; drawing from the Stream
+// in between consumes exactly the values the Source would have produced.
+func (r *Source) Detach() Stream { return r.st }
+
+// Resume writes back the state of a Stream obtained from Detach, so the
+// Source continues from where the Stream stopped.
+func (r *Source) Resume(s Stream) { r.st = s }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's nearly-divisionless method keeps the distribution exactly
@@ -129,7 +128,10 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Bernoulli reports true with probability p (clamped to [0, 1]).
+// Bernoulli reports true with probability p (clamped to [0, 1]). p <= 0
+// and p >= 1 consume no draw; otherwise exactly one Uint64 is drawn.
+// A loop that tests the same p many times should build a Threshold once
+// and use Stream.Hit, which draws and decides identically.
 func (r *Source) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
