@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench tcastbench bench-smoke bench-obs bench-faults bench-scale bench-serve serve-smoke baseline figs lab cover fuzz clean
+.PHONY: all build test race lint bench-module bench tcastbench bench-smoke bench-obs bench-faults bench-scale bench-serve serve-smoke baseline figs lab cover fuzz clean
 
 all: build test
 
@@ -25,6 +25,11 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
 	fi
+
+# bench/ is a separate Go module (`replace tcast => ../`) that the root
+# build never compiles: vet and test it on its own.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt

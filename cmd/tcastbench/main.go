@@ -54,6 +54,7 @@ import (
 	"tcast/internal/radio"
 	"tcast/internal/rng"
 	"tcast/internal/serve"
+	"tcast/internal/session"
 	"tcast/internal/trace"
 )
 
@@ -488,9 +489,10 @@ func serveBench(conc int) bench {
 	const n, t, x = 128, 16, 16
 	poolCfg := serve.Config{
 		Fields: 1, MaxActive: conc,
-		// Admission slots release after Done() fires, so the next wave can
-		// briefly overlap the previous one's teardown: size the queue and
-		// the per-client bound to absorb two full waves.
+		// A finished wave's admission slots are free once Done() fires,
+		// but its scheduler tokens return a moment later, so the next wave
+		// can briefly queue behind the previous one's teardown: size the
+		// queue and the per-client bound to absorb two full waves.
 		MaxQueue: 2 * conc, MaxPerClient: 4 * conc,
 		MaxHistory: 1,
 	}
@@ -562,25 +564,83 @@ func serveBench(conc int) bench {
 	}
 }
 
-// trialState is the pooled per-trial scratch of the trial benchmarks — the
-// channel, the session arena, and the trial's derived RNG streams — mirroring
-// the sweep driver's pool so the bare benchmark prices the same
+// sessions pools the n=128 trial benchmarks' sessions the way the sweep
+// driver pools its trials', so the bare benchmark prices the same
 // allocation-free hot path the figures run on.
-type trialState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	// aud is recycled across audited trials, mirroring the sweep driver:
-	// Reset re-grades in place and nothing reads the verdict's node
-	// account after the trial, so the pooled store is never observed stale.
-	aud *audit.Auditor
-	// inj and fr are query-2tbins-faulted's recycled fault injector
-	// and its stream, mirroring the sweep driver's pooled fault layer.
-	inj faults.Injector
-	fr  rng.Source
+var sessions = sync.Pool{New: func() any { return new(session.Session) }}
+
+// pooledTrial runs one session of sp on a pooled Session and returns its
+// query count.
+func pooledTrial(sp session.Spec, r *rng.Source) (float64, error) {
+	s := sessions.Get().(*session.Session)
+	defer sessions.Put(s)
+	if err := s.Reset(sp, r); err != nil {
+		return 0, err
+	}
+	res, err := s.Run()
+	return float64(res.Queries), err
 }
 
-var trialPool = sync.Pool{New: func() any { return new(trialState) }}
+// tracedTrial meters one session's cost-model work for a traced pass:
+// trial 0 of seed 1, recorded through the span layer.
+func tracedTrial(sp session.Spec) (polls, slots int64, err error) {
+	tb := trace.NewBuilder()
+	sp.Trace = tb
+	var s session.Session
+	if err := s.Reset(sp, rng.New(1).Split(0)); err != nil {
+		return 0, 0, err
+	}
+	if _, err := s.Run(); err != nil {
+		return 0, 0, err
+	}
+	tb.Graft()
+	a := trace.Analyze(tb.Trace())
+	return int64(a.Polls), a.Slots, nil
+}
+
+// twoTBinsSpec is the benchmarks' bare 2tBins session at x = t = 16 on a
+// field of n nodes.
+func twoTBinsSpec(n int) session.Spec {
+	return session.Spec{N: n, T: scaleT, X: scaleX, Collision: fastsim.DefaultConfig(), Algorithm: core.TwoTBins{}, Label: "2tBins"}
+}
+
+// trialBatch is the batch size of the parallel trial benchmarks: a fresh
+// trace builder is grafted (or the audit batch flushed) every trialBatch
+// trials, as the sweep driver does every point.
+const trialBatch = 1000
+
+// runTrialBatches runs total trials of sp through experiment.RunTrials at
+// full worker parallelism, in batches of trialBatch with a fresh seed
+// each.
+func runTrialBatches(total int, sp session.Spec, traced bool) error {
+	workers := runtime.GOMAXPROCS(0)
+	for done, seed := 0, uint64(1); done < total; seed++ {
+		m := total - done
+		if m > trialBatch {
+			m = trialBatch
+		}
+		batch := sp
+		if traced {
+			batch.Trace = trace.NewBuilder()
+		}
+		trial := func(i int, r *rng.Source) (float64, error) {
+			sp := batch
+			sp.Trial = i
+			return pooledTrial(sp, r)
+		}
+		if _, err := experiment.RunTrials(m, workers, rng.New(seed), trial); err != nil {
+			return err
+		}
+		if batch.Trace != nil {
+			batch.Trace.Graft()
+		}
+		if batch.Audit != nil {
+			batch.Audit.Flush()
+		}
+		done += m
+	}
+	return nil
+}
 
 // obsLayer selects the observability stack of a trialsBench entry.
 type obsLayer int
@@ -593,108 +653,28 @@ const (
 
 // trialsBench is the parallel-observability trio: one op is one 2tBins
 // trial (n=128, t=16, x=16) run through experiment.RunTrials at full
-// worker parallelism, with the chosen layer stacked exactly as the sweep
-// driver stacks it. Trials are batched like sweep points — a fresh trace
-// builder grafted (or the audit batch flushed) every 1000 trials — so the
-// measured cost includes the fork/graft bookkeeping and memory stays
-// bounded at any b.N. The deltas between the three entries are the traced
-// and audited overheads per trial; against a serial baseline the
-// trials/sec column shows the parallel speedup.
+// worker parallelism, with the chosen layer stacked by the session
+// pipeline exactly as the sweep driver stacks it. The measured cost
+// includes the fork/graft and flush bookkeeping of the batches, and
+// memory stays bounded at any b.N. The deltas between the three entries
+// are the traced and audited overheads per trial; against a serial
+// baseline the trials/sec column shows the parallel speedup.
 func trialsBench(name string, layer obsLayer) bench {
-	const n, t, x, batch = 128, 16, 16, 1000
-	cfg := fastsim.DefaultConfig()
-	trial := func(builder *trace.Builder, col *audit.Collector) func(i int, r *rng.Source) (float64, error) {
-		return func(i int, r *rng.Source) (float64, error) {
-			st := trialPool.Get().(*trialState)
-			defer trialPool.Put(st)
-			r.SplitInto(1, &st.chr)
-			st.ch.ResetRandom(n, x, cfg, &st.chr)
-			var q query.Querier = &st.ch
-			var aud *audit.Auditor
-			if col != nil {
-				acfg := audit.Config{N: n, T: t}
-				var err error
-				if st.aud == nil {
-					st.aud, err = audit.New(q, acfg)
-				} else {
-					err = st.aud.Reset(q, acfg)
-				}
-				if err != nil {
-					return 0, err
-				}
-				aud = st.aud
-				q = aud
-			}
-			var fb *trace.Builder
-			var sq *trace.SpanQuerier
-			if builder != nil {
-				fb = builder.Fork(i)
-				fb.Begin(trace.KindTrial, "trial")
-				sq = trace.NewSpanQuerier(q, fb)
-				sq.StartSession("2tBins")
-				q = sq
-			}
-			r.SplitInto(2, &st.algr)
-			res, err := (core.TwoTBins{}).RunIn(&st.arena, q, n, t, &st.algr)
-			if err != nil {
-				return 0, err
-			}
-			if aud != nil {
-				col.AddAt(i, "2tBins", aud.Finish(res.Decision))
-			}
-			if sq != nil {
-				sq.EndSession()
-				fb.End()
-			}
-			return float64(res.Queries), nil
-		}
-	}
 	return bench{
 		name:     name,
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			workers := runtime.GOMAXPROCS(0)
-			var col *audit.Collector
+			sp := twoTBinsSpec(128)
 			if layer == obsAudited {
-				col = &audit.Collector{}
+				sp.Audit = &audit.Collector{}
 			}
 			b.ReportAllocs()
-			for done, seed := 0, uint64(1); done < b.N; seed++ {
-				m := b.N - done
-				if m > batch {
-					m = batch
-				}
-				var builder *trace.Builder
-				if layer == obsTraced {
-					builder = trace.NewBuilder()
-				}
-				if _, err := experiment.RunTrials(m, workers, rng.New(seed), trial(builder, col)); err != nil {
-					b.Fatal(err)
-				}
-				if builder != nil {
-					builder.Graft()
-				}
-				if col != nil {
-					col.Flush()
-				}
-				done += m
+			if err := runTrialBatches(b.N, sp, layer == obsTraced); err != nil {
+				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single traced session.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		traced: func() (int64, int64, error) { return tracedTrial(twoTBinsSpec(128)) },
 	}
 }
 
@@ -705,99 +685,51 @@ func trialsBench(name string, layer obsLayer) bench {
 // overhead per trial. Decisions are not checked — under injected faults
 // some are wrong by design; the trial only has to complete.
 func faultedTrialsBench(spec string) bench {
-	const n, t, x, batch = 128, 16, 16, 1000
-	cfg := fastsim.DefaultConfig()
 	fcfg, err := faults.ParseSpec(spec)
 	if err != nil {
 		fatal(fmt.Errorf("-faults: %w", err))
 	}
-	retry := query.RetryPolicy{MaxRetries: 2, Backoff: 1}
-	trial := func(i int, r *rng.Source) (float64, error) {
-		st := trialPool.Get().(*trialState)
-		defer trialPool.Put(st)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, x, cfg, &st.chr)
-		r.SplitInto(9, &st.fr)
-		st.inj.Reset(&st.ch, fcfg, n, &st.fr)
-		q := query.WithRetry(&st.inj, retry)
-		r.SplitInto(2, &st.algr)
-		res, err := (core.TwoTBins{}).RunIn(&st.arena, q, n, t, &st.algr)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Queries), nil
-	}
+	sp := twoTBinsSpec(128)
+	sp.Faults, sp.Retry = &fcfg, query.RetryPolicy{MaxRetries: 2, Backoff: 1}
 	return bench{
 		name:     "query-2tbins-faulted",
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			workers := runtime.GOMAXPROCS(0)
 			b.ReportAllocs()
-			for done, seed := 0, uint64(1); done < b.N; seed++ {
-				m := b.N - done
-				if m > batch {
-					m = batch
-				}
-				if _, err := experiment.RunTrials(m, workers, rng.New(seed), trial); err != nil {
-					b.Fatal(err)
-				}
-				done += m
+			if err := runTrialBatches(b.N, sp, false); err != nil {
+				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// One faulted traced session; the span recorder discovers the
-			// retry middleware's slot meter, so backoff slots are priced in.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			q := query.WithRetry(faults.New(ch, fcfg, n, r.Split(9)), retry)
-			sq := trace.NewSpanQuerier(q, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		// The span recorder discovers the retry middleware's slot meter,
+		// so backoff slots are priced in.
+		traced: func() (int64, int64, error) { return tracedTrial(sp) },
 	}
 }
 
 // algBench times one tcast session per iteration on the abstract channel;
 // its traced pass meters the same session through the span recorder.
 func algBench(name string, alg core.Algorithm, n, t, x int, cfg fastsim.Config) bench {
+	sp := session.Spec{N: n, T: t, X: x, Collision: cfg, Algorithm: alg}
 	return bench{
 		name:  name,
 		short: true,
 		fn: func(b *testing.B) {
 			root := rng.New(1)
-			var st trialState
+			var s session.Session
 			var r rng.Source
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				root.SplitInto(uint64(i), &r)
-				r.SplitInto(1, &st.chr)
-				st.ch.ResetRandom(n, x, cfg, &st.chr)
-				r.SplitInto(2, &st.algr)
-				if _, err := core.RunIn(&st.arena, alg, &st.ch, n, t, &st.algr); err != nil {
+				if err := s.Reset(sp, &r); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		},
-		traced: func() (int64, int64, error) {
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession(alg.Name())
-			if _, err := alg.Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		traced: func() (int64, int64, error) { return tracedTrial(sp) },
 	}
 }
 
@@ -834,7 +766,7 @@ func csmaBench() bench {
 // packetBench times 2tBins over the packet-level backcast radio; the
 // traced pass rides the session's own slot meter (3 slots per query).
 func packetBench() bench {
-	session := func(r *rng.Source) (*pollcast.Session, error) {
+	substrate := func(r *rng.Source) (*pollcast.Session, error) {
 		parts := make([]*pollcast.Participant, 64)
 		for id := range parts {
 			parts[id] = &pollcast.Participant{ID: id}
@@ -853,7 +785,7 @@ func packetBench() bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := root.Split(uint64(i))
-				sess, err := session(r)
+				sess, err := substrate(r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -863,8 +795,10 @@ func packetBench() bench {
 			}
 		},
 		traced: func() (int64, int64, error) {
+			// The bare pollcast substrate with the span layer alone: it
+			// prices the packet-level cost model, not a session pipeline.
 			r := rng.New(1).Split(0)
-			sess, err := session(r)
+			sess, err := substrate(r)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"tcast/internal/audit"
-	"tcast/internal/core"
 	"tcast/internal/experiment"
-	"tcast/internal/fastsim"
 	"tcast/internal/obs"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 	"tcast/internal/trace"
 )
 
@@ -39,23 +38,16 @@ func scaleWorkers() int {
 	return w
 }
 
-// scaleState is one worker's reusable trial state. Unlike the sync.Pool
-// of the n=128 benchmarks, the trio preallocates one state per worker and
-// indexes it by trial stripe: the O(N) buffers inside (channel bitsets,
-// the auditor's shadow knowledge, the arena) must survive every
-// iteration, and a pool may evict them under GC pressure mid-run, which
-// would charge spurious O(N) reallocations to the measured loop.
-type scaleState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	aud       *audit.Auditor
-}
-
-func newScaleStates(workers int) []*scaleState {
-	states := make([]*scaleState, workers)
+// newScaleStates preallocates one Session per worker. Unlike the
+// sync.Pool of the n=128 benchmarks, the trio indexes them by trial
+// stripe: the O(N) buffers inside (channel bitsets, the auditor's shadow
+// knowledge, the arena) must survive every iteration, and a pool may
+// evict them under GC pressure mid-run, which would charge spurious O(N)
+// reallocations to the measured loop.
+func newScaleStates(workers int) []*session.Session {
+	states := make([]*session.Session, workers)
 	for i := range states {
-		states[i] = new(scaleState)
+		states[i] = new(session.Session)
 	}
 	return states
 }
@@ -63,38 +55,24 @@ func newScaleStates(workers int) []*scaleState {
 // scaleTrial builds the per-trial function over the preallocated states.
 // RunTrials stripes trial i onto worker i mod len(states), so the state
 // index below is race-free for any batch size.
-func scaleTrial(n int, states []*scaleState, builder *trace.Builder, sink *obs.SketchSink) func(i int, r *rng.Source) (float64, error) {
-	cfg := fastsim.DefaultConfig()
+func scaleTrial(n int, states []*session.Session, builder *trace.Builder, col *audit.Collector, sink *obs.SketchSink) func(i int, r *rng.Source) (float64, error) {
+	spec := twoTBinsSpec(n)
+	spec.Audit, spec.Trace, spec.TraceSample = col, builder, scaleSampleRate
 	return func(i int, r *rng.Source) (float64, error) {
-		st := states[i%len(states)]
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, scaleX, cfg, &st.chr)
-		acfg := audit.Config{N: n, T: scaleT}
-		var err error
-		if st.aud == nil {
-			st.aud, err = audit.New(&st.ch, acfg)
-		} else {
-			err = st.aud.Reset(&st.ch, acfg)
+		s := states[i%len(states)]
+		sp := spec
+		sp.Trial = i
+		if err := s.Reset(sp, r); err != nil {
+			return 0, err
 		}
+		res, err := s.Run()
 		if err != nil {
 			return 0, err
 		}
-		fb := builder.Fork(i)
-		fb.Begin(trace.KindTrial, "trial")
-		sq := trace.NewSpanQuerier(st.aud, fb)
-		sq.SetSampling(scaleSampleRate, uint64(i))
-		sq.StartSession("2tBins")
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, core.TwoTBins{}, sq, n, scaleT, &st.algr)
-		if err != nil {
-			return 0, err
-		}
-		v := st.aud.Finish(res.Decision)
-		sq.EndSession()
-		fb.End()
+		v, _ := s.Verdict()
 		sink.OnEvent(obs.Event{
 			Kind: obs.KindSessionVerdict, Session: "2tBins", Trial: i,
-			Poll: -1, Polls: v.Polls, Slots: obs.ChainSlots(sq, v.Polls),
+			Poll: -1, Polls: v.Polls, Slots: s.Slots(),
 			Correct: res.Decision == (scaleX >= scaleT), CausalPoll: -1,
 		})
 		return float64(res.Queries), nil
@@ -102,20 +80,22 @@ func scaleTrial(n int, states []*scaleState, builder *trace.Builder, sink *obs.S
 }
 
 // runScaleTrials executes total telemetered trials at population n through
-// the worker pool, batching the trace builder like the sweep driver so
-// memory stays bounded at any total. Shared by the benchmark bodies and
-// the flat-in-N regression test.
-func runScaleTrials(n, total int, states []*scaleState, sink *obs.SketchSink) error {
+// the worker pool, batching the trace builder and the audit rows like the
+// sweep driver so memory stays bounded at any total. Shared by the
+// benchmark bodies and the flat-in-N regression test.
+func runScaleTrials(n, total int, states []*session.Session, sink *obs.SketchSink) error {
+	col := &audit.Collector{}
 	for done, seed := 0, uint64(1); done < total; seed++ {
 		m := total - done
 		if m > scaleBatch {
 			m = scaleBatch
 		}
 		builder := trace.NewBuilder()
-		if _, err := experiment.RunTrials(m, len(states), rng.New(seed), scaleTrial(n, states, builder, sink)); err != nil {
+		if _, err := experiment.RunTrials(m, len(states), rng.New(seed), scaleTrial(n, states, builder, col, sink)); err != nil {
 			return err
 		}
 		builder.Graft()
+		col.Flush()
 		done += m
 	}
 	return nil
@@ -142,20 +122,8 @@ func scaleBench(name string, n int) bench {
 				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single unsampled session.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, scaleX, fastsim.DefaultConfig(), r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, scaleT, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		// Cost-model work of one trial: a single unsampled session.
+		traced: func() (int64, int64, error) { return tracedTrial(twoTBinsSpec(n)) },
 	}
 }
 

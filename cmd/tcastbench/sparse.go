@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"tcast/internal/core"
-	"tcast/internal/fastsim"
 	"tcast/internal/rng"
-	"tcast/internal/trace"
+	"tcast/internal/session"
 )
 
 // The sparse pair prices the streamed query path itself, with no
@@ -29,19 +27,18 @@ import (
 // sparseWarmup trials size every O(N) buffer before the timed loop.
 const sparseWarmup = 2
 
-// runSparseTrials executes total bare trials at population n against the
-// one pooled state, in trial order. Shared by the benchmark body and the
+// runSparseTrials executes total bare trials at population n on the one
+// reused session, in trial order. Shared by the benchmark body and the
 // sublinear-bytes regression test.
-func runSparseTrials(n, total int, st *trialState) error {
-	cfg := fastsim.DefaultConfig()
+func runSparseTrials(n, total int, s *session.Session) error {
 	root := rng.New(1)
 	var r rng.Source
 	for i := 0; i < total; i++ {
 		root.SplitInto(uint64(i), &r)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, scaleX, cfg, &st.chr)
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, core.TwoTBins{}, &st.ch, n, scaleT, &st.algr)
+		if err := s.Reset(twoTBinsSpec(n), &r); err != nil {
+			return err
+		}
+		res, err := s.Run()
 		if err != nil {
 			return err
 		}
@@ -59,32 +56,23 @@ func sparseBench(name string, n int) bench {
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			var st trialState
-			if err := runSparseTrials(n, sparseWarmup, &st); err != nil {
+			var s session.Session
+			if err := runSparseTrials(n, sparseWarmup, &s); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := runSparseTrials(n, b.N, &st); err != nil {
+			if err := runSparseTrials(n, b.N, &s); err != nil {
 				b.Fatal(err)
 			}
 		},
+		// Cost-model work of one trial: a single traced session. The span
+		// layer materializes each streamed bin's members exactly as the
+		// bare path hands them to the querier.
 		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single traced session. The
-			// span layer materializes each streamed bin's members exactly
-			// as the bare path hands them to the querier.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, scaleX, fastsim.DefaultConfig(), r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.SetSampling(scaleSampleRate, 0)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, scaleT, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
+			sp := twoTBinsSpec(n)
+			sp.TraceSample = scaleSampleRate
+			return tracedTrial(sp)
 		},
 	}
 }
@@ -101,14 +89,14 @@ func sparseBenches() []bench {
 // acceptance check: allocated bytes per bare sparse trial at population
 // n, measured after the warmup has sized the one state's buffers.
 func measureSparseBytes(n, iters int) (float64, error) {
-	var st trialState
-	if err := runSparseTrials(n, sparseWarmup, &st); err != nil {
+	var s session.Session
+	if err := runSparseTrials(n, sparseWarmup, &s); err != nil {
 		return 0, fmt.Errorf("warmup: %w", err)
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := runSparseTrials(n, iters, &st); err != nil {
+	if err := runSparseTrials(n, iters, &s); err != nil {
 		return 0, err
 	}
 	runtime.ReadMemStats(&after)

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"tcast/internal/session"
+)
 
 // TestSparseBytesSublinear pins the sparse pair's acceptance criterion:
 // steady-state allocator traffic per bare trial must not scale with the
@@ -31,8 +35,8 @@ func TestSparse1e7Completes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second single trial")
 	}
-	var st trialState
-	if err := runSparseTrials(10_000_000, 1, &st); err != nil {
+	var s session.Session
+	if err := runSparseTrials(10_000_000, 1, &s); err != nil {
 		t.Fatal(err)
 	}
 }

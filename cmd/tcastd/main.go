@@ -33,12 +33,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/serve"
+	"tcast/internal/session"
 )
 
 func main() {
@@ -54,7 +56,7 @@ func main() {
 		n            = flag.Int("n", 128, "default field size when the request omits n")
 		t            = flag.Int("t", 16, "default threshold when the request omits t")
 		x            = flag.Int("x", 16, "default positive count when the request omits x")
-		alg          = flag.String("alg", "2tbins", "default algorithm: 2tbins | exp | abns-t | abns-2t | probabns | oracle")
+		alg          = flag.String("alg", "2tbins", "default algorithm: "+strings.Join(session.Algorithms(), " | "))
 		model        = flag.String("model", "1+", "default channel model: 1+ | 2+")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on waiting for in-flight sessions at shutdown")
 	)

@@ -4,10 +4,12 @@
 // Usage:
 //
 //	tcastsim -n 128 -t 16 -x 20 -alg 2tbins -runs 1000
-//	tcastsim -n 128 -t 16 -x 20 -alg probabns -model 2+
+//	tcastsim -n 128 -t 16 -x 20 -alg exp -model 2+
 //	tcastsim -n 32  -t 8  -x 12 -alg csma
 //
-// Algorithms: 2tbins, exp, abns-t, abns-2t, probabns, oracle, csma, seq.
+// -alg takes the tcast algorithms tcastd serves (see -h) plus the csma
+// and seq baselines. Inputs are checked by the same rules tcastd applies
+// to a request, so a spec tcastd rejects fails here too.
 package main
 
 import (
@@ -16,11 +18,12 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
-	"tcast/internal/core"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
@@ -28,6 +31,7 @@ import (
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 	"tcast/internal/stats"
 	"tcast/internal/trace"
 )
@@ -37,7 +41,7 @@ func main() {
 		n       = flag.Int("n", 128, "participant nodes")
 		t       = flag.Int("t", 16, "threshold")
 		x       = flag.Int("x", 8, "ground-truth positive nodes")
-		alg     = flag.String("alg", "2tbins", "algorithm: 2tbins | exp | abns-t | abns-2t | probabns | oracle | csma | seq")
+		alg     = flag.String("alg", "2tbins", "algorithm: "+strings.Join(append(session.Algorithms(), "csma", "seq"), " | "))
 		model   = flag.String("model", "1+", "collision model: 1+ | 2+")
 		runs    = flag.Int("runs", 1000, "number of trials")
 		workers = flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS); results are worker-count-independent")
@@ -58,9 +62,6 @@ func main() {
 	var obsCfg obs.Config
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if *x < 0 || *x > *n {
-		fatal(fmt.Errorf("x=%d outside [0,%d]", *x, *n))
-	}
 
 	var reg *metrics.Registry
 	if *metricsOut != "" || obsCfg.Enabled() {
@@ -82,11 +83,9 @@ func main() {
 		}()
 	}
 
-	cfg := fastsim.DefaultConfig()
-	if *model == "2+" {
-		cfg = fastsim.TwoPlusConfig()
-	} else if *model != "1+" {
-		fatal(fmt.Errorf("unknown model %q", *model))
+	cfg, err := session.Model(*model)
+	if err != nil {
+		fatal(err)
 	}
 	cfg.MissProb = *miss
 
@@ -171,18 +170,26 @@ func main() {
 	}
 }
 
-// buildTrial returns a per-trial cost function for the selected scheme.
-// A non-nil registry instruments every group poll of the tcast schemes;
-// the CSMA/sequential baselines have no group polls to instrument. A
-// non-nil builder renders each trial as virtual-time spans: the trial
-// records into its own fork keyed by trial index, so trials may run on
-// every core and the caller grafts the fragments back in order. A
-// non-nil collector grades every tcast session against the channel's
-// ground truth, likewise keyed by trial index. An active fault config
-// stacks the injector above the channel (CSMA honors the burst process
-// through its drop hook; sequential polling has no contention to fault);
-// an active retry policy re-polls silent bins within the priced budget.
+// buildTrial returns a per-trial cost function for the selected scheme,
+// after checking the inputs by the session rules tcastd applies. The tcast
+// algorithms run through the session pipeline with the given layers: a
+// non-nil registry instruments every group poll, a non-nil builder
+// renders each trial as virtual-time spans in its own fork keyed by trial
+// index (the caller grafts them back in order), a non-nil collector
+// grades every session against the channel's ground truth, an active
+// fault config stacks the injector above the channel and an active retry
+// policy re-polls silent bins within the priced budget. The CSMA and
+// sequential baselines have no group polls to layer: CSMA honors the
+// burst process through its drop hook, and sequential polling has no
+// contention to fault.
 func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config, retry query.RetryPolicy, reg *metrics.Registry, b *trace.Builder, sample int, col *audit.Collector, bus *obs.Bus) (func(i int, r *rng.Source) (float64, error), string, error) {
+	sp := session.Spec{N: n, T: t, X: x, Collision: cfg, Retry: retry}
+	if alg != "csma" && alg != "seq" {
+		sp.Alg = alg
+	}
+	if err := sp.Validate(); err != nil {
+		return nil, "", err
+	}
 	baselineTrial := func(scheme string, run func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result) func(i int, r *rng.Source) (float64, error) {
 		return func(trialN int, r *rng.Source) (float64, error) {
 			pos := bitset.New(n)
@@ -210,21 +217,7 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 			return float64(res.Slots), nil
 		}
 	}
-	var fac func(ch *fastsim.Channel) core.Algorithm
-	var name string
 	switch alg {
-	case "2tbins":
-		fac, name = plain(core.TwoTBins{}), "2tBins"
-	case "exp":
-		fac, name = plain(core.ExpIncrease{}), "ExpIncrease"
-	case "abns-t":
-		fac, name = plain(core.ABNS{P0: 1}), "ABNS(p0=t)"
-	case "abns-2t":
-		fac, name = plain(core.ABNS{P0: 2}), "ABNS(p0=2t)"
-	case "probabns":
-		fac, name = plain(core.ProbABNS{}), "ProbABNS"
-	case "oracle":
-		fac, name = func(ch *fastsim.Channel) core.Algorithm { return core.Oracle{Truth: ch} }, "Oracle"
 	case "csma":
 		if col != nil {
 			return nil, "", fmt.Errorf("-audit grades group-poll sessions; csma has none")
@@ -244,105 +237,43 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 		return baselineTrial("sequential", func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
 			return baseline.Sequential{}.Run(n, t, pos, r)
 		}), "Sequential", nil
-	default:
-		return nil, "", fmt.Errorf("unknown algorithm %q", alg)
 	}
+	a, err := session.Algorithm(alg, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	name := a.Name()
+	sp.Metrics, sp.Audit, sp.Trace, sp.TraceSample, sp.Obs = reg, col, b, sample, bus
+	if fcfg.Active() {
+		sp.Faults = &fcfg
+	}
+	pool := &sync.Pool{New: func() any { return new(session.Session) }}
 	return func(trialN int, r *rng.Source) (float64, error) {
-		ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-		a := fac(ch)
-		var sub query.Querier = ch
-		if fcfg.Active() {
-			sub = faults.New(sub, fcfg, n, r.Split(9))
+		s := pool.Get().(*session.Session)
+		defer pool.Put(s)
+		sp := sp
+		sp.Trial, sp.Label = trialN, fmt.Sprintf("%s/trial=%d", name, trialN)
+		if err := s.Reset(sp, r); err != nil {
+			return 0, err
 		}
-		sub = query.WithRetry(sub, retry)
-		q := metrics.Wrap(sub, reg)
-		label := fmt.Sprintf("%s/trial=%d", name, trialN)
-		var aud *audit.Auditor
-		if col != nil {
-			var err error
-			aud, err = audit.New(q, audit.Config{N: n, T: t, Metrics: reg})
-			if err != nil {
-				return 0, err
-			}
-			q = aud
-		}
-		var fb *trace.Builder
-		var sq *trace.SpanQuerier
-		if b != nil {
-			fb = b.Fork(trialN)
-			fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(trialN))
-			sq = trace.NewSpanQuerier(q, fb)
-			sq.SetSampling(sample, uint64(trialN))
-			sq.StartSession(a.Name(),
-				trace.IntAttr("n", n), trace.IntAttr("t", t), trace.IntAttr("x", x))
-			q = sq
-		}
-		if bus != nil {
-			q = obs.NewPublisher(q, bus, label, trialN)
-			obs.PublishSessionStart(bus, label, trialN)
-		}
-		res, err := a.Run(q, n, t, r.Split(2))
-		if aud != nil {
-			if err == nil {
-				// Finish before EndSession so the verdict annotates the span.
-				v := aud.Finish(res.Decision)
-				col.AddAt(trialN, label, v)
-				if bus != nil {
-					obs.PublishChainEvents(bus, label, trialN, q)
-					obs.PublishVerdict(bus, label, trialN, v, obs.ChainSlots(q, v.Polls), q)
-				}
-			} else {
-				col.Void(label)
-			}
-		}
-		if sq != nil {
-			if err == nil {
-				sq.EndSession(
-					trace.BoolAttr("decision", res.Decision),
-					trace.IntAttr("queries", res.Queries),
-					trace.IntAttr("rounds", res.Rounds))
-			} else {
-				sq.EndSession(trace.StringAttr("error", err.Error()))
-			}
-			fb.End() // trial span
-		}
+		res, err := s.Run()
 		if err != nil {
 			return 0, err
 		}
-		metrics.FinishSession(q)
-		if bus != nil && aud == nil {
-			obs.PublishChainEvents(bus, label, trialN, q)
-			obs.PublishDecision(bus, label, trialN, res.Decision, x >= t, res.Queries,
-				obs.ChainSlots(q, res.Queries))
-		}
+		s.Publish()
 		return float64(res.Queries), nil
 	}, name, nil
-}
-
-func plain(a core.Algorithm) func(ch *fastsim.Channel) core.Algorithm {
-	return func(*fastsim.Channel) core.Algorithm { return a }
 }
 
 // printTrace runs one session with a trace recorder and prints its
 // poll-by-poll timeline. Baselines have no group polls to trace.
 func printTrace(alg string, n, t, x int, cfg fastsim.Config, seed uint64) error {
-	var a core.Algorithm
-	switch alg {
-	case "2tbins":
-		a = core.TwoTBins{}
-	case "exp":
-		a = core.ExpIncrease{}
-	case "abns-t":
-		a = core.ABNS{P0: 1}
-	case "abns-2t":
-		a = core.ABNS{P0: 2}
-	case "probabns":
-		a = core.ProbABNS{}
-	default:
+	if _, err := session.Algorithm(alg, nil); err != nil {
 		return fmt.Errorf("-dump supports the tcast algorithms, not %q", alg)
 	}
 	r := rng.New(seed)
 	ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
+	a, _ := session.Algorithm(alg, ch)
 	rec := trace.NewRecorder(ch)
 	res, err := a.Run(rec, n, t, r.Split(2))
 	if err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"testing"
 
 	"tcast/internal/audit"
@@ -117,5 +119,54 @@ func TestBuildTrialFaultedAndRetried(t *testing.T) {
 		} else if cost < 0 {
 			t.Fatalf("trial %d: negative cost %v", i, cost)
 		}
+	}
+}
+
+// TestMain lets a test re-run this binary as tcastsim itself: with
+// TCASTSIM_MAIN set, the process runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("TCASTSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsSpecsTcastdRejects: tcastsim checks its inputs by the same
+// session rules tcastd applies to a request, so each spec below, which
+// tcastd answers with a 400, makes tcastsim exit non-zero before it
+// prints a result.
+func TestRejectsSpecsTcastdRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		ok   bool
+	}{
+		{"valid", []string{"-runs", "2"}, true},
+		{"valid baseline", []string{"-runs", "2", "-alg", "csma"}, true},
+		{"negative retries", []string{"-runs", "2", "-retries", "-1"}, false},
+		{"negative backoff", []string{"-runs", "2", "-backoff", "-1"}, false},
+		{"zero threshold", []string{"-runs", "2", "-t", "0"}, false},
+		{"threshold above n", []string{"-runs", "2", "-n", "128", "-t", "200"}, false},
+		{"empty field", []string{"-runs", "2", "-n", "0", "-x", "0"}, false},
+		{"x above n", []string{"-runs", "2", "-n", "16", "-t", "4", "-x", "17"}, false},
+		{"baseline zero threshold", []string{"-runs", "2", "-alg", "seq", "-t", "0"}, false},
+		{"unknown algorithm", []string{"-runs", "2", "-alg", "nope"}, false},
+		{"unknown model", []string{"-runs", "2", "-model", "3+"}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], c.args...)
+			cmd.Env = append(os.Environ(), "TCASTSIM_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			if c.ok && err != nil {
+				t.Fatalf("%v: %v\n%s", c.args, err, out)
+			}
+			if !c.ok {
+				if _, exited := err.(*exec.ExitError); !exited {
+					t.Fatalf("%v: exit status %v, want non-zero\n%s", c.args, err, out)
+				}
+			}
+		})
 	}
 }

@@ -5,12 +5,12 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/core"
-	"tcast/internal/metrics"
-	"tcast/internal/obs"
+	"tcast/internal/faults"
 	"tcast/internal/pollcast"
 	"tcast/internal/query"
 	"tcast/internal/radio"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 	"tcast/internal/stats"
 )
 
@@ -25,67 +25,63 @@ import (
 // error — this campaign *wants* wrong decisions, so it can attribute each
 // one to the first causal unsound poll.
 const (
-	accN = 24 // participants
-	accT = 6  // threshold
-	accX = 8  // true positives: x > t, so loss-induced errors decide "no"
+	backcastN = 24 // participants
+	backcastT = 6  // threshold
+	backcastX = 8  // true positives: x > t, so loss-induced errors decide "no"
 )
 
 // accMissPcts are the swept per-reply loss probabilities, in percent.
 var accMissPcts = []int{0, 2, 5, 10, 15, 20}
 
-// accuracyPoint runs one miss-rate point's trials (at full worker
-// parallelism; verdicts are inserted under their trial index so the
-// dumps are order-deterministic) and returns the graded collector
-// alongside the per-trial correctness values.
-func accuracyPoint(missPct int, o Options, root *rng.Source) (*audit.Collector, []float64, error) {
-	col := &audit.Collector{}
-	miss := float64(missPct) / 100
-	values, err := RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
+// backcast is the packet-level substrate of the audited campaigns: a
+// backcast session over a radio medium with per-reply loss miss (drawn
+// from Split(1)) and backcastX positives sampled from Split(2).
+func backcast(miss float64) func(r *rng.Source) (query.Querier, error) {
+	return func(r *rng.Source) (query.Querier, error) {
 		med := radio.NewMedium(radio.Config{MissProb: miss}, r.Split(1))
-		parts := make([]*pollcast.Participant, accN)
-		positive := make(map[int]bool, accX)
-		for _, id := range r.Split(2).Sample(accN, accX) {
+		parts := make([]*pollcast.Participant, backcastN)
+		positive := make(map[int]bool, backcastX)
+		for _, id := range r.Split(2).Sample(backcastN, backcastX) {
 			positive[id] = true
 		}
 		for i := range parts {
 			parts[i] = &pollcast.Participant{ID: i, Positive: positive[i]}
 		}
-		sess, err := pollcast.NewSession(med, accN, parts, pollcast.Backcast, query.OnePlus)
+		return pollcast.NewSession(med, backcastN, parts, pollcast.Backcast, query.OnePlus)
+	}
+}
+
+// backcastPoint runs one point of audited 2tBins sessions over the
+// backcast substrate (at full worker parallelism) and returns the point's
+// collector, the per-trial correctness values (1 correct, 0 wrong) and,
+// with attribute set, how many wrong decisions were joined to an injected
+// fault (their labels name it). Verdicts fold into the point's collector
+// and, when set, o.Audit, both keyed by trial index so the dumps are
+// order-deterministic.
+func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query.RetryPolicy, attribute bool, o Options, root *rng.Source) (*audit.Collector, []float64, int, error) {
+	col := &audit.Collector{}
+	runs := o.runs(200)
+	attributed := make([]bool, runs)
+	values, err := RunTrials(runs, o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
+		s := sessions.Get().(*session.Session)
+		defer sessions.Put(s)
+		err := s.Reset(session.Spec{
+			N: backcastN, T: backcastT, X: backcastX, Algorithm: core.TwoTBins{},
+			Label: fmt.Sprintf("%s/trial=%d", prefix, trial), Trial: trial,
+			Substrate: backcast(miss), Faults: fcfg, Retry: retry,
+			Metrics: o.Metrics, Audit: col, Attribute: attribute, Obs: o.Obs,
+		}, r)
 		if err != nil {
 			return 0, err
 		}
-		var q query.Querier = metrics.Wrap(o.wrapFaults(sess, accN, r, nil), o.Metrics)
-		aud, err := audit.New(q, audit.Config{N: accN, T: accT, Metrics: o.Metrics})
+		_, err = s.Run()
+		s.Record(o.Audit)
 		if err != nil {
 			return 0, err
 		}
-		q = aud
-		label := fmt.Sprintf("2tBins/backcast/miss=%d%%/trial=%d", missPct, trial)
-		if o.Obs != nil {
-			q = obs.NewPublisher(q, o.Obs, label, trial)
-			obs.PublishSessionStart(o.Obs, label, trial)
-		}
-		res, err := (core.TwoTBins{}).Run(q, accN, accT, r.Split(3))
-		if err != nil {
-			// Polls were graded live but the session never reached a
-			// decision; void it so session accounting stays consistent.
-			col.Void(label)
-			if o.Audit != nil {
-				o.Audit.Void(label)
-			}
-			return 0, err
-		}
-		metrics.FinishSession(q)
-		v := aud.Finish(res.Decision)
-		col.AddAt(trial, label, v)
-		if o.Audit != nil {
-			o.Audit.AddAt(trial, label, v)
-		}
-		if o.Obs != nil {
-			obs.PublishChainEvents(o.Obs, label, trial, q)
-			obs.PublishVerdict(o.Obs, label, trial, v, obs.ChainSlots(q, v.Polls), q)
-		}
-		if v.Correct() {
+		s.Publish()
+		attributed[trial] = s.Attributed()
+		if v, _ := s.Verdict(); v.Correct() {
 			return 1, nil
 		}
 		return 0, nil
@@ -94,13 +90,19 @@ func accuracyPoint(missPct int, o Options, root *rng.Source) (*audit.Collector, 
 		if o.Audit != nil {
 			o.Audit.Discard()
 		}
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	col.Flush()
 	if o.Audit != nil {
 		o.Audit.Flush()
 	}
-	return col, values, nil
+	n := 0
+	for _, a := range attributed {
+		if a {
+			n++
+		}
+	}
+	return col, values, n, nil
 }
 
 func init() {
@@ -111,7 +113,7 @@ func init() {
 			root := rng.New(o.Seed)
 			tab := &stats.Table{
 				Title: fmt.Sprintf("audited backcast campaign: N=%d, t=%d, x=%d (truth: yes)",
-					accN, accT, accX),
+					backcastN, backcastT, backcastX),
 				XLabel: "reply loss %", YLabel: "rate / count",
 			}
 			accuracy := &stats.Series{Name: "decision accuracy"}
@@ -120,7 +122,8 @@ func init() {
 			fnPolls := &stats.Series{Name: "false-negative polls per session"}
 			violations := &stats.Series{Name: "invariant violations"}
 			for _, missPct := range accMissPcts {
-				col, values, err := accuracyPoint(missPct, o, root.Split(uint64(missPct)))
+				prefix := fmt.Sprintf("2tBins/backcast/miss=%d%%", missPct)
+				col, values, _, err := backcastPoint(prefix, float64(missPct)/100, o.Faults, o.Retry, false, o, root.Split(uint64(missPct)))
 				if err != nil {
 					return nil, fmt.Errorf("experiment: tab-acc at miss=%d%%: %w", missPct, err)
 				}

@@ -22,15 +22,10 @@ import (
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 	"tcast/internal/stats"
 	"tcast/internal/trace"
 )
-
-// faultStream is the Split label reserved for a trial's fault-injection
-// stream; trial cost functions use labels 1..3 for their own draws, and
-// Split never advances the parent, so reserving the label costs bare runs
-// nothing.
-const faultStream = 9
 
 // Options tunes an experiment run.
 type Options struct {
@@ -109,31 +104,6 @@ type Options struct {
 
 // faulted reports whether fault injection is configured AND can fire.
 func (o Options) faulted() bool { return o.Faults != nil && o.Faults.Active() }
-
-// faultLayer is a trial's fault injector and the stream it draws from,
-// pooled with the rest of the trial scratch so a faulted trial reuses
-// the injector's per-node state and event storage.
-type faultLayer struct {
-	inj faults.Injector
-	r   rng.Source
-}
-
-// wrapFaults stacks the injector (when configured) and the retry policy
-// above a trial's substrate, returning the querier the observability
-// layers should wrap. r must be the trial's root stream: the injector
-// draws from its reserved split, never from the substrate's. fl is the
-// injector to reuse; nil allocates one when faults are configured.
-func (o Options) wrapFaults(q query.Querier, n int, r *rng.Source, fl *faultLayer) query.Querier {
-	if o.Faults != nil {
-		if fl == nil {
-			fl = new(faultLayer)
-		}
-		r.SplitInto(faultStream, &fl.r)
-		fl.inj.Reset(q, *o.Faults, n, &fl.r)
-		q = &fl.inj
-	}
-	return query.WithRetry(q, o.Retry)
-}
 
 func (o Options) runs(def int) int {
 	if o.Runs > 0 {
@@ -296,134 +266,36 @@ func sweep(name string, xs []int, o Options, root *rng.Source, cost func(x int) 
 	return s, nil
 }
 
-// algChannelFactory builds the algorithm for one trial's channel (the
-// Oracle needs the trial's ground truth).
-type algChannelFactory func(ch *fastsim.Channel) core.Algorithm
-
-func plainAlg(a core.Algorithm) algChannelFactory {
-	return func(*fastsim.Channel) core.Algorithm { return a }
-}
-
-// trialState is the pooled per-trial scratch of tcastCost: the simulated
-// channel, the session arena, the two derived RNG streams every trial
-// draws, and the fault layer of faulted sweeps. Pooling it takes the
-// bare trial path (no observability layers configured) down to zero
-// allocations per trial; the reseeding calls (ResetRandom, SplitInto,
-// Reset, RunIn) draw exactly the sequences their allocating equivalents
-// do, so pooled trials are bit-identical.
-type trialState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	// aud is the recycled auditor of audited sweeps: Reset re-grades a
-	// new session in place (generation-bumped ledgers, recycled shadow
-	// knowledge), and the collector extracts verdict scalars immediately,
-	// so nothing observes the store after the trial returns it.
-	aud *audit.Auditor
-	// faults is the recycled injector of faulted sweeps. Like the
-	// auditor, everything that reads its event log (audit attribution,
-	// obs chain events) does so before the trial returns.
-	faults faultLayer
-}
-
-var trialPool = sync.Pool{New: func() any { return new(trialState) }}
+// sessions pools the trials' sessions: a reused session keeps its
+// channel, arena, streams, injector and auditor, so the bare trial path
+// (no layers configured) allocates nothing. Reset draws exactly what a
+// fresh session would, so pooled trials are bit-identical.
+var sessions = sync.Pool{New: func() any { return new(session.Session) }}
 
 // tcastCost measures one tcast session's query count on a fresh channel
-// with exactly x positives. o.Metrics interposes the instrumented querier,
-// recording every group poll; o.Audit stacks the ground-truth auditor over
-// it; o.Trace additionally stacks the span recorder outside both,
-// rendering the trial as trial → session → round → poll spans (with the
-// auditor below the span layer, so its verdict annotates the session
-// span). No wrapper consumes randomness, so the measured values are
-// identical in every combination.
-func tcastCost(fac algChannelFactory, n, t, x int, cfg fastsim.Config, o Options) pointCost {
+// with exactly x positives, under the layers o configures. No layer
+// consumes randomness, so the measured values are identical in every
+// combination.
+func tcastCost(alg core.Algorithm, n, t, x int, cfg fastsim.Config, o Options) pointCost {
 	return func(trial int, r *rng.Source) (float64, error) {
-		st := trialPool.Get().(*trialState)
-		defer trialPool.Put(st)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, x, cfg, &st.chr)
-		ch := &st.ch
-		alg := fac(ch)
-		q := metrics.Wrap(o.wrapFaults(ch, n, r, &st.faults), o.Metrics)
-		var aud *audit.Auditor
-		var label string
+		s := sessions.Get().(*session.Session)
+		defer sessions.Put(s)
+		sp := session.Spec{
+			N: n, T: t, X: x, Collision: cfg, Algorithm: alg, Trial: trial,
+			Faults: o.Faults, Retry: o.Retry, Metrics: o.Metrics, Audit: o.Audit,
+			Trace: o.Trace, TraceSample: o.TraceSample, Obs: o.Obs,
+		}
 		if o.Audit != nil || o.Obs != nil {
-			label = fmt.Sprintf("%s/n=%d/t=%d/x=%d/trial=%d", alg.Name(), n, t, x, trial)
+			sp.Label = fmt.Sprintf("%s/n=%d/t=%d/x=%d/trial=%d", alg.Name(), n, t, x, trial)
 		}
-		if o.Audit != nil {
-			acfg := audit.Config{N: n, T: t, Metrics: o.Metrics}
-			var err error
-			if st.aud == nil {
-				st.aud, err = audit.New(q, acfg)
-			} else {
-				err = st.aud.Reset(q, acfg)
-			}
-			if err != nil {
-				return 0, err
-			}
-			aud = st.aud
-			q = aud
+		if err := s.Reset(sp, r); err != nil {
+			return 0, err
 		}
-		var fb *trace.Builder
-		var sq *trace.SpanQuerier
-		if b := o.Trace; b != nil {
-			// Record into a private fork of the shared builder; the sweep
-			// grafts it back under the point span once the pool drains.
-			fb = b.Fork(trial)
-			fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(trial))
-			sq = trace.NewSpanQuerier(q, fb)
-			sq.SetSampling(o.TraceSample, uint64(trial))
-			sq.StartSession(alg.Name(),
-				trace.IntAttr("n", n), trace.IntAttr("t", t), trace.IntAttr("x", x))
-			q = sq
-		}
-		if o.Obs != nil {
-			// Outermost, so the published poll stream counts exactly the
-			// algorithm-visible polls every layer below has already seen.
-			q = obs.NewPublisher(q, o.Obs, label, trial)
-			obs.PublishSessionStart(o.Obs, label, trial)
-		}
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, alg, q, n, t, &st.algr)
-		if aud != nil {
-			if err == nil {
-				// Finish before EndSession so the verdict annotates the
-				// closing session span.
-				v := aud.Finish(res.Decision)
-				o.Audit.AddAt(trial, label, v)
-				if o.Obs != nil {
-					obs.PublishChainEvents(o.Obs, label, trial, q)
-					obs.PublishVerdict(o.Obs, label, trial, v, obs.ChainSlots(q, v.Polls), q)
-				}
-			} else {
-				// The session started (its polls were graded live) but never
-				// reached a decision; void it so the collector's session
-				// accounting stays consistent with sessions started.
-				o.Audit.Void(label)
-			}
-		}
-		if sq != nil {
-			if err == nil {
-				sq.EndSession(
-					trace.BoolAttr("decision", res.Decision),
-					trace.IntAttr("queries", res.Queries),
-					trace.IntAttr("rounds", res.Rounds))
-			} else {
-				sq.EndSession(trace.StringAttr("error", err.Error()))
-			}
-			fb.End() // trial span
-		}
+		res, err := s.Run()
 		if err != nil {
 			return 0, err
 		}
-		metrics.FinishSession(q)
-		if o.Obs != nil && aud == nil {
-			// Unaudited sessions still close on the bus, graded against the
-			// configured truth x >= t (no causal attribution without audit).
-			obs.PublishChainEvents(o.Obs, label, trial, q)
-			obs.PublishDecision(o.Obs, label, trial, res.Decision, x >= t, res.Queries,
-				obs.ChainSlots(q, res.Queries))
-		}
+		s.Publish()
 		if res.Decision != (x >= t) && !o.faulted() {
 			// A wrong decision on a well-behaved substrate is a harness
 			// bug; under active fault injection it is the expected

@@ -121,10 +121,10 @@ func init() {
 				cost func(x int) pointCost
 			}{
 				{"2tBins", func(x int) pointCost {
-					return tcastCost(plainAlg(core.TwoTBins{}), defaultN, defaultT, x, fastsim.DefaultConfig(), o)
+					return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				}},
 				{"ExpIncrease", func(x int) pointCost {
-					return tcastCost(plainAlg(core.ExpIncrease{}), defaultN, defaultT, x, fastsim.DefaultConfig(), o)
+					return tcastCost(core.ExpIncrease{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				}},
 				{"CSMA", func(x int) pointCost { return csmaCost(defaultN, defaultT, x, o) }},
 				{"Sequential", func(x int) pointCost { return sequentialCost(defaultN, defaultT, x, o) }},
@@ -163,7 +163,7 @@ func init() {
 			for i, c := range curves {
 				c := c
 				s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int) pointCost {
-					return tcastCost(plainAlg(c.alg), defaultN, defaultT, x, c.cfg, o)
+					return tcastCost(c.alg, defaultN, defaultT, x, c.cfg, o)
 				})
 				if err != nil {
 					return nil, err
@@ -198,7 +198,7 @@ func init() {
 			for i, c := range curves {
 				c := c
 				s, err := sweep(c.name, ts, o, root.Split(uint64(i)), func(t int) pointCost {
-					return tcastCost(plainAlg(c.alg), defaultN, t, x, c.cfg, o)
+					return tcastCost(c.alg, defaultN, t, x, c.cfg, o)
 				})
 				if err != nil {
 					return nil, err
@@ -303,7 +303,7 @@ func init() {
 				XLabel: "positive nodes x", YLabel: "queries / slots",
 			}
 			prob, err := sweep("ProbABNS", xs, o, root.Split(1), func(x int) pointCost {
-				return tcastCost(plainAlg(core.ProbABNS{}), n, t, x, fastsim.DefaultConfig(), o)
+				return tcastCost(core.ProbABNS{}, n, t, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {
 				return nil, err
@@ -457,7 +457,7 @@ func init() {
 					CaptureEffectPresent: true,
 				}
 				s, err := sweep(fmt.Sprintf("beta=%.2f", beta), xs, o, root.Split(uint64(i)), func(x int) pointCost {
-					return tcastCost(plainAlg(core.TwoTBins{}), defaultN, defaultT, x, cfg, o)
+					return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, cfg, o)
 				})
 				if err != nil {
 					return nil, err
@@ -470,7 +470,7 @@ func init() {
 					Capture:              fastsim.InverseCapture(),
 					CaptureEffectPresent: true,
 				}
-				return tcastCost(plainAlg(core.TwoTBins{}), defaultN, defaultT, x, cfg, o)
+				return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, cfg, o)
 			})
 			if err != nil {
 				return nil, err
@@ -497,7 +497,7 @@ func init() {
 			} {
 				alg := alg
 				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), func(x int) pointCost {
-					return tcastCost(plainAlg(alg), defaultN, defaultT, x, fastsim.DefaultConfig(), o)
+					return tcastCost(alg, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				})
 				if err != nil {
 					return nil, err
@@ -523,27 +523,28 @@ func abnsFigure(probabilistic bool) func(o Options) (*stats.Table, error) {
 
 		curves := []struct {
 			name string
-			fac  algChannelFactory
+			alg  core.Algorithm
 		}{
-			{"ABNS(p0=t)", plainAlg(core.ABNS{P0: 1})},
-			{"ABNS(p0=2t)", plainAlg(core.ABNS{P0: 2})},
-			{"Oracle", func(ch *fastsim.Channel) core.Algorithm { return core.Oracle{Truth: ch} }},
+			{"ABNS(p0=t)", core.ABNS{P0: 1}},
+			{"ABNS(p0=2t)", core.ABNS{P0: 2}},
+			// The session gives the Oracle its channel's ground truth.
+			{"Oracle", core.Oracle{}},
 		}
 		if probabilistic {
 			curves = append([]struct {
 				name string
-				fac  algChannelFactory
-			}{{"ProbABNS", plainAlg(core.ProbABNS{})}}, curves...)
+				alg  core.Algorithm
+			}{{"ProbABNS", core.ProbABNS{}}}, curves...)
 		} else {
 			curves = append([]struct {
 				name string
-				fac  algChannelFactory
-			}{{"2tBins", plainAlg(core.TwoTBins{})}}, curves...)
+				alg  core.Algorithm
+			}{{"2tBins", core.TwoTBins{}}}, curves...)
 		}
 		for i, c := range curves {
 			c := c
 			s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int) pointCost {
-				return tcastCost(c.fac, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
+				return tcastCost(c.alg, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {
 				return nil, err

@@ -8,6 +8,7 @@ import (
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 	"tcast/internal/stats"
 )
 
@@ -68,7 +69,7 @@ func init() {
 			queries := &stats.Series{Name: "queries"}
 			alg := core.TwoTBins{}
 			cfg := fastsim.DefaultConfig()
-			var st trialState
+			var s session.Session
 			var tr rng.Source
 			var m0, m1 runtime.MemStats
 			for _, n := range scaleSweepNs {
@@ -80,10 +81,11 @@ func init() {
 				start := time.Now()
 				for i := 0; i < trials; i++ {
 					point.SplitInto(uint64(i), &tr)
-					tr.SplitInto(1, &st.chr)
-					st.ch.ResetRandom(n, scaleSweepX, cfg, &st.chr)
-					tr.SplitInto(2, &st.algr)
-					res, err := core.RunIn(&st.arena, alg, &st.ch, n, scaleSweepT, &st.algr)
+					sp := session.Spec{N: n, T: scaleSweepT, X: scaleSweepX, Collision: cfg, Algorithm: alg, Trial: i}
+					if err := s.Reset(sp, &tr); err != nil {
+						return nil, err
+					}
+					res, err := s.Run()
 					if err != nil {
 						return nil, fmt.Errorf("experiment: ext-scale n=%d trial %d: %w", n, i, err)
 					}

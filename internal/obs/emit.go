@@ -50,7 +50,7 @@ func PublishVerdict(b *Bus, session string, trial int, v audit.Verdict, slots in
 		v.Decision, v.Truth, v.TrueX, v.Outcome)
 	if v.CausalPoll >= 0 {
 		detail += fmt.Sprintf("; causal poll %d (%s)", v.CausalPoll, v.CausalClass)
-		if cause := describeCause(q, v.CausalPoll); cause != "" {
+		if cause := DescribeCause(q, v.CausalPoll); cause != "" {
 			detail += ", " + cause
 		}
 	}
@@ -161,12 +161,12 @@ func chainLayers(q query.Querier) (rq *query.Retry, inj *faults.Injector) {
 	return rq, inj
 }
 
-// describeCause joins an audited causal poll to the injected fault that
+// DescribeCause joins an audited causal poll to the injected fault that
 // explains it: the retry layer renumbers polls (one audited poll spans
 // several attempts), so the index maps through DownstreamPoll before the
 // injector's event log is consulted. Empty when no injected fault
 // touched the poll.
-func describeCause(q query.Querier, causal int) string {
+func DescribeCause(q query.Querier, causal int) string {
 	if causal < 0 {
 		return ""
 	}

@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/metrics"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 )
 
 // drain tears a test pool down with a bounded context.
@@ -35,6 +37,19 @@ func waitParked(t *testing.T, f *Field, want int64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// algorithmFor resolves a wire algorithm name the way a served session
+// does, as a factory over the reference channel (the Oracle reads it).
+func algorithmFor(name string) (func(*fastsim.Channel) core.Algorithm, string, error) {
+	a, err := session.Algorithm(name, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	return func(ch *fastsim.Channel) core.Algorithm {
+		a, _ := session.Algorithm(name, ch)
+		return a
+	}, a.Name(), nil
 }
 
 // TestSessionMatchesTcastsim is the acceptance bar for the medium
@@ -298,6 +313,22 @@ func TestPerClientLimit(t *testing.T) {
 	}
 	p.Open()
 	drain(t, p)
+}
+
+// TestAdmissionReleasedByDone: a client that waits for each verdict
+// before submitting again never has more than one session in flight, so
+// it must never be shed at a one-session limit. The admission slot has
+// to be free by the time Done() fires, not some time after.
+func TestAdmissionReleasedByDone(t *testing.T) {
+	p := NewPool(Config{Fields: 1, MaxActive: 1, MaxPerClient: 1})
+	defer drain(t, p)
+	for i := 0; i < 500; i++ {
+		s, err := p.Submit(Spec{N: 64, T: 8, X: 10, Seed: uint64(i), Field: 0}, "closed-loop")
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		<-s.Done()
+	}
 }
 
 // TestDrainRejectsAndFinishes verifies Drain's contract: in-flight work

@@ -2,17 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"tcast/internal/audit"
 	"tcast/internal/core"
-	"tcast/internal/fastsim"
 	"tcast/internal/faults"
-	"tcast/internal/metrics"
-	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/session"
 )
 
 // Spec is one query session's resolved parameters — the wire request
@@ -121,13 +120,11 @@ type Session struct {
 	waited    int64
 	ownSlots  int64
 
-	// Written by the session goroutine before evDone, read by finish.
-	res        core.Result
-	truth      bool
-	chainSlots int64
-	verdict    *audit.Verdict
-	chain      query.Querier
-	runErr     error
+	// Written by the session goroutine before evDone, read by finish,
+	// which publishes the pipeline's verdict and pools it back.
+	pipe   *session.Session
+	res    core.Result
+	runErr error
 
 	state     atomic.Int32
 	result    *Result
@@ -184,7 +181,8 @@ func (s *Session) Status() Status {
 	return st
 }
 
-// resolveSpec fills defaults and validates a submission.
+// resolveSpec fills defaults and validates a submission with the session
+// rules every front end shares, plus the pool's MaxN.
 func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
 	d := p.cfg.Defaults
 	if spec.N == 0 {
@@ -199,58 +197,41 @@ func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
 	if spec.Model == "" {
 		spec.Model = d.Model
 	}
-	if spec.N <= 0 || spec.N > p.cfg.MaxN {
+	if spec.N > p.cfg.MaxN {
 		return spec, fmt.Errorf("serve: n=%d outside [1,%d]", spec.N, p.cfg.MaxN)
 	}
-	if spec.X < 0 || spec.X > spec.N {
-		return spec, fmt.Errorf("serve: x=%d outside [0,%d]", spec.X, spec.N)
-	}
-	if spec.T < 1 || spec.T > spec.N {
-		return spec, fmt.Errorf("serve: t=%d outside [1,%d]", spec.T, spec.N)
-	}
-	if spec.Trial < 0 {
-		return spec, fmt.Errorf("serve: trial=%d negative", spec.Trial)
-	}
-	if spec.Retries < 0 || spec.Backoff < 0 {
-		return spec, fmt.Errorf("serve: negative retry policy")
-	}
-	if spec.Model != "1+" && spec.Model != "2+" {
-		return spec, fmt.Errorf("serve: unknown model %q", spec.Model)
-	}
-	if _, _, err := algorithmFor(spec.Alg); err != nil {
+	sp, err := spec.pipeline()
+	if err != nil {
 		return spec, err
 	}
-	if _, err := faults.ParseSpec(spec.Faults); err != nil {
-		return spec, err
-	}
-	return spec, nil
+	return spec, sp.Validate()
 }
 
-// algorithmFor maps a wire algorithm name to its factory — the same
-// families tcastsim's -alg accepts, minus the contention-free baselines
-// (csma/seq poll no groups, so they have nothing to schedule on the
-// medium).
-func algorithmFor(name string) (func(*fastsim.Channel) core.Algorithm, string, error) {
-	plain := func(a core.Algorithm) func(*fastsim.Channel) core.Algorithm {
-		return func(*fastsim.Channel) core.Algorithm { return a }
+// pipeline translates the wire spec into the session's declaration: the
+// named collision model and algorithm, the retry policy, and the fault
+// injector when the fault spec can fire (tcastsim stacks it the same way).
+func (sp Spec) pipeline() (session.Spec, error) {
+	cfg, err := session.Model(sp.Model)
+	if err != nil {
+		return session.Spec{}, err
 	}
-	switch name {
-	case "2tbins":
-		return plain(core.TwoTBins{}), "2tBins", nil
-	case "exp":
-		return plain(core.ExpIncrease{}), "ExpIncrease", nil
-	case "abns-t":
-		return plain(core.ABNS{P0: 1}), "ABNS(p0=t)", nil
-	case "abns-2t":
-		return plain(core.ABNS{P0: 2}), "ABNS(p0=2t)", nil
-	case "probabns":
-		return plain(core.ProbABNS{}), "ProbABNS", nil
-	case "oracle":
-		return func(ch *fastsim.Channel) core.Algorithm { return core.Oracle{Truth: ch} }, "Oracle", nil
-	default:
-		return nil, "", fmt.Errorf("serve: unknown algorithm %q (want 2tbins|exp|abns-t|abns-2t|probabns|oracle)", name)
+	fcfg, err := faults.ParseSpec(sp.Faults)
+	if err != nil {
+		return session.Spec{}, err
 	}
+	out := session.Spec{
+		N: sp.N, T: sp.T, X: sp.X, Collision: cfg, Alg: sp.Alg, Trial: sp.Trial,
+		Retry: query.RetryPolicy{MaxRetries: sp.Retries, Backoff: sp.Backoff},
+	}
+	if fcfg.Active() {
+		out.Faults = &fcfg
+	}
+	return out, nil
 }
+
+// pipelines pools the served sessions' pipelines; finish returns each one
+// after publishing its verdict.
+var pipelines = sync.Pool{New: func() any { return new(session.Session) }}
 
 // run is the session goroutine: acquire a scheduler slot (queueing when
 // the field is at MaxActive), announce arrival, execute the query, and
@@ -270,7 +251,6 @@ func (s *Session) run() {
 	f.active.Add(1)
 	p.updateGauges()
 	s.state.Store(int32(StateRunning))
-	obs.PublishSessionStart(p.cfg.Bus, s.label(), s.Spec.Trial)
 	f.events <- schedEvent{kind: evArrive, s: s}
 	s.runErr = s.execute()
 	f.events <- schedEvent{kind: evDone, s: s, cost: s.lastCost}
@@ -278,100 +258,66 @@ func (s *Session) run() {
 	f.active.Add(-1)
 	p.updateGauges()
 	f.tokens <- struct{}{}
-	p.release(s)
 }
 
-// execute builds the session's querier stack and runs the algorithm.
-// The derivation mirrors tcastsim's sweep driver exactly — root
-// rng.New(Seed), per-trial SplitInto(Trial), channel from Split(1),
-// faults from Split(9), algorithm from Split(2) — with the medium
-// wrapper (randomness-free, response-preserving) spliced between the
-// substrate and the retry layer. A served session's verdict and
-// SessionSlots are therefore byte-identical to trial Trial of
+// execute runs the session through its pipeline. The derivation is
+// tcastsim's exactly — root rng.New(Seed), per-trial SplitInto(Trial) —
+// with the scheduler's medium (randomness-free, response-preserving)
+// spliced between the substrate and the retry layer. A served session's
+// verdict and SessionSlots are therefore byte-identical to trial Trial of
 // `tcastsim -seed Seed` with the same parameters.
 func (s *Session) execute() error {
-	sp := s.Spec
 	p := s.field.pool
-	cfg := fastsim.DefaultConfig()
-	if sp.Model == "2+" {
-		cfg = fastsim.TwoPlusConfig()
-	}
-	fac, _, err := algorithmFor(sp.Alg)
+	sp, err := s.Spec.pipeline()
 	if err != nil {
 		return err
 	}
-	fcfg, err := faults.ParseSpec(sp.Faults)
-	if err != nil {
-		return err
+	sp.Label, sp.Metrics, sp.Obs = s.label(), p.cfg.Registry, p.cfg.Bus
+	sp.Medium = func(q query.Querier) query.Querier { return newMediumQuerier(q, s) }
+	if s.Spec.Audit {
+		// A served session is graded on its own; the verdict lands on its
+		// Result, so its collector holds this one session.
+		sp.Audit = new(audit.Collector)
 	}
-	root := rng.New(sp.Seed)
 	var src rng.Source
-	root.SplitInto(uint64(sp.Trial), &src)
-	ch, _ := fastsim.RandomPositives(sp.N, sp.X, cfg, src.Split(1))
-	alg := fac(ch)
-	var sub query.Querier = ch
-	if fcfg.Active() {
-		sub = faults.New(sub, fcfg, sp.N, src.Split(9))
-	}
-	sub = newMediumQuerier(sub, s)
-	sub = query.WithRetry(sub, query.RetryPolicy{MaxRetries: sp.Retries, Backoff: sp.Backoff})
-	q := metrics.Wrap(sub, p.cfg.Registry)
-	var aud *audit.Auditor
-	if sp.Audit {
-		aud, err = audit.New(q, audit.Config{N: sp.N, T: sp.T, Metrics: p.cfg.Registry})
-		if err != nil {
-			return err
-		}
-		q = aud
-	}
-	if p.cfg.Bus != nil {
-		q = obs.NewPublisher(q, p.cfg.Bus, s.label(), sp.Trial)
-	}
-	s.chain = q
-	res, err := alg.Run(q, sp.N, sp.T, src.Split(2))
-	if err != nil {
+	rng.New(s.Spec.Seed).SplitInto(uint64(s.Spec.Trial), &src)
+	s.pipe = pipelines.Get().(*session.Session)
+	if err := s.pipe.Reset(sp, &src); err != nil {
 		return err
 	}
-	s.res = res
-	s.truth = sp.X >= sp.T
-	s.chainSlots = obs.ChainSlots(q, res.Queries)
-	if aud != nil {
-		v := aud.Finish(res.Decision)
-		s.verdict = &v
-	}
-	metrics.FinishSession(q)
-	return nil
+	s.res, err = s.pipe.Run()
+	return err
 }
 
 // finish runs on the field's scheduler goroutine once the session's
 // evDone is processed: it assembles the result from the algorithm's
 // outcome and the scheduler's ledger, publishes the verdict onto the obs
 // bus (in scheduler order, so event streams are as deterministic as the
-// schedule), records metrics, and releases waiters.
+// schedule), records metrics, returns the admission slot and releases
+// waiters.
 func (s *Session) finish(end int64) {
 	p := s.field.pool
 	s.wall = time.Since(s.submitted)
-	bus := p.cfg.Bus
 	if s.runErr == nil {
 		r := &Result{
 			Decision:  s.res.Decision,
-			Truth:     s.truth,
+			Truth:     s.Spec.X >= s.Spec.T,
 			Polls:     s.res.Queries,
 			Rounds:    s.res.Rounds,
 			Confirmed: s.res.Confirmed,
 
-			SessionSlots: s.chainSlots,
+			SessionSlots: s.pipe.Slots(),
 			MediumSlots:  s.ownSlots,
 			WaitedSlots:  s.waited,
 			StartSlot:    s.startSlot,
 			EndSlot:      end,
 			SpanSlots:    end - s.startSlot,
 		}
-		if s.verdict != nil {
-			r.Correct = s.verdict.Correct()
-			r.Outcome = s.verdict.Outcome.String()
+		if v, ok := s.pipe.Verdict(); ok {
+			r.Correct = v.Correct()
+			r.Outcome = v.Outcome.String()
 		} else {
-			r.Correct = s.res.Decision == s.truth
+			r.Correct = s.res.Decision == r.Truth
 			r.Outcome = audit.OutcomeCorrect.String()
 			if !r.Correct {
 				r.Outcome = audit.OutcomeWrongUnattributed.String()
@@ -395,16 +341,14 @@ func (s *Session) finish(end int64) {
 		}
 		s.state.Store(int32(StateFailed))
 	}
-	if bus != nil {
-		label := s.label()
-		obs.PublishChainEvents(bus, label, s.Spec.Trial, s.chain)
-		switch {
-		case s.runErr != nil:
-		case s.verdict != nil:
-			obs.PublishVerdict(bus, label, s.Spec.Trial, *s.verdict, s.chainSlots, s.chain)
-		default:
-			obs.PublishDecision(bus, label, s.Spec.Trial, s.res.Decision, s.truth, s.res.Queries, s.chainSlots)
-		}
+	if s.pipe != nil {
+		s.pipe.Publish()
+		pipelines.Put(s.pipe)
+		s.pipe = nil
 	}
+	// Return the admission slot before signalling completion, so a client
+	// that waits on Done() can submit again at once without being shed
+	// at its own limit.
+	p.release(s)
 	close(s.done)
 }
