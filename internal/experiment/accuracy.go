@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tcast/internal/audit"
 	"tcast/internal/core"
@@ -60,9 +61,8 @@ func backcast(miss float64) func(r *rng.Source) (query.Querier, error) {
 // order-deterministic.
 func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query.RetryPolicy, attribute bool, o Options, root *rng.Source) (*audit.Collector, []float64, int, error) {
 	col := &audit.Collector{}
-	runs := o.runs(200)
-	attributed := make([]bool, runs)
-	values, err := RunTrials(runs, o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
+	var attributed atomic.Int64
+	values, err := RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
 		s := sessions.Get().(*session.Session)
 		defer sessions.Put(s)
 		err := s.Reset(session.Spec{
@@ -80,7 +80,9 @@ func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query
 			return 0, err
 		}
 		s.Publish()
-		attributed[trial] = s.Attributed()
+		if s.Attributed() {
+			attributed.Add(1)
+		}
 		if v, _ := s.Verdict(); v.Correct() {
 			return 1, nil
 		}
@@ -96,13 +98,7 @@ func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query
 	if o.Audit != nil {
 		o.Audit.Flush()
 	}
-	n := 0
-	for _, a := range attributed {
-		if a {
-			n++
-		}
-	}
-	return col, values, n, nil
+	return col, values, int(attributed.Load()), nil
 }
 
 func init() {

@@ -267,6 +267,9 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 		q = s.auditor
 	}
 	if b := sp.Trace; b != nil {
+		// Keep only the fork: a pooled session must not pin the caller's
+		// whole trace once the caller has moved on to a new builder.
+		s.spec.Trace = nil
 		s.fb = b.Fork(sp.Trial)
 		s.fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(sp.Trial))
 		s.sq = trace.NewSpanQuerier(q, s.fb)
