@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tcast/internal/rng"
@@ -28,15 +29,17 @@ func TestMeanParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestMeanParallelPropagatesErrors(t *testing.T) {
-	calls := 0
+	var calls atomic.Int64 // trials run on two workers at once
 	trial := func(_ int, r *rng.Source) (float64, error) {
-		calls++
+		calls.Add(1)
 		return 0, fmt.Errorf("boom")
 	}
 	if _, err := MeanParallel(10, 2, rng.New(1), trial); err == nil {
 		t.Fatal("error swallowed")
 	}
-	_ = calls
+	if calls.Load() == 0 {
+		t.Fatal("no trial ran")
+	}
 }
 
 func TestMeanParallelRejectsZeroRuns(t *testing.T) {
