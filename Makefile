@@ -93,6 +93,8 @@ cover:
 fuzz:
 	$(GO) test -fuzz=FuzzThresholdDecision -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/
+	$(GO) test -fuzz=FuzzRankedSelect -fuzztime=30s ./internal/idset/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

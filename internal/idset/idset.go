@@ -107,12 +107,15 @@ func (s *Sparse) Reset(n int) {
 }
 
 // search returns the insertion index of id (sort.SearchInts, open-coded
-// so the hot membership test stays free of interface calls).
+// so the hot membership test stays free of interface calls). It compares
+// decoded values, v ^ v>>63, so it also works mid-RemoveIDs, while some
+// entries hold a mark -1-id in place of id; elsewhere every entry is
+// non-negative and decodes to itself.
 func (s *Sparse) search(id int) int {
 	lo, hi := 0, len(s.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.ids[mid] < id {
+		if v := s.ids[mid]; v^(v>>63) < id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -148,6 +151,31 @@ func (s *Sparse) Remove(id int) {
 		return
 	}
 	s.ids = append(s.ids[:i], s.ids[i+1:]...)
+}
+
+// RemoveIDs deletes every listed id; absent and repeated ids are no-ops.
+// Each hit is found by binary search and marked in place as -1-id, which
+// keeps the slice searchable (see search), and one compaction pass then
+// drops the marks: O(|ids|·log|s| + |s|) against Remove's one memmove
+// per id.
+func (s *Sparse) RemoveIDs(ids []int) {
+	first := len(s.ids) // lowest marked index
+	for _, id := range ids {
+		if id < 0 {
+			continue // absent; and -1-id could match a mark
+		}
+		if i := s.search(id); i < len(s.ids) && s.ids[i] == id {
+			s.ids[i] = -1 - id
+			first = min(first, i)
+		}
+	}
+	kept := s.ids[:first]
+	for _, id := range s.ids[first:] {
+		if id >= 0 {
+			kept = append(kept, id)
+		}
+	}
+	s.ids = kept
 }
 
 // AppendMembers appends the members in ascending order.
@@ -252,6 +280,19 @@ func (h *Hybrid) Remove(id int) {
 	h.dense.Remove(id)
 }
 
+// RemoveIDs deletes every listed id, exactly as calling Remove on each
+// in turn would: the dense form clears bits one by one, the sparse form
+// removes the whole batch in one compaction pass (Sparse.RemoveIDs).
+func (h *Hybrid) RemoveIDs(ids []int) {
+	if h.isSparse {
+		h.sparse.RemoveIDs(ids)
+		return
+	}
+	for _, id := range ids {
+		h.dense.Remove(id)
+	}
+}
+
 // AppendMembers appends the members in ascending order to dst.
 func (h *Hybrid) AppendMembers(dst []int) []int {
 	if h.isSparse {
@@ -289,6 +330,11 @@ func (h *Hybrid) Compact() bool {
 		return false
 	}
 	h.sparse.Reset(h.dense.Cap())
+	if cap(h.sparse.ids) < compactLimit {
+		// Size for the largest fold up front: a pooled set then never
+		// regrows its slice when a later session compacts more members.
+		h.sparse.ids = make([]int, 0, compactLimit)
+	}
 	h.sparse.ids = h.dense.AppendMembers(h.sparse.ids[:0])
 	h.isSparse = true
 	return true

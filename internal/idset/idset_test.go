@@ -1,6 +1,8 @@
 package idset
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"tcast/internal/bitset"
@@ -154,6 +156,41 @@ func TestHybridCompact(t *testing.T) {
 	}
 }
 
+// TestCompactBuffersSizedOnce: the sorted slice Compact folds into and a
+// Ranked's sparse snapshot are sized for the largest fold up front, so a
+// pooled set that compacts a bigger residue than any before (the next
+// session's) still allocates nothing.
+func TestCompactBuffersSizedOnce(t *testing.T) {
+	n := SparseCutover
+	h := FullHybrid(n)
+	var rk Ranked
+	shrink := func(keep int) {
+		h.Fill()
+		for id := keep; id < n; id++ {
+			h.Remove(id)
+		}
+		if !h.Compact() {
+			t.Fatalf("residue of %d did not compact", keep)
+		}
+		rk.Snapshot(h)
+	}
+	// AllocsPerRun(1, f) calls f twice and counts only the second call:
+	// the first compacts a small residue, the measured one a residue of
+	// the full compaction limit.
+	residues := []int{10, compactLimit}
+	call := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		shrink(residues[call])
+		call++
+	})
+	if allocs != 0 {
+		t.Fatalf("compacting a larger residue allocated %v times", allocs)
+	}
+	if rk.Len() != compactLimit || rk.Select(compactLimit-1) != compactLimit-1 {
+		t.Fatalf("snapshot Len=%d", rk.Len())
+	}
+}
+
 func TestHybridEqualAcrossForms(t *testing.T) {
 	n := SparseCutover
 	mk := func() *Hybrid {
@@ -183,37 +220,221 @@ func TestHybridEqualAcrossForms(t *testing.T) {
 	}
 }
 
+// checkSelect snapshots h into rk and checks every rank against the
+// ascending member list.
+func checkSelect(t *testing.T, label string, rk *Ranked, h *Hybrid) {
+	t.Helper()
+	rk.Snapshot(h)
+	want := h.Members()
+	if rk.Len() != len(want) {
+		t.Fatalf("%s: Len=%d want %d", label, rk.Len(), len(want))
+	}
+	for k, id := range want {
+		if got := rk.Select(k); got != id {
+			t.Fatalf("%s: Select(%d)=%d want %d", label, k, got, id)
+		}
+	}
+}
+
+// hybridOf returns the hybrid set over [0, n) holding the ids keep
+// accepts.
+func hybridOf(n int, keep func(id int) bool) *Hybrid {
+	h := NewHybrid(n)
+	for id := 0; id < n; id++ {
+		if keep(id) {
+			h.Add(id)
+		}
+	}
+	return h
+}
+
 // TestRankedSelect checks the rank/select directory against a linear
-// scan, over both forms and across word-boundary patterns.
+// scan, over both forms and across the word and sample-boundary patterns
+// the directory search is most likely to get wrong.
 func TestRankedSelect(t *testing.T) {
 	r := rng.New(11)
 	for _, n := range []int{1, 63, 64, 65, 200, 1000, SparseCutover + 130} {
-		h := NewHybrid(n)
-		var want []int
-		for id := 0; id < n; id++ {
-			if r.Bernoulli(0.13) {
-				h.Add(id)
-				want = append(want, id)
+		h := hybridOf(n, func(int) bool { return r.Bernoulli(0.13) })
+		checkSelect(t, fmt.Sprintf("n=%d dense", n), new(Ranked), h)
+		if h.Cap() >= SparseCutover && h.Len() <= compactLimit {
+			h.Compact()
+			checkSelect(t, fmt.Sprintf("n=%d sparse", n), new(Ranked), h)
+		}
+	}
+
+	// One Ranked reused across every shape below, so stale samples from a
+	// larger snapshot would show.
+	var rk Ranked
+	const n = 40*64 + 17
+	shapes := []struct {
+		name string
+		keep func(id int) bool
+	}{
+		{"full", func(int) bool { return true }},
+		// 63 members a word: every sample rank j·64 lands one bit further
+		// into its word, so samples straddle every in-word offset.
+		{"63-per-word", func(id int) bool { return id%64 != 5 }},
+		// 65-member runs across word boundaries: each sample rank falls
+		// in a different word from the previous one's neighbour.
+		{"runs-of-65", func(id int) bool { return id%130 < 65 }},
+		// Empty runs of 5 words (more than one sample span at full
+		// density) between full words.
+		{"empty-runs", func(id int) bool { return (id/64)%6 == 0 }},
+		// One member per 10 words: the sample span covers 640 words.
+		{"one-per-10-words", func(id int) bool { return id%640 == 3 }},
+		{"last-word-lone", func(id int) bool { return id == n-1 }},
+		{"first-and-last", func(id int) bool { return id == 0 || id == n-1 }},
+		{"exactly-64", func(id int) bool { return id >= 100 && id < 164 }},
+		{"exactly-65", func(id int) bool { return id >= 100 && id < 165 }},
+	}
+	for _, sh := range shapes {
+		checkSelect(t, sh.name, &rk, hybridOf(n, sh.keep))
+	}
+
+	// A snapshot after Compact (sparse form), then back to dense on the
+	// same Ranked.
+	big := hybridOf(SparseCutover, func(id int) bool { return id%9 == 0 || id == SparseCutover-1 })
+	if !big.Compact() {
+		t.Fatal("setup: set did not compact")
+	}
+	checkSelect(t, "compacted", &rk, big)
+	big.Fill()
+	checkSelect(t, "refilled", &rk, big)
+	lone := hybridOf(SparseCutover, func(id int) bool { return id == SparseCutover-1 })
+	checkSelect(t, "lone-dense", &rk, lone)
+	lone.Compact()
+	checkSelect(t, "lone-compacted", &rk, lone)
+}
+
+// naiveSelect64 is select64's reference: scan the bits in order.
+func naiveSelect64(x uint64, r int) int {
+	for i := 0; i < 64; i++ {
+		if x&(1<<i) != 0 {
+			if r == 0 {
+				return i
+			}
+			r--
+		}
+	}
+	panic("rank beyond popcount")
+}
+
+// TestSelect64 checks the broadword in-word select against a bit scan at
+// every rank of random, all-ones and single-bit words.
+func TestSelect64(t *testing.T) {
+	words := []uint64{^uint64(0), 0x8000000000000001, 0x00ff00ff00ff00ff, 0xff00000000000000}
+	for b := 0; b < 64; b++ {
+		words = append(words, 1<<b, ^uint64(0)>>b, ^uint64(0)<<b)
+	}
+	r := rng.New(64)
+	for i := 0; i < 2000; i++ {
+		w := r.Uint64()
+		if i%3 == 0 {
+			w &= r.Uint64() & r.Uint64() // sparse words
+		}
+		words = append(words, w)
+	}
+	for _, w := range words {
+		for k := 0; k < bits.OnesCount64(w); k++ {
+			if got, want := select64(w, k), naiveSelect64(w, k); got != want {
+				t.Fatalf("select64(%#x, %d) = %d, want %d", w, k, got, want)
 			}
 		}
-		check := func(form string) {
-			var rk Ranked
-			rk.Snapshot(h)
-			if rk.Len() != len(want) {
-				t.Fatalf("n=%d %s: Len=%d want %d", n, form, rk.Len(), len(want))
+	}
+}
+
+// TestRemoveIDsMatchesRemove drives RemoveIDs and per-id Remove through
+// the same bins, in both forms and across compaction, and checks the sets
+// stay equal: absent, already-removed, repeated and out-of-universe ids,
+// empty bins and a bin that empties the set included.
+func TestRemoveIDsMatchesRemove(t *testing.T) {
+	const n = SparseCutover + 70
+	r := rng.New(17)
+	batch, single := FullHybrid(n), FullHybrid(n)
+	remove := func(step string, bin []int) {
+		t.Helper()
+		batch.RemoveIDs(bin)
+		for _, id := range bin {
+			single.Remove(id)
+		}
+		if !batch.Equal(single) || batch.IsSparse() != single.IsSparse() {
+			t.Fatalf("%s: RemoveIDs(%v) diverged from Remove (len %d vs %d)", step, bin, batch.Len(), single.Len())
+		}
+	}
+	remove("empty", nil)
+	remove("empty-slice", []int{})
+	for step := 0; batch.Len() > 0; step++ {
+		var bin []int
+		size := 1 + r.Intn(40)
+		if !batch.IsSparse() {
+			size = 1 + r.Intn(3000)
+		}
+		for i := 0; i < size; i++ {
+			bin = append(bin, r.Intn(n))
+		}
+		if len(bin) > 2 {
+			bin[1] = bin[0] // a repeated id
+		}
+		remove(fmt.Sprintf("step %d", step), bin)
+		remove(fmt.Sprintf("step %d again", step), bin) // already removed
+		if step%5 == 4 {
+			if batch.Compact() != single.Compact() {
+				t.Fatalf("step %d: forms compacted differently", step)
 			}
-			for k, id := range want {
-				if got := rk.Select(k); got != id {
-					t.Fatalf("n=%d %s: Select(%d)=%d want %d", n, form, k, got, id)
+		}
+		if batch.IsSparse() && batch.Len() < 50 {
+			// The bin that empties the set, in scrambled order, with
+			// out-of-universe ids (a no-op in sparse form) mixed in.
+			bin = batch.Members()
+			for i := range bin {
+				j := r.Intn(i + 1)
+				bin[i], bin[j] = bin[j], bin[i]
+			}
+			remove("emptying", append(bin, -3, n, n+64))
+		}
+	}
+	if !batch.IsSparse() {
+		t.Fatal("script never reached the sparse form")
+	}
+	remove("on empty set", []int{0, 1, n - 1})
+
+	// The universe's end points, whose marks (-1 and -n) sit at the
+	// edges of the decoded order, and negative ids equal to a mark made
+	// earlier in the same batch (-2 is 1's mark).
+	for _, id := range []int{0, 1, 2, 5, n - 2, n - 1} {
+		batch.Add(id)
+		single.Add(id)
+	}
+	remove("ends", []int{n - 1, 0})
+	remove("marks", []int{1, 2, -2, -3, 0, n - 2})
+}
+
+// FuzzRankedSelect turns arbitrary bytes into bitset words over a
+// cutover-sized universe and checks Select against AppendMembers at every
+// rank, in dense form and again after compaction.
+func FuzzRankedSelect(f *testing.F) {
+	f.Add([]byte{0xff}, uint16(0))
+	f.Add([]byte{0x01, 0x00, 0x00, 0x80}, uint16(64))
+	f.Add(make([]byte, 600), uint16(9999))
+	f.Fuzz(func(t *testing.T, data []byte, offset uint16) {
+		n := SparseCutover + len(data)%64
+		h := NewHybrid(n)
+		// Spread the bytes over the universe so empty-word runs of
+		// every length show up: byte i lands stride bits after byte i-1.
+		stride := 8 + int(offset%97)
+		for i, b := range data {
+			for bit := 0; bit < 8; bit++ {
+				if b&(1<<bit) != 0 {
+					h.Add((int(offset) + i*stride + bit) % n)
 				}
 			}
 		}
-		check("dense")
-		if h.Cap() >= SparseCutover && h.Len() <= compactLimit {
-			h.Compact()
-			check("sparse")
+		var rk Ranked
+		checkSelect(t, "dense", &rk, h)
+		if h.Compact() {
+			checkSelect(t, "compacted", &rk, h)
 		}
-	}
+	})
 }
 
 // TestRankedSnapshotIsFrozen: mutating the source after Snapshot must not
@@ -264,5 +485,35 @@ func TestHybridIntersectionCount(t *testing.T) {
 	}
 	if got := h.IntersectionCount(probe); got != want {
 		t.Fatalf("sparse IntersectionCount = %d, dense said %d", got, want)
+	}
+}
+
+// BenchmarkRankedSelect times one Select at a random rank of a full
+// 10^6-member snapshot and of a 13%-dense one.
+func BenchmarkRankedSelect(b *testing.B) {
+	const n = 1_000_000
+	r := rng.New(5)
+	for _, tc := range []struct {
+		name string
+		h    *Hybrid
+	}{
+		{"full", FullHybrid(n)},
+		{"13pct", hybridOf(n, func(int) bool { return r.Bernoulli(0.13) })},
+	} {
+		var rk Ranked
+		rk.Snapshot(tc.h)
+		ranks := make([]int, 4096)
+		for i := range ranks {
+			ranks[i] = r.Intn(rk.Len())
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += rk.Select(ranks[i&4095])
+			}
+			if sum < 0 {
+				b.Fatal("negative ids")
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math"
 	"os"
@@ -289,6 +290,58 @@ func TestParseRules(t *testing.T) {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
+}
+
+// TestParseRulesRejectsNonFinite: NaN budgets and thresholds and
+// windows beyond MaxWindow are rejected. A NaN budget made a rule that
+// could never fail (frac > NaN is false), and an unbounded window made
+// NewSLO allocate a ring of that many bytes.
+func TestParseRulesRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"maxpolls=96@NaN", "maxslots=5@nan", "maxpolls=1@-NaN",
+		"maxpolls=1@Inf", "maxpolls=1@-Inf", "maxslots=5@+inf",
+		"minacc=NaN", "minacc=nan", "minacc=Inf", "minacc=-Inf",
+		"minacc=0.9,window=9999999999", "minacc=0.9,window=1048577",
+	} {
+		if rules, window, err := ParseRules(spec); err == nil {
+			t.Errorf("spec %q accepted: rules %+v window %d", spec, rules, window)
+		}
+	}
+	if _, window, err := ParseRules(fmt.Sprintf("minacc=0.9,window=%d", MaxWindow)); err != nil || window != MaxWindow {
+		t.Fatalf("window=MaxWindow: window %d, err %v", window, err)
+	}
+}
+
+// FuzzParseRules: every accepted spec has finite thresholds, budgets in
+// [0,1), at least one and at most maxRules rules, and a window in
+// [1, MaxWindow].
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		"maxpolls=96,maxslots=288,minacc=0.99,window=500", "maxpolls=96@0.01",
+		"minacc=NaN", "maxslots=5@nan", "window=9999999999,minacc=0.5", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, window, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		if window < 1 || window > MaxWindow {
+			t.Fatalf("%q: window %d outside [1,%d]", spec, window, MaxWindow)
+		}
+		if len(rules) == 0 || len(rules) > maxRules {
+			t.Fatalf("%q: %d rules", spec, len(rules))
+		}
+		for _, r := range rules {
+			if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) || r.Threshold <= 0 {
+				t.Fatalf("%q: rule %s threshold %v", spec, r.Name, r.Threshold)
+			}
+			if !(r.Budget >= 0 && r.Budget < 1) {
+				t.Fatalf("%q: rule %s budget %v", spec, r.Name, r.Budget)
+			}
+		}
+	})
 }
 
 func TestSLOWindowAndTransitions(t *testing.T) {

@@ -24,7 +24,7 @@ import (
 // and can be relaxed with an @fraction suffix (maxpolls=96@0.01 allows
 // 1% of sessions over). minacc=F is window-fractional by construction:
 // its budget is 1-F. window=N sets the sliding-window size for all
-// rules (default DefaultWindow).
+// rules (default DefaultWindow, at most MaxWindow).
 type SLO struct {
 	mu      sync.Mutex
 	rules   []Rule
@@ -55,6 +55,10 @@ type Rule struct {
 // DefaultWindow is the sliding-window size when the spec sets none.
 const DefaultWindow = 1000
 
+// MaxWindow caps window=N: the engine keeps one byte per windowed
+// verdict, so the cap bounds its ring at 1 MiB whatever the spec says.
+const MaxWindow = 1 << 20
+
 // maxRules is fixed by the uint8 ring bitmask; ParseRules rejects specs
 // beyond it.
 const maxRules = 8
@@ -77,7 +81,8 @@ func ParseRules(spec string) ([]Rule, int, error) {
 		budget := 0.0
 		if hasBudget {
 			b, err := strconv.ParseFloat(budgetStr, 64)
-			if err != nil || b < 0 || b >= 1 {
+			// Written as a negated range test so NaN fails it too.
+			if err != nil || !(b >= 0 && b < 1) {
 				return nil, 0, fmt.Errorf("slo: budget %q must be a fraction in [0,1)", budgetStr)
 			}
 			budget = b
@@ -88,8 +93,8 @@ func ParseRules(spec string) ([]Rule, int, error) {
 				return nil, 0, fmt.Errorf("slo: window takes no @budget")
 			}
 			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return nil, 0, fmt.Errorf("slo: window %q must be a positive integer", val)
+			if err != nil || n <= 0 || n > MaxWindow {
+				return nil, 0, fmt.Errorf("slo: window %q must be an integer in [1,%d]", val, MaxWindow)
 			}
 			window = n
 		case "maxpolls":
@@ -115,7 +120,7 @@ func ParseRules(spec string) ([]Rule, int, error) {
 				return nil, 0, fmt.Errorf("slo: minacc takes no @budget (its budget is 1-threshold)")
 			}
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f > 1 {
+			if err != nil || !(f > 0 && f <= 1) {
 				return nil, 0, fmt.Errorf("slo: minacc %q must be a fraction in (0,1]", val)
 			}
 			rules = append(rules, Rule{

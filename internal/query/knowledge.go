@@ -91,9 +91,7 @@ func (k *Knowledge) Apply(bin []int, r Response, traits Traits) {
 	switch r.Kind {
 	case Empty:
 		// Every node in a silent bin is negative (Alg 1 line 8).
-		for _, id := range bin {
-			k.Candidates.Remove(id)
-		}
+		k.Candidates.RemoveIDs(bin)
 	case Active:
 		k.roundLB++
 	case Collision:
@@ -116,12 +114,10 @@ func (k *Knowledge) Apply(bin []int, r Response, traits Traits) {
 		k.Candidates.Remove(r.DecodedID)
 		if r.MaxPositives(bin, traits) == 1 {
 			// Without capture, a decode proves the bin had exactly
-			// one replier: everyone else in the bin is negative.
-			for _, id := range bin {
-				if id != r.DecodedID {
-					k.Candidates.Remove(id)
-				}
-			}
+			// one replier: everyone else in the bin is negative. The
+			// decoded node itself is already gone, so removing the
+			// whole bin is the same.
+			k.Candidates.RemoveIDs(bin)
 		}
 	default:
 		panic(fmt.Sprintf("query: unknown response kind %v", r.Kind))

@@ -8,6 +8,7 @@ import (
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
+	"tcast/internal/idset"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -124,6 +125,40 @@ func TestBareSessionAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("bare session: %v allocs per trial, want 0", allocs)
+	}
+}
+
+// TestStreamedSessionAllocationFree: the streamed path above the sparse
+// cutover (rank directory, select samples, batched removal) reuses every
+// buffer, so once a pass over a set of trials has sized them, a reused
+// bare session replaying those trials allocates nothing. A buffer
+// rebuilt per round or per snapshot would cost several allocations per
+// trial; AllocsPerRun's rounded-down average absorbs only the runtime's
+// rare type-assertion cache refills.
+func TestStreamedSessionAllocationFree(t *testing.T) {
+	const trials = 6
+	for _, n := range []int{idset.SparseCutover, 100_000} {
+		sp := Spec{N: n, T: 16, X: 16, Collision: fastsim.DefaultConfig(), Algorithm: core.TwoTBins{}}
+		root := rng.New(2)
+		var s Session
+		var r rng.Source
+		k := 0
+		next := func() {
+			root.SplitInto(uint64(k%trials), &r)
+			k++
+			if err := s.Reset(sp, &r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < trials; i++ {
+			next()
+		}
+		if allocs := testing.AllocsPerRun(2*trials, next); allocs != 0 {
+			t.Fatalf("n=%d: %v allocs per trial, want 0", n, allocs)
+		}
 	}
 }
 
