@@ -298,6 +298,7 @@ type Auditor struct {
 
 	verdict *Verdict
 
+	mReg        *metrics.Registry // the registry the handles below came from
 	mPolls      [NumClasses]*metrics.Counter
 	mSessions   [NumOutcomes]*metrics.Counter
 	mViolations [NumInvariants]*metrics.Counter
@@ -388,10 +389,22 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 			}
 		}
 	}
+	if m := cfg.Metrics; m != a.mReg {
+		a.resolveMetrics(m)
+	}
+	return nil
+}
+
+// resolveMetrics points the auditor's counters at m (none when m is nil).
+// Reset calls it only when m is not the registry it resolved last, so a
+// pooled auditor reset session after session against one registry keeps
+// its handles.
+func (a *Auditor) resolveMetrics(m *metrics.Registry) {
+	a.mReg = m
 	a.mPolls = [NumClasses]*metrics.Counter{}
 	a.mSessions = [NumOutcomes]*metrics.Counter{}
 	a.mViolations = [NumInvariants]*metrics.Counter{}
-	if m := cfg.Metrics; m != nil {
+	if m != nil {
 		// Resolve every partition member up front so zero-valued series
 		// still appear in dumps and the partitions visibly sum.
 		for c := Class(0); int(c) < NumClasses; c++ {
@@ -404,7 +417,6 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 			a.mViolations[i] = m.Counter(MetricAuditViolations, "invariant", i.String())
 		}
 	}
-	return nil
 }
 
 // TrueX returns the ground-truth positive count over {0..n-1}.

@@ -83,3 +83,31 @@ func TestAuditMetricsInDumps(t *testing.T) {
 		t.Errorf("prometheus dump missing %q", want)
 	}
 }
+
+// TestAuditorResetRetargetsMetrics: a pooled auditor keeps its counters
+// across Resets against one registry and moves them when the registry
+// changes — to a second registry, or to none.
+func TestAuditorResetRetargetsMetrics(t *testing.T) {
+	a, b := metrics.New(), metrics.New()
+	ch, _ := fastsim.RandomPositives(24, 8, fastsim.DefaultConfig(), rng.New(5))
+	aud := new(Auditor)
+	for i, reg := range []*metrics.Registry{a, a, b, nil, a} {
+		if err := aud.Reset(ch, Config{N: 24, T: 6, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := (core.TwoTBins{}).Run(aud, 24, 6, rng.New(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		aud.Finish(res.Decision)
+	}
+	for _, c := range []struct {
+		name     string
+		reg      *metrics.Registry
+		sessions int64
+	}{{"first", a, 3}, {"second", b, 1}} {
+		if got := counterSum(c.reg.Snapshot(), MetricAuditSessions); got != c.sessions {
+			t.Errorf("%s registry graded %d sessions, want %d", c.name, got, c.sessions)
+		}
+	}
+}

@@ -18,10 +18,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -128,17 +127,20 @@ func Name(base string, labels ...string) string {
 	if len(labels)%2 != 0 {
 		panic("metrics: Name labels must be key/value pairs")
 	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteByte('{')
+	var buf [128]byte
+	b := append(buf[:0], base...)
+	b = append(b, '{')
 	for i := 0; i < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		b = append(b, labels[i]...)
+		b = append(b, '=')
+		// AppendQuote writes exactly the bytes of fmt's %q.
+		b = strconv.AppendQuote(b, labels[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // Counter returns the counter with the given name, creating it on first

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -16,6 +17,19 @@ func TestNameLabels(t *testing.T) {
 	}
 	if got := Name("a", "k1", "v1", "k2", "v2"); got != `a{k1="v1",k2="v2"}` {
 		t.Fatalf("Name = %q", got)
+	}
+}
+
+// TestNameMatchesFmtQuote pins Name's label quoting to the bytes of the
+// fmt %q form it replaced, for values that need escaping.
+func TestNameMatchesFmtQuote(t *testing.T) {
+	values := []string{"", "plain", `say "hi"`, `back\slash`, "tab\tnew\nline",
+		"naïve", "日本", "\x00ctl\x7f", "\xff\xfeinvalid", "emoji 🛰"}
+	for _, v := range values {
+		want := fmt.Sprintf("m{k=%q,q=%q}", v, v+v)
+		if got := Name("m", "k", v, "q", v+v); got != want {
+			t.Errorf("Name(%q) = %s, fmt form %s", v, got, want)
+		}
 	}
 }
 

@@ -48,11 +48,13 @@ const (
 //
 // The wrapper consumes no randomness and never alters bins or responses,
 // so an instrumented run is bit-identical to an uninstrumented one.
-// Metric handles are resolved at construction; the per-poll path is pure
-// atomic updates and safe to use from concurrently running sessions (each
-// session holds its own InstrumentedQuerier, like trace.Recorder).
+// Metric handles are resolved at construction (and by Reset when the
+// registry changes); the per-poll path is pure atomic updates and safe to
+// use from concurrently running sessions (each session holds its own
+// InstrumentedQuerier, like trace.Recorder).
 type InstrumentedQuerier struct {
 	q     query.Querier
+	m     *Registry // the registry the handles below were resolved in
 	polls [query.NumKinds]*Counter
 	nodes *Counter
 
@@ -70,18 +72,31 @@ type InstrumentedQuerier struct {
 // recording via Record — e.g. replaying a mote trace — but such a wrapper
 // must not be used as a Querier.
 func NewInstrumentedQuerier(q query.Querier, m *Registry) *InstrumentedQuerier {
-	iq := &InstrumentedQuerier{
-		q:            q,
-		nodes:        m.Counter(MetricNodesPolled),
-		sessions:     m.Counter(MetricSessions),
-		binSize:      m.Histogram(MetricBinSize, BinSizeBuckets),
-		sessionPolls: m.Histogram(MetricSessionPolls, SessionBuckets),
-		sessionNodes: m.Histogram(MetricSessionNodes, SessionBuckets),
+	iq := new(InstrumentedQuerier)
+	iq.Reset(q, m)
+	return iq
+}
+
+// Reset re-targets iq at q recording into m (non-nil), with empty session
+// tallies. The metric handles are resolved only when m is not the
+// registry iq last resolved them in, so a pooled wrapper re-targeted
+// session after session against one registry pays no name lookups.
+func (iq *InstrumentedQuerier) Reset(q query.Querier, m *Registry) {
+	iq.q = q
+	iq.kinds = query.KindCounts{}
+	iq.sessNodes = 0
+	if iq.m == m {
+		return
 	}
+	iq.m = m
+	iq.nodes = m.Counter(MetricNodesPolled)
+	iq.sessions = m.Counter(MetricSessions)
+	iq.binSize = m.Histogram(MetricBinSize, BinSizeBuckets)
+	iq.sessionPolls = m.Histogram(MetricSessionPolls, SessionBuckets)
+	iq.sessionNodes = m.Histogram(MetricSessionNodes, SessionBuckets)
 	for k := query.Kind(0); int(k) < query.NumKinds; k++ {
 		iq.polls[k] = m.Counter(MetricPolls, "kind", k.String())
 	}
-	return iq
 }
 
 // Wrap returns q instrumented against m, or q unchanged when m is nil —

@@ -165,3 +165,48 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatalf("sessions = %d, want %d", got, sessions)
 	}
 }
+
+// TestInstrumentedQuerierReset: a wrapper re-targeted with Reset records
+// a fresh session into whichever registry it is given, with no tallies
+// carried over, the same as a freshly built one.
+func TestInstrumentedQuerierReset(t *testing.T) {
+	a, b := New(), New()
+	ch, _ := fastsim.RandomPositives(16, 4, fastsim.DefaultConfig(), rng.New(1))
+	iq := NewInstrumentedQuerier(ch, a)
+	iq.Query([]int{0, 1, 2})
+	iq.Query([]int{3})
+	iq.Reset(ch, a) // unfinished tallies are dropped
+	iq.Query([]int{4, 5})
+	iq.Finish()
+	iq.Reset(ch, b)
+	iq.Query([]int{6})
+	iq.Finish()
+	iq.Reset(ch, a)
+	iq.Query([]int{7})
+	iq.Finish()
+
+	for _, c := range []struct {
+		m                   *Registry
+		polls, nodes, sessN int64
+	}{{a, 4, 7, 2}, {b, 1, 1, 1}} {
+		var polls int64
+		for _, k := range []string{"empty", "active", "decoded", "collision"} {
+			polls += kindValue(t, c.m.Snapshot(), k)
+		}
+		nodes := c.m.Counter(MetricNodesPolled).Value()
+		sessions := c.m.Counter(MetricSessions).Value()
+		if polls != c.polls || nodes != c.nodes || sessions != c.sessN {
+			t.Errorf("registry got polls=%d nodes=%d sessions=%d, want %d/%d/%d",
+				polls, nodes, sessions, c.polls, c.nodes, c.sessN)
+		}
+	}
+	var sessionPolls []float64
+	for _, h := range a.Snapshot().Histograms {
+		if h.Name == MetricSessionPolls {
+			sessionPolls = append(sessionPolls, h.Sum)
+		}
+	}
+	if len(sessionPolls) != 1 || sessionPolls[0] != 2 {
+		t.Errorf("session polls sum = %v, want [2] (the dropped tallies must not count)", sessionPolls)
+	}
+}

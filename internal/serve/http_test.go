@@ -119,6 +119,11 @@ func TestHTTPErrors(t *testing.T) {
 	if code, _, _ := postQuery(t, ts, "/query", `{"unknown_knob":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", code)
 	}
+	for _, field := range []string{"-2", "1"} {
+		if code, _, _ := postQuery(t, ts, "/query", `{"field":`+field+`}`); code != http.StatusBadRequest {
+			t.Fatalf("field %s outside a one-field pool: status %d", field, code)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/query/q999999")
 	if err != nil {
 		t.Fatal(err)

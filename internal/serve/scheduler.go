@@ -2,98 +2,66 @@ package serve
 
 import (
 	"container/heap"
+	"sync"
 	"sync/atomic"
 
 	"tcast/internal/query"
 )
 
 // Field is one shared simulated medium: a virtual slot clock all its
-// sessions' transmissions serialize on, owned by a single scheduler
-// goroutine. Session goroutines interact with it only through the events
-// channel and their grant channel, so the scheduler's decisions — and
-// therefore every contention price — are a pure function of the admitted
+// sessions' transmissions serialize on. There is no scheduler goroutine:
+// the session goroutines apply the barrier rule themselves under the
+// field's mutex (arrive, park, done), and whichever of them finds the
+// barrier reached hands the medium to the winner. The rule only ever
+// decides when no admitted session is running, so every grant — and
+// therefore every contention price — is a pure function of the admitted
 // sessions' (virtual ready time, admission sequence) order.
 type Field struct {
 	pool  *Pool
 	index int
 
-	events chan schedEvent
 	tokens chan struct{} // MaxActive scheduler slots; excess sessions queue here
-	done   chan struct{} // closed when the scheduler loop exits
+
+	// mu guards the barrier state: the virtual slot clock, the running
+	// count, the parked sessions' heap and the gate.
+	mu      sync.Mutex
+	now     int64
+	running int
+	waiting waitQueue
+	gated   bool
 
 	// inflight counts queued+running sessions (admission bound); active
-	// and queued split it for gauges; clock mirrors the scheduler's
-	// virtual slot clock for stats snapshots.
+	// and queued split it for gauges; clock mirrors the virtual slot
+	// clock for stats snapshots.
 	inflight atomic.Int64
 	active   atomic.Int64
 	queued   atomic.Int64
 	clock    atomic.Int64
 	served   atomic.Int64
 	parked   atomic.Int64
-	gated    atomic.Bool
-}
-
-// schedEventKind discriminates the scheduler's inbox.
-type schedEventKind uint8
-
-const (
-	// evArrive: a session acquired a scheduler slot and its goroutine is
-	// running toward its first poll.
-	evArrive schedEventKind = iota
-	// evPark: a session wants the medium for its next poll; cost carries
-	// the virtual slots of the poll it just finished (0 before the
-	// first).
-	evPark
-	// evDone: a session finished; cost carries its final poll's slots.
-	evDone
-	// evOpen releases a gated field.
-	evOpen
-	// evClose asks the loop to exit once no sessions remain.
-	evClose
-)
-
-// schedEvent is one message from a session (or the pool) to a field's
-// scheduler loop.
-type schedEvent struct {
-	kind schedEventKind
-	s    *Session
-	cost int64
 }
 
 func newField(p *Pool, index, maxActive int, hold bool) *Field {
 	f := &Field{
 		pool:   p,
 		index:  index,
-		events: make(chan schedEvent),
 		tokens: make(chan struct{}, maxActive),
-		done:   make(chan struct{}),
+		gated:  hold,
 	}
 	for i := 0; i < maxActive; i++ {
 		f.tokens <- struct{}{}
 	}
-	if hold {
-		f.gated.Store(true)
-	}
 	return f
 }
 
-// gated is only read by the scheduler loop; the atomic lets open() be
-// called idempotently from outside without racing the loop's read of the
-// initial value.
+// open releases a gated field; later calls are no-ops.
 func (f *Field) open() {
-	if f.gated.CompareAndSwap(true, false) {
-		select {
-		case f.events <- schedEvent{kind: evOpen}:
-		case <-f.done:
-		}
-	}
-}
-
-func (f *Field) close() {
-	select {
-	case f.events <- schedEvent{kind: evClose}:
-		<-f.done
-	case <-f.done:
+	f.mu.Lock()
+	f.gated = false
+	w := f.grantLocked()
+	f.mu.Unlock()
+	if w != nil {
+		w.grant <- struct{}{}
 	}
 }
 
@@ -112,68 +80,90 @@ func (f *Field) Index() int { return f.index }
 // known state.
 func (f *Field) Parked() int64 { return f.parked.Load() }
 
-// loop is the field's scheduler: a barrier-stepped virtual-time event
-// loop. It collects events until every admitted session is parked at the
-// medium (running == 0), then grants the transmission to the waiting
-// session with the lowest (readyAt, seq) key, waits for that session to
-// park again (carrying the poll's slot cost, which advances the clock)
-// or finish, and repeats. The barrier is what makes contention pricing
-// independent of goroutine scheduling: no grant decision is ever taken
-// while a session that could still request the medium is running.
-func (f *Field) loop() {
-	defer close(f.done)
-	var (
-		clock   int64
-		running int
-		waiting waitQueue
-		closing bool
-	)
-	gated := f.gated.Load()
-	for {
-		// Collect events until a grant is possible and allowed.
-		for running > 0 || waiting.Len() == 0 || gated {
-			if closing && running == 0 && waiting.Len() == 0 {
-				return
-			}
-			ev := <-f.events
-			switch ev.kind {
-			case evArrive:
-				ev.s.readyAt = clock
-				ev.s.startSlot = clock
-				running++
-			case evPark:
-				clock += ev.cost
-				ev.s.ownSlots += ev.cost
-				ev.s.readyAt = clock
-				running--
-				heap.Push(&waiting, ev.s)
-				f.parked.Store(int64(waiting.Len()))
-			case evDone:
-				clock += ev.cost
-				ev.s.ownSlots += ev.cost
-				running--
-				f.served.Add(1)
-				f.clock.Store(clock)
-				ev.s.finish(clock)
-			case evOpen:
-				gated = false
-			case evClose:
-				closing = true
-			}
-			f.clock.Store(clock)
-		}
-		s := heap.Pop(&waiting).(*Session)
-		f.parked.Store(int64(waiting.Len()))
-		s.waited += clock - s.readyAt
-		running++
-		s.grant <- clock
+// The barrier rule: a session arrives running, parks at the medium
+// before each poll (carrying the slot cost of the poll it just finished,
+// which advances the clock) and is done after its last. Once no session
+// is running and the field is not gated, the parked session with the
+// lowest (readyAt, seq) key gets the medium. No grant decision is ever
+// taken while a session that could still request the medium is running,
+// which is what makes contention pricing independent of goroutine
+// scheduling.
+
+// arrive enters r's session into the barrier: it is running from the
+// current clock.
+func (f *Field) arrive(r *run) {
+	f.mu.Lock()
+	r.readyAt = f.now
+	r.startSlot = f.now
+	f.running++
+	f.mu.Unlock()
+}
+
+// park blocks r's session at the medium until it is granted the next
+// transmission. A session that wins its own grant returns without a
+// channel operation; otherwise the caller hands the medium to the winner
+// and waits for its own grant.
+func (f *Field) park(r *run) {
+	f.mu.Lock()
+	f.advanceLocked(r)
+	r.readyAt = f.now
+	f.running--
+	heap.Push(&f.waiting, r)
+	f.parked.Store(int64(f.waiting.Len()))
+	w := f.grantLocked()
+	f.mu.Unlock()
+	if w == r {
+		return
 	}
+	if w != nil {
+		w.grant <- struct{}{}
+	}
+	<-r.grant
+}
+
+// done retires r's session after its last poll and finishes it under the
+// field's mutex, so verdicts publish in scheduler order; then it hands
+// the medium on if the barrier is reached.
+func (f *Field) done(s *Session) {
+	r := s.run
+	f.mu.Lock()
+	f.advanceLocked(r)
+	f.running--
+	f.served.Add(1)
+	s.finish(f.now)
+	w := f.grantLocked()
+	f.mu.Unlock()
+	if w != nil {
+		w.grant <- struct{}{}
+	}
+}
+
+// advanceLocked charges the poll r's session just finished to the clock
+// and to its own occupancy.
+func (f *Field) advanceLocked(r *run) {
+	f.now += r.lastCost
+	r.ownSlots += r.lastCost
+	f.clock.Store(f.now)
+}
+
+// grantLocked applies the barrier: when no session is running, the field
+// is open and a session is parked, it pops the winner, charges its wait
+// and counts it running. It returns the winner, or nil.
+func (f *Field) grantLocked() *run {
+	if f.running > 0 || f.gated || f.waiting.Len() == 0 {
+		return nil
+	}
+	w := heap.Pop(&f.waiting).(*run)
+	f.parked.Store(int64(f.waiting.Len()))
+	w.waited += f.now - w.readyAt
+	f.running++
+	return w
 }
 
 // waitQueue orders parked sessions by (virtual ready time, admission
 // sequence) — earliest ready transmits first, ties broken by arrival
 // order so earlier admissions never starve behind later ones.
-type waitQueue []*Session
+type waitQueue []*run
 
 func (q waitQueue) Len() int { return len(q) }
 func (q waitQueue) Less(i, j int) bool {
@@ -183,14 +173,14 @@ func (q waitQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 func (q waitQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *waitQueue) Push(x any)   { *q = append(*q, x.(*Session)) }
+func (q *waitQueue) Push(x any)   { *q = append(*q, x.(*run)) }
 func (q *waitQueue) Pop() any {
 	old := *q
 	n := len(old)
-	s := old[n-1]
+	r := old[n-1]
 	old[n-1] = nil
 	*q = old[:n-1]
-	return s
+	return r
 }
 
 // mediumQuerier is the scheduler's query.Querier middleware: before each
@@ -201,7 +191,7 @@ func (q *waitQueue) Pop() any {
 // without contention; only its slot ledger (waiting time, span) differs.
 type mediumQuerier struct {
 	inner query.Querier
-	s     *Session
+	r     *run
 	// meter is the outermost slot meter below this wrapper (nil on the
 	// abstract fastsim channel); its per-poll delta prices the medium
 	// occupancy, one slot per poll otherwise.
@@ -209,9 +199,10 @@ type mediumQuerier struct {
 	last  int
 }
 
-// newMediumQuerier wraps inner, discovering its slot meter.
-func newMediumQuerier(inner query.Querier, s *Session) *mediumQuerier {
-	m := &mediumQuerier{inner: inner, s: s}
+// reset re-targets m at inner for r's session, discovering the slot
+// meter.
+func (m *mediumQuerier) reset(inner query.Querier, r *run) {
+	*m = mediumQuerier{inner: inner, r: r}
 	for walk := inner; walk != nil; {
 		if sc, ok := walk.(interface{ Slots() int }); ok {
 			m.meter = sc
@@ -224,14 +215,12 @@ func newMediumQuerier(inner query.Querier, s *Session) *mediumQuerier {
 		}
 		walk = w.Unwrap()
 	}
-	return m
 }
 
 // Query implements query.Querier: park, wait for the grant, transmit.
 func (m *mediumQuerier) Query(bin []int) query.Response {
-	s := m.s
-	s.field.events <- schedEvent{kind: evPark, s: s, cost: s.lastCost}
-	<-s.grant
+	r := m.r
+	r.field.park(r)
 	resp := m.inner.Query(bin)
 	cost := int64(1)
 	if m.meter != nil {
@@ -241,7 +230,7 @@ func (m *mediumQuerier) Query(bin []int) query.Response {
 		}
 		m.last = now
 	}
-	s.lastCost = cost
+	r.lastCost = cost
 	return resp
 }
 

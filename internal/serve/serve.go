@@ -11,10 +11,15 @@
 // by (virtual ready time, admission sequence) and a grant is only issued
 // when every admitted session is parked at the medium, so the same seeds
 // and arrival order produce byte-identical verdicts and slot ledgers at
-// any GOMAXPROCS. A session's own algorithm behaviour is never perturbed
-// by contention (the medium wrapper forwards polls unchanged and consumes
-// no randomness), so a single admitted session's verdict and cost are
-// byte-identical to the same seed run through tcastsim.
+// any GOMAXPROCS. The scheduler has no goroutine of its own: the session
+// goroutines apply the barrier rule under their field's mutex, a session
+// that wins its own grant keeps running, and a contended poll costs one
+// goroutine wake-up, the winner's. The rule, and so the determinism
+// argument, is the same wherever it runs. A session's own algorithm
+// behaviour is never perturbed by contention (the medium wrapper forwards
+// polls unchanged and consumes no randomness), so a single admitted
+// session's verdict and cost are byte-identical to the same seed run
+// through tcastsim.
 //
 // The rest of the stack is reused wholesale: sessions run the core
 // algorithms through query.Querier, optionally stacked with the faults
@@ -27,6 +32,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,11 +141,13 @@ type Pool struct {
 
 	fields []*Field
 
-	shed       map[string]*metrics.Counter
-	activeG    *metrics.Gauge
-	queuedG    *metrics.Gauge
-	latencyH   *metrics.Histogram
-	sessionCtr func(outcome string) // increments serve_sessions_total{outcome}
+	shed     map[string]*metrics.Counter
+	activeG  *metrics.Gauge
+	queuedG  *metrics.Gauge
+	latencyH *metrics.Histogram
+	// sessions are serve_sessions_total{outcome}; without a registry they
+	// are private and never read.
+	sessions struct{ correct, wrong, failed *metrics.Counter }
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -146,17 +156,17 @@ type Pool struct {
 	seq       uint64
 	next      int // round-robin field cursor
 	perClient map[string]int
-	byID      map[string]*Session
-	order     []*Session
+	// order is the session directory: every kept session in admission
+	// order, so sorted by seq.
+	order []*Session
 }
 
-// NewPool builds the pool and starts one scheduler goroutine per field.
+// NewPool builds the pool and its fields.
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
 		cfg:       cfg,
 		perClient: make(map[string]int),
-		byID:      make(map[string]*Session),
 	}
 	if reg := cfg.Registry; reg != nil {
 		p.shed = map[string]*metrics.Counter{
@@ -168,14 +178,14 @@ func NewPool(cfg Config) *Pool {
 		p.queuedG = reg.Gauge("serve_queued_sessions")
 		p.latencyH = reg.Histogram("serve_session_wall_ns",
 			metrics.ExponentialBuckets(1e3, 4, 12))
-		p.sessionCtr = func(outcome string) {
-			reg.Counter("serve_sessions_total", "outcome", outcome).Inc()
-		}
+		p.sessions.correct = reg.Counter("serve_sessions_total", "outcome", "correct")
+		p.sessions.wrong = reg.Counter("serve_sessions_total", "outcome", "wrong")
+		p.sessions.failed = reg.Counter("serve_sessions_total", "outcome", "error")
+	} else {
+		p.sessions.correct, p.sessions.wrong, p.sessions.failed = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
 	}
 	for i := 0; i < cfg.Fields; i++ {
-		f := newField(p, i, cfg.MaxActive, cfg.Hold)
-		p.fields = append(p.fields, f)
-		go f.loop()
+		p.fields = append(p.fields, newField(p, i, cfg.MaxActive, cfg.Hold))
 	}
 	return p
 }
@@ -191,12 +201,24 @@ func (p *Pool) Open() {
 // Fields returns the pool's fields, for stats rendering.
 func (p *Pool) Fields() []*Field { return p.fields }
 
-// Session looks up a submitted session by id.
+// Session looks up a submitted session by id: a binary search of the
+// directory for the admission sequence the id encodes.
 func (p *Pool) Session(id string) (*Session, bool) {
+	digits, ok := strings.CutPrefix(id, "q")
+	if !ok {
+		return nil, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return nil, false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.byID[id]
-	return s, ok
+	i := sort.Search(len(p.order), func(i int) bool { return p.order[i].seq >= seq })
+	if i == len(p.order) || p.order[i].ID != id {
+		return nil, false
+	}
+	return p.order[i], true
 }
 
 // shedCount bumps the shed counter for reason when a registry is wired.
@@ -215,7 +237,7 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 		p.shedCount("draining")
 		return nil, ErrDraining
 	}
-	spec, err := p.resolveSpec(spec)
+	spec, sp, err := p.resolveSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +250,6 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 	}
 	var f *Field
 	if spec.Field >= 0 {
-		if spec.Field >= len(p.fields) {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("serve: field %d outside pool of %d", spec.Field, len(p.fields))
-		}
 		f = p.fields[spec.Field]
 	} else {
 		f = p.fields[p.next%len(p.fields)]
@@ -245,38 +263,45 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 	}
 	p.seq++
 	s := &Session{
-		ID:        fmt.Sprintf("q%06d", p.seq),
-		Client:    client,
-		Spec:      spec,
-		seq:       p.seq,
-		field:     f,
-		grant:     make(chan int64, 1),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+		ID:     fmt.Sprintf("q%06d", p.seq),
+		Client: client,
+		Spec:   spec,
+		seq:    p.seq,
+		field:  f,
+		run:    newRun(f, p.seq, sp),
 	}
+	s.done.Store(make(chan struct{}))
 	s.state.Store(int32(StateQueued))
 	p.perClient[client]++
 	f.inflight.Add(1)
-	p.byID[s.ID] = s
 	p.order = append(p.order, s)
 	p.evictLocked()
 	p.mu.Unlock()
 
 	p.wg.Add(1)
-	go s.run()
+	go s.serve()
 	return s, nil
 }
 
 // evictLocked drops the oldest finished sessions beyond MaxHistory.
 // In-flight sessions are never evicted; the in-flight population is
-// bounded by the admission caps, so the directory stays bounded too.
+// bounded by the admission caps, so the directory stays bounded too. A
+// finished head is dropped by re-slicing, so steady-state eviction is
+// O(1); only an in-flight head costs a scan.
 func (p *Pool) evictLocked() {
 	for len(p.order) > p.cfg.MaxHistory {
+		if p.order[0].State().Terminal() {
+			p.order[0] = nil
+			p.order = p.order[1:]
+			continue
+		}
 		evicted := false
 		for i, s := range p.order {
 			if s.State().Terminal() {
-				delete(p.byID, s.ID)
-				p.order = append(p.order[:i], p.order[i+1:]...)
+				last := len(p.order) - 1
+				copy(p.order[i:], p.order[i+1:])
+				p.order[last] = nil
+				p.order = p.order[:last]
 				evicted = true
 				break
 			}
@@ -299,9 +324,9 @@ func (p *Pool) release(s *Session) {
 	s.field.inflight.Add(-1)
 }
 
-// Drain stops admission, waits for every in-flight session to finish
-// (bounded by ctx), then stops the field schedulers. After a successful
-// Drain the pool accepts no further submissions.
+// Drain stops admission and waits for every in-flight session to finish
+// (bounded by ctx). After a successful Drain the pool accepts no further
+// submissions.
 func (p *Pool) Drain(ctx context.Context) error {
 	p.draining.Store(true)
 	done := make(chan struct{})
@@ -313,9 +338,6 @@ func (p *Pool) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain: %w", ctx.Err())
-	}
-	for _, f := range p.fields {
-		f.close()
 	}
 	return nil
 }

@@ -367,7 +367,8 @@ func TestResolveSpecValidation(t *testing.T) {
 		{N: 128, T: 16, X: 1, Model: "3+"},
 		{N: 128, T: 16, X: 1, Faults: "burst=nope"},
 		{N: 128, T: 16, X: 1, Retries: -1},
-		{N: 128, T: 16, X: 1, Field: 7}, // outside the pool
+		{N: 128, T: 16, X: 1, Field: 7},  // outside the pool
+		{N: 128, T: 16, X: 1, Field: -2}, // below -1 (round-robin)
 	}
 	for i, sp := range bad {
 		if _, err := p.Submit(sp, "bad"); err == nil {
@@ -410,7 +411,9 @@ func TestFaultedAuditedSession(t *testing.T) {
 	}
 }
 
-// TestHistoryEviction verifies the session directory stays bounded.
+// TestHistoryEviction verifies the session directory stays bounded, an
+// in-flight head is skipped rather than evicted, and it goes once it has
+// finished.
 func TestHistoryEviction(t *testing.T) {
 	p := NewPool(Config{MaxHistory: 4})
 	defer drain(t, p)
@@ -424,7 +427,7 @@ func TestHistoryEviction(t *testing.T) {
 		ids = append(ids, s.ID)
 	}
 	p.mu.Lock()
-	kept := len(p.byID)
+	kept := len(p.order)
 	p.mu.Unlock()
 	if kept > 4 {
 		t.Fatalf("directory holds %d sessions, MaxHistory=4", kept)
@@ -434,5 +437,118 @@ func TestHistoryEviction(t *testing.T) {
 	}
 	if _, ok := p.Session(ids[len(ids)-1]); !ok {
 		t.Fatal("newest session evicted")
+	}
+
+	// An in-flight head: field 0 stays gated, field 1 serves.
+	p = NewPool(Config{Fields: 2, MaxHistory: 4, Hold: true})
+	defer drain(t, p)
+	p.fields[1].open()
+	head, err := p.Submit(Spec{N: 64, T: 8, X: 10, Field: 0}, "head")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[:0]
+	for i := 0; i < 10; i++ {
+		s, err := p.Submit(Spec{N: 64, T: 8, X: 10, Seed: uint64(i), Field: 1}, "hist")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.Done()
+		ids = append(ids, s.ID)
+	}
+	p.mu.Lock()
+	order := append([]*Session(nil), p.order...)
+	kept = len(p.order)
+	p.mu.Unlock()
+	if kept != 4 || len(order) != 4 || order[0] != head {
+		t.Fatalf("directory holds %d sessions (order %d, head %v), want 4 led by the in-flight head", kept, len(order), order[0].ID)
+	}
+	for i, id := range ids {
+		if _, ok := p.Session(id); ok != (i >= len(ids)-3) {
+			t.Fatalf("session %d (%s) kept=%v; want only the newest 3 behind the head", i, id, ok)
+		}
+	}
+	p.fields[0].open()
+	<-head.Done()
+	if _, err := p.Submit(Spec{N: 64, T: 8, X: 10, Field: 1}, "hist"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Session(head.ID); ok {
+		t.Fatal("finished head survived eviction")
+	}
+	p.mu.Lock()
+	kept = len(p.order)
+	p.mu.Unlock()
+	if kept != 4 {
+		t.Fatalf("directory holds %d sessions after the head finished, want 4", kept)
+	}
+}
+
+// TestSessionLookup: the directory resolves exactly the ids it issued.
+func TestSessionLookup(t *testing.T) {
+	p := NewPool(Config{})
+	defer drain(t, p)
+	var subs []*Session
+	for i := 0; i < 3; i++ {
+		s, err := p.Submit(Spec{N: 64, T: 8, X: 10, Seed: uint64(i), Field: -1}, "lookup")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.Done()
+		subs = append(subs, s)
+	}
+	for _, s := range subs {
+		if got, ok := p.Session(s.ID); !ok || got != s {
+			t.Fatalf("Session(%q) = %v, %v", s.ID, got, ok)
+		}
+	}
+	for _, id := range []string{"", "q", "q2", "000002", "x000002", "q-00002", "q+00002", "q000004", "q000000"} {
+		if s, ok := p.Session(id); ok {
+			t.Fatalf("Session(%q) found %s", id, s.ID)
+		}
+	}
+}
+
+// TestFinishedSessionReleasesRunState: finish hands the run-only state
+// back to the pool, so a finished session in the history holds no grant
+// channel or pipeline, and what it serves does not change when later
+// sessions reuse that state.
+func TestFinishedSessionReleasesRunState(t *testing.T) {
+	p := NewPool(Config{Fields: 1})
+	defer drain(t, p)
+	s, err := p.Submit(Spec{N: 128, T: 16, X: 20, Seed: 3, Field: 0, Audit: true}, "release")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.Done()
+	if s.run != nil {
+		t.Fatal("finished session still holds its run state (grant channel, pipeline)")
+	}
+	status, err := json.Marshal(s.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *res
+	for i := 0; i < 8; i++ {
+		o, err := p.Submit(Spec{N: 256, T: 8, X: i, Seed: uint64(i), Field: 0, Audit: i%2 == 0}, "reuse")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-o.Done()
+	}
+	select {
+	case <-s.Done():
+	default:
+		t.Fatal("Done reopened")
+	}
+	if again, err := json.Marshal(s.Status()); err != nil || string(again) != string(status) {
+		t.Fatalf("status changed after reuse:\n%s\nwas\n%s", again, status)
+	}
+	if res, err := s.Result(); err != nil || *res != want {
+		t.Fatalf("result changed after reuse: %+v (err %v), was %+v", res, err, want)
 	}
 }

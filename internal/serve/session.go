@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,46 +99,91 @@ type Result struct {
 	SpanSlots    int64 `json:"span_slots"`
 }
 
-// Session is one admitted query: the scheduler's ledger fields, the
-// goroutine's execution state, and the completion signal.
+// Session is one admitted query: its request, its lifecycle state and,
+// once finished, its verdict. While it runs it also holds its run-only
+// state; finish releases that, so the history keeps only what GET
+// /query/{id} serves.
 type Session struct {
 	ID     string
 	Client string
 	Spec   Spec
 
-	seq   uint64
+	seq   uint64 // admission sequence, encoded in ID
 	field *Field
+	// run is the run-only state, nil once the session has finished.
+	run *run
 
-	// grant delivers the scheduler's transmit permission; lastCost
-	// carries the previous poll's slots into the next park event.
-	grant    chan int64
+	state  atomic.Int32
+	result Result
+	runErr error
+	wall   time.Duration
+	// done holds the chan struct{} that finish closes. finish then swaps
+	// in the shared closed channel, so a session kept in the history
+	// does not keep a channel of its own.
+	done atomic.Value
+}
+
+// closed is the Done channel of every finished session.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// run is a served session's run-only state: the scheduler's ledger, the
+// pipeline and its medium wrapper. It is pooled: Submit takes one and
+// finish returns it.
+type run struct {
+	field *Field
+	seq   uint64
+	// sp is the resolved pipeline declaration; execute adds the serving
+	// layers.
+	sp session.Spec
+
+	// grant delivers the medium to a parked session; lastCost carries
+	// the previous poll's slots into the next park.
+	grant    chan struct{}
 	lastCost int64
 
-	// Scheduler-owned virtual-time ledger (only the field loop writes
-	// these after arrival).
+	// Virtual-time ledger, written under the field's mutex after
+	// arrival.
 	readyAt   int64
 	startSlot int64
 	waited    int64
 	ownSlots  int64
 
-	// Written by the session goroutine before evDone, read by finish,
-	// which publishes the pipeline's verdict and pools it back.
-	pipe   *session.Session
-	res    core.Result
-	runErr error
-
-	state     atomic.Int32
-	result    *Result
-	wall      time.Duration
+	pipe      session.Session
+	medium    mediumQuerier
+	wrap      func(query.Querier) query.Querier // splices medium into pipe
+	res       core.Result
 	submitted time.Time
-	done      chan struct{}
+}
+
+// runs pools the run-only state of served sessions.
+var runs = sync.Pool{New: func() any {
+	r := &run{grant: make(chan struct{}, 1)}
+	r.wrap = func(q query.Querier) query.Querier {
+		r.medium.reset(q, r)
+		return &r.medium
+	}
+	return r
+}}
+
+// newRun takes a pooled run for the seq'th admission on f.
+func newRun(f *Field, seq uint64, sp session.Spec) *run {
+	r := runs.Get().(*run)
+	r.field, r.seq, r.sp = f, seq, sp
+	r.lastCost, r.readyAt, r.startSlot, r.waited, r.ownSlots = 0, 0, 0, 0, 0
+	r.res = core.Result{}
+	r.submitted = time.Now()
+	return r
 }
 
 // State returns the session's lifecycle position.
 func (s *Session) State() State { return State(s.state.Load()) }
 
 // Done is closed when the session reaches a terminal state.
-func (s *Session) Done() <-chan struct{} { return s.done }
+func (s *Session) Done() <-chan struct{} { return s.done.Load().(chan struct{}) }
 
 // Result returns the finished session's result, or the run error. It
 // must only be consulted after Done() (or a Terminal state).
@@ -145,7 +191,10 @@ func (s *Session) Result() (*Result, error) {
 	if !s.State().Terminal() {
 		return nil, fmt.Errorf("serve: session %s still %s", s.ID, s.State())
 	}
-	return s.result, s.runErr
+	if s.runErr != nil {
+		return nil, s.runErr
+	}
+	return &s.result, nil
 }
 
 // Wall returns the submitted→finished wall-clock latency; valid once
@@ -154,7 +203,7 @@ func (s *Session) Wall() time.Duration { return s.wall }
 
 // label names the session on the obs bus.
 func (s *Session) label() string {
-	return fmt.Sprintf("%s/%s/seed=%d", s.ID, s.Spec.Alg, s.Spec.Seed)
+	return s.ID + "/" + s.Spec.Alg + "/seed=" + strconv.FormatUint(s.Spec.Seed, 10)
 }
 
 // Status is the session's wire shape for GET /query/{id}.
@@ -171,7 +220,7 @@ type Status struct {
 func (s *Session) Status() Status {
 	st := Status{ID: s.ID, State: s.State().String(), Spec: s.Spec}
 	if st.State == StateDone.String() {
-		st.Result = s.result
+		st.Result = &s.result
 		st.ElapsedMs = float64(s.wall) / 1e6
 	}
 	if st.State == StateFailed.String() {
@@ -182,8 +231,9 @@ func (s *Session) Status() Status {
 }
 
 // resolveSpec fills defaults and validates a submission with the session
-// rules every front end shares, plus the pool's MaxN.
-func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
+// rules every front end shares, plus the pool's MaxN and field range. It
+// also returns the session's pipeline declaration.
+func (p *Pool) resolveSpec(spec Spec) (Spec, session.Spec, error) {
 	d := p.cfg.Defaults
 	if spec.N == 0 {
 		spec.N = d.N
@@ -198,13 +248,16 @@ func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
 		spec.Model = d.Model
 	}
 	if spec.N > p.cfg.MaxN {
-		return spec, fmt.Errorf("serve: n=%d outside [1,%d]", spec.N, p.cfg.MaxN)
+		return spec, session.Spec{}, fmt.Errorf("serve: n=%d outside [1,%d]", spec.N, p.cfg.MaxN)
+	}
+	if spec.Field < -1 || spec.Field >= len(p.fields) {
+		return spec, session.Spec{}, fmt.Errorf("serve: field %d outside pool of %d (-1 round-robins)", spec.Field, len(p.fields))
 	}
 	sp, err := spec.pipeline()
 	if err != nil {
-		return spec, err
+		return spec, sp, err
 	}
-	return spec, sp.Validate()
+	return spec, sp, sp.Validate()
 }
 
 // pipeline translates the wire spec into the session's declaration: the
@@ -229,14 +282,10 @@ func (sp Spec) pipeline() (session.Spec, error) {
 	return out, nil
 }
 
-// pipelines pools the served sessions' pipelines; finish returns each one
-// after publishing its verdict.
-var pipelines = sync.Pool{New: func() any { return new(session.Session) }}
-
-// run is the session goroutine: acquire a scheduler slot (queueing when
-// the field is at MaxActive), announce arrival, execute the query, and
-// report completion to the scheduler, which prices and finishes it.
-func (s *Session) run() {
+// serve is the session goroutine: acquire a scheduler slot (queueing when
+// the field is at MaxActive), arrive at the medium, execute the query,
+// and retire from the medium, which prices and finishes it.
+func (s *Session) serve() {
 	f := s.field
 	p := f.pool
 	defer p.wg.Done()
@@ -251,10 +300,9 @@ func (s *Session) run() {
 	f.active.Add(1)
 	p.updateGauges()
 	s.state.Store(int32(StateRunning))
-	f.events <- schedEvent{kind: evArrive, s: s}
+	f.arrive(s.run)
 	s.runErr = s.execute()
-	f.events <- schedEvent{kind: evDone, s: s, cost: s.lastCost}
-	<-s.done
+	f.done(s)
 	f.active.Add(-1)
 	p.updateGauges()
 	f.tokens <- struct{}{}
@@ -268,12 +316,10 @@ func (s *Session) run() {
 // `tcastsim -seed Seed` with the same parameters.
 func (s *Session) execute() error {
 	p := s.field.pool
-	sp, err := s.Spec.pipeline()
-	if err != nil {
-		return err
-	}
+	r := s.run
+	sp := r.sp
 	sp.Label, sp.Metrics, sp.Obs = s.label(), p.cfg.Registry, p.cfg.Bus
-	sp.Medium = func(q query.Querier) query.Querier { return newMediumQuerier(q, s) }
+	sp.Medium = r.wrap
 	if s.Spec.Audit {
 		// A served session is graded on its own; the verdict lands on its
 		// Result, so its collector holds this one session.
@@ -281,74 +327,72 @@ func (s *Session) execute() error {
 	}
 	var src rng.Source
 	rng.New(s.Spec.Seed).SplitInto(uint64(s.Spec.Trial), &src)
-	s.pipe = pipelines.Get().(*session.Session)
-	if err := s.pipe.Reset(sp, &src); err != nil {
+	if err := r.pipe.Reset(sp, &src); err != nil {
 		return err
 	}
-	s.res, err = s.pipe.Run()
+	var err error
+	r.res, err = r.pipe.Run()
 	return err
 }
 
-// finish runs on the field's scheduler goroutine once the session's
-// evDone is processed: it assembles the result from the algorithm's
-// outcome and the scheduler's ledger, publishes the verdict onto the obs
-// bus (in scheduler order, so event streams are as deterministic as the
-// schedule), records metrics, returns the admission slot and releases
+// finish runs under the field's mutex once the session is done: it
+// assembles the result from the algorithm's outcome and the scheduler's
+// ledger, publishes the verdict onto the obs bus (in scheduler order, so
+// event streams are as deterministic as the schedule), records metrics,
+// releases the run-only state, returns the admission slot and releases
 // waiters.
 func (s *Session) finish(end int64) {
 	p := s.field.pool
-	s.wall = time.Since(s.submitted)
+	r := s.run
+	s.wall = time.Since(r.submitted)
 	if s.runErr == nil {
-		r := &Result{
-			Decision:  s.res.Decision,
+		s.result = Result{
+			Decision:  r.res.Decision,
 			Truth:     s.Spec.X >= s.Spec.T,
-			Polls:     s.res.Queries,
-			Rounds:    s.res.Rounds,
-			Confirmed: s.res.Confirmed,
+			Polls:     r.res.Queries,
+			Rounds:    r.res.Rounds,
+			Confirmed: r.res.Confirmed,
 
-			SessionSlots: s.pipe.Slots(),
-			MediumSlots:  s.ownSlots,
-			WaitedSlots:  s.waited,
-			StartSlot:    s.startSlot,
+			SessionSlots: r.pipe.Slots(),
+			MediumSlots:  r.ownSlots,
+			WaitedSlots:  r.waited,
+			StartSlot:    r.startSlot,
 			EndSlot:      end,
-			SpanSlots:    end - s.startSlot,
+			SpanSlots:    end - r.startSlot,
 		}
-		if v, ok := s.pipe.Verdict(); ok {
-			r.Correct = v.Correct()
-			r.Outcome = v.Outcome.String()
+		res := &s.result
+		if v, ok := r.pipe.Verdict(); ok {
+			res.Correct = v.Correct()
+			res.Outcome = v.Outcome.String()
 		} else {
-			r.Correct = s.res.Decision == r.Truth
-			r.Outcome = audit.OutcomeCorrect.String()
-			if !r.Correct {
-				r.Outcome = audit.OutcomeWrongUnattributed.String()
+			res.Correct = res.Decision == res.Truth
+			res.Outcome = audit.OutcomeCorrect.String()
+			if !res.Correct {
+				res.Outcome = audit.OutcomeWrongUnattributed.String()
 			}
 		}
-		s.result = r
-		if p.sessionCtr != nil {
-			if r.Correct {
-				p.sessionCtr("correct")
-			} else {
-				p.sessionCtr("wrong")
-			}
+		if res.Correct {
+			p.sessions.correct.Inc()
+		} else {
+			p.sessions.wrong.Inc()
 		}
 		if p.latencyH != nil {
 			p.latencyH.Observe(float64(s.wall))
 		}
 		s.state.Store(int32(StateDone))
 	} else {
-		if p.sessionCtr != nil {
-			p.sessionCtr("error")
-		}
+		p.sessions.failed.Inc()
 		s.state.Store(int32(StateFailed))
 	}
-	if s.pipe != nil {
-		s.pipe.Publish()
-		pipelines.Put(s.pipe)
-		s.pipe = nil
-	}
+	r.pipe.Publish()
+	// A pooled run must not pin the pool, and with it the history, once
+	// its owner has dropped the pool.
+	s.run, r.field = nil, nil
+	runs.Put(r)
 	// Return the admission slot before signalling completion, so a client
 	// that waits on Done() can submit again at once without being shed
 	// at its own limit.
 	p.release(s)
-	close(s.done)
+	close(s.done.Load().(chan struct{}))
+	s.done.Store(closed)
 }

@@ -196,6 +196,7 @@ type Session struct {
 	chr, fr, algr rng.Source
 	sub           rng.Source
 	inj           faults.Injector
+	iq            metrics.InstrumentedQuerier
 	auditor       *audit.Auditor
 	verdict       audit.Verdict
 	graded        bool
@@ -255,7 +256,11 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 	if sp.Medium != nil {
 		q = sp.Medium(q)
 	}
-	q = metrics.Wrap(query.WithRetry(q, sp.Retry), sp.Metrics)
+	q = query.WithRetry(q, sp.Retry)
+	if sp.Metrics != nil {
+		s.iq.Reset(q, sp.Metrics)
+		q = &s.iq
+	}
 	if sp.Audit != nil {
 		acfg := audit.Config{N: sp.N, T: sp.T, Metrics: sp.Metrics}
 		if s.auditor == nil {
