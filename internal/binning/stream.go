@@ -24,9 +24,9 @@ import (
 //     regardless of m. The permutation is uniform over a family of
 //     4-round Feistel networks rather than over all m! orderings — the
 //     paper's analysis only needs exchangeable equal-sized bins, which
-//     the keyed network provides — and it is invertible, so BinOf can
-//     answer "where did rank j land" in O(1) for samplers that want to
-//     skip empty bins.
+//     the keyed network provides — and it is invertible, so Place can
+//     answer "where did rank j land" in O(1), which lets a caller find
+//     the bins of a few known members without decoding any bin.
 //
 // The zero value is ready; Start* reinitializes in place. Not safe for
 // concurrent use.
@@ -89,19 +89,22 @@ func (st *Streamer) AppendBin(i int, dst []int) []int {
 	return dst
 }
 
-// BinOf returns the bin index that member rank j landed in (permuted
-// mode only — the shuffled mode keeps no inverse).
-func (st *Streamer) BinOf(j int) int {
+// Place returns the bin that member rank j landed in and its position
+// in the partition (permuted mode only — the shuffled mode keeps no
+// inverse). Positions run through the bins in order, so bin i's members
+// are the ranks placed at positions lo..hi-1 of chunkBounds, and
+// AppendBin lists them in ascending position order.
+func (st *Streamer) Place(j int) (bin, pos int) {
 	if !st.permuted {
-		panic("binning: BinOf requires permuted mode")
+		panic("binning: Place requires permuted mode")
 	}
-	p := st.f.apply(j)
+	pos = st.f.apply(j)
 	base, extra := st.m/st.b, st.m%st.b
 	pivot := extra * (base + 1)
-	if p < pivot {
-		return p / (base + 1)
+	if pos < pivot {
+		return pos / (base + 1), pos
 	}
-	return extra + (p-pivot)/base
+	return extra + (pos-pivot)/base, pos
 }
 
 // feistel is a 4-round balanced Feistel network on 2h-bit values,
@@ -114,7 +117,7 @@ func (st *Streamer) BinOf(j int) int {
 // through the same SplitMix64 finalizer the rng package seeds with.
 type feistel struct {
 	keys [4]uint64
-	half uint  // h: bits per half
+	half uint   // h: bits per half
 	mask uint64 // 2^h - 1
 	m    uint64
 }

@@ -43,7 +43,8 @@ func TestStreamerShuffledMatchesRandomPartition(t *testing.T) {
 
 // TestStreamerPermutedIsPartition: the permuted mode must yield a valid
 // exact-size partition of the ranks [0, m) — every rank exactly once,
-// bin sizes matching chunkBounds — deterministically in the key.
+// bin sizes matching chunkBounds, and Place naming each rank's bin and
+// its position in AppendBin order — deterministically in the key.
 func TestStreamerPermutedIsPartition(t *testing.T) {
 	var st Streamer
 	var buf []int
@@ -58,13 +59,15 @@ func TestStreamerPermutedIsPartition(t *testing.T) {
 					if len(buf) != st.BinSize(i) {
 						t.Fatalf("m=%d b=%d bin %d: len %d want %d", m, b, i, len(buf), st.BinSize(i))
 					}
-					for _, j := range buf {
+					for k, j := range buf {
 						if j < 0 || j >= m || seen[j] {
 							t.Fatalf("m=%d b=%d key=%d: rank %d invalid or repeated", m, b, key, j)
 						}
 						seen[j] = true
-						if got := st.BinOf(j); got != i {
-							t.Fatalf("m=%d b=%d key=%d: BinOf(%d)=%d want %d", m, b, key, j, got, i)
+						// Bin i holds positions total..total+|bin|-1, listed
+						// in ascending order by AppendBin.
+						if bin, pos := st.Place(j); bin != i || pos != total+k {
+							t.Fatalf("m=%d b=%d key=%d: Place(%d)=(%d, %d) want (%d, %d)", m, b, key, j, bin, pos, i, total+k)
 						}
 					}
 					total += len(buf)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"tcast/internal/binning"
+	"tcast/internal/bitset"
 	"tcast/internal/idset"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -115,6 +116,23 @@ type session struct {
 	stream   binning.Streamer
 	ranked   idset.Ranked
 	binBuf   []int
+	// dropped marks the bins of a streamed round that a StreamedQuerier
+	// answered and the ledger deferred; droppedMembers is their total
+	// size, and decoded lists the round's other decodes. settle reads
+	// all three at round end.
+	dropped        bitset.Set
+	droppedMembers int
+	decoded        []int
+}
+
+// StreamedQuerier is a querier that answers a poll of a streamed bin
+// without its member list: bin i of the partition st draws over the
+// ranks of the candidate snapshot rk (fastsim.Channel's QueryStreamed).
+// Core looks for it on the outermost querier only, never through
+// Unwrap: every layer that observes bins hides it by wrapping, and so
+// keeps the materialized path.
+type StreamedQuerier interface {
+	QueryStreamed(st *binning.Streamer, rk *idset.Ranked, i int) query.Response
 }
 
 // partition splits the current candidates into b bins, returning only the
@@ -198,11 +216,13 @@ func (s *session) runRound(b int) roundOutcome {
 
 // runRoundStreamed is runRound's sparse-field body: the candidates are
 // frozen into a rank directory, one 64-bit key replaces the Fisher-Yates
-// shuffle, and each bin is decoded rank-by-rank into one pooled buffer
-// just-in-time for its poll. The querier still receives a materialized
-// []int per poll — bins must stay concrete for the middleware stack
-// (metrics, trace, audit, faults all account bin members) — but only one
-// bin exists at a time, so a round's footprint is O(n/b), not O(n).
+// shuffle, and bins are drawn one at a time. A querier that observes bins
+// (metrics, trace, audit, faults all account bin members) receives each
+// bin decoded rank-by-rank into one pooled buffer just-in-time for its
+// poll, so a round's footprint is O(n/b), not O(n). A StreamedQuerier
+// answers from the stream itself and the ledger defers each dropped
+// bin, so no bin is decoded during the round; settle then decodes the
+// smaller side once. A decided round settles nothing: the session ends.
 // Candidate eliminations during the round do not affect the partition:
 // like the classic path, bins are drawn against the set as it stood at
 // round start (the snapshot), while Apply shrinks the live set.
@@ -219,13 +239,21 @@ func (s *session) runRoundStreamed(b int) roundOutcome {
 		// Mirror the classic path: no members, nothing polled.
 		return out
 	}
+	sq, _ := s.q.(StreamedQuerier)
+	if sq != nil {
+		s.dropped.Reset(b)
+		s.droppedMembers = 0
+		s.decoded = s.decoded[:0]
+	}
 	for i := 0; i < b; i++ {
-		bin := s.stream.AppendBin(i, s.binBuf[:0])
-		for j, rank := range bin {
-			bin[j] = s.ranked.Select(rank)
+		var resp query.Response
+		var decided bool
+		if sq != nil {
+			resp, decided = s.queryStreamed(sq, i)
+		} else {
+			s.binBuf = s.appendBinIDs(s.binBuf[:0], i)
+			resp, decided = s.queryBin(s.binBuf)
 		}
-		s.binBuf = bin
-		resp, decided := s.queryBin(bin)
 		out.queried++
 		if resp.Kind == query.Empty {
 			out.emptyBins++
@@ -235,7 +263,77 @@ func (s *session) runRoundStreamed(b int) roundOutcome {
 			return out
 		}
 	}
+	if sq != nil {
+		s.settle()
+	}
 	return out
+}
+
+// appendBinIDs decodes bin i of the streamed round and appends its ids
+// to dst.
+func (s *session) appendBinIDs(dst []int, i int) []int {
+	start := len(dst)
+	dst = s.stream.AppendBin(i, dst)
+	for j := start; j < len(dst); j++ {
+		dst[j] = s.ranked.Select(dst[j])
+	}
+	return dst
+}
+
+// queryStreamed is queryBin for bin i of a streamed round, answered by
+// the querier from the stream: the ledger defers a dropped bin, and the
+// session records it for settle.
+func (s *session) queryStreamed(sq StreamedQuerier, i int) (query.Response, bool) {
+	resp := sq.QueryStreamed(&s.stream, &s.ranked, i)
+	s.res.Queries++
+	if size := s.stream.BinSize(i); s.k.ApplyDeferred(size, resp, s.q.Traits()) {
+		s.dropped.Add(i)
+		s.droppedMembers += size
+	} else if resp.Kind == query.Decoded {
+		s.decoded = append(s.decoded, resp.DecodedID)
+	}
+	_, decided := s.k.Decision()
+	return resp, decided
+}
+
+// settle applies an undecided streamed round's deferred removals,
+// decoding only the smaller side of the partition: it removes the
+// dropped bins' members, or — when the survivors are fewer and the
+// candidates are in dense form — rebuilds the candidates from the
+// surviving bins less this round's decodes. Either way the set is the
+// one per-poll removal would have left.
+func (s *session) settle() {
+	c := s.k.Candidates
+	b := s.stream.Bins()
+	ids := s.binBuf[:0]
+	if 2*s.droppedMembers <= s.stream.Members() || c.IsSparse() {
+		// A sparse set takes every dropped bin in one batch, so it
+		// compacts once; a dense one takes them bin by bin, so the
+		// buffer stays one bin long.
+		for i := 0; i < b; i++ {
+			if s.dropped.Contains(i) {
+				ids = s.appendBinIDs(ids, i)
+				if !c.IsSparse() {
+					c.RemoveIDs(ids)
+					ids = ids[:0]
+				}
+			}
+		}
+		c.RemoveIDs(ids)
+	} else {
+		c.Reset(c.Cap())
+		for i := 0; i < b; i++ {
+			if !s.dropped.Contains(i) {
+				ids = s.appendBinIDs(ids[:0], i)
+				for _, id := range ids {
+					c.Add(id)
+				}
+			}
+		}
+		c.RemoveIDs(s.decoded)
+	}
+	s.binBuf = ids
+	s.k.Settled()
 }
 
 // finish packages the session into a Result once decided.

@@ -3,6 +3,8 @@ package fastsim
 import (
 	"testing"
 
+	"tcast/internal/binning"
+	"tcast/internal/idset"
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
@@ -94,6 +96,58 @@ func TestResetRandomMatchesRandomPositives(t *testing.T) {
 		}
 		if pooled.Stats() != fresh.Stats() {
 			t.Fatalf("seed %d: stats diverged: %+v vs %+v", seed, pooled.Stats(), fresh.Stats())
+		}
+	}
+}
+
+// TestQueryStreamedMatchesQuery: answering bin i of a streamed round
+// from the positives must give what Query gives for the decoded bin —
+// response, ledger and draws — on both sides of the positives-vs-bin
+// size choice, lossless and lossy.
+func TestQueryStreamedMatchesQuery(t *testing.T) {
+	n := idset.SparseCutover + 77
+	configs := []Config{
+		DefaultConfig(),
+		TwoPlusConfig(),
+		{Model: query.TwoPlus, Capture: NoCapture()},
+		{Model: query.OnePlus, MissProb: 0.3, FalseActiveProb: 0.2},
+		{Model: query.TwoPlus, Capture: GeometricCapture(0.7), CaptureEffectPresent: true, MissProb: 0.2},
+	}
+	var st binning.Streamer
+	var rk idset.Ranked
+	var bin []int
+	for ci, cfg := range configs {
+		for _, x := range []int{0, 1, 5, 40, 600} {
+			seed := uint64(ci*1000 + x)
+			streamed, _ := RandomPositives(n, x, cfg, rng.New(seed))
+			plain, _ := RandomPositives(n, x, cfg, rng.New(seed))
+			// Candidates: a random half of the field, so some positives
+			// are no longer candidates; then every bin count from one
+			// bin per candidate-ish to a single bin.
+			cands := idset.NewHybrid(n)
+			pick := rng.New(seed + 1)
+			for id := 0; id < n; id++ {
+				if pick.Intn(2) == 0 {
+					cands.Add(id)
+				}
+			}
+			rk.Snapshot(cands)
+			for _, b := range []int{1, 7, 300, 4000} {
+				st.StartPermuted(rk.Len(), b, pick.Uint64())
+				for i := 0; i < b; i++ {
+					bin = st.AppendBin(i, bin[:0])
+					for j, rank := range bin {
+						bin[j] = rk.Select(rank)
+					}
+					got, want := streamed.QueryStreamed(&st, &rk, i), plain.Query(bin)
+					if got != want {
+						t.Fatalf("config %d x=%d b=%d bin %d: streamed %+v, Query %+v", ci, x, b, i, got, want)
+					}
+				}
+			}
+			if streamed.Stats() != plain.Stats() || streamed.r.Uint64() != plain.r.Uint64() {
+				t.Fatalf("config %d x=%d: ledger or RNG position diverged", ci, x)
+			}
 		}
 	}
 }

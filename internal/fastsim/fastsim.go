@@ -11,9 +11,13 @@
 package fastsim
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
+	"tcast/internal/binning"
 	"tcast/internal/bitset"
 	"tcast/internal/idset"
 	"tcast/internal/query"
@@ -37,22 +41,29 @@ type CaptureModel func(k int) float64
 // table lookup keeps the query hot path O(1). Superpositions beyond the
 // table (k > 64 simultaneous frames, the dense mega-bins of scaled-up
 // fields) extend the product once and memoize the extension, so repeated
-// oversized polls stay O(1) too. The extension is published through an
-// atomic pointer because one model instance (defaultCapture) is shared
-// by every parallel trial worker: growth is copy-on-write, values are
-// deterministic products of beta, and a racing publish of a shorter
-// table merely wastes a future re-extension — the returned values are
-// identical either way. beta^63 already underflows any realistic capture
-// probability, so the extension is precision-moot but keeps the model
-// exact.
+// oversized polls stay O(1) too. The product stops at its fixed point:
+// once p·beta == p (beta^k underflows to 0 near k = 1076 at beta = 0.5),
+// every larger k has that same value, so the table ends there and a poll
+// of a million-frame superposition costs neither time nor memory. The
+// extension is published through an atomic pointer because one model
+// instance (defaultCapture) is shared by every parallel trial worker:
+// growth is copy-on-write, values are deterministic products of beta,
+// and a racing publish of a shorter table merely wastes a future
+// re-extension — the returned values are identical either way.
 func GeometricCapture(beta float64) CaptureModel {
 	var pow [64]float64
 	pow[0] = 1
 	for i := 1; i < len(pow); i++ {
 		pow[i] = pow[i-1] * beta
 	}
-	// ext holds beta^64, beta^65, ... — the memoized continuation of pow.
-	var ext atomic.Pointer[[]float64]
+	// powTail is the memoized continuation of pow: beta^64, beta^65, ...
+	// When fixed is set its last value times beta is itself, so it is
+	// every later power too.
+	type powTail struct {
+		vals  []float64
+		fixed bool
+	}
+	var ext atomic.Pointer[powTail]
 	return func(k int) float64 {
 		if k <= 1 {
 			return 1
@@ -62,25 +73,28 @@ func GeometricCapture(beta float64) CaptureModel {
 		}
 		need := k - len(pow) // entries beyond the table: exponents 64..k-1
 		cur := ext.Load()
-		if cur != nil && len(*cur) >= need {
-			return (*cur)[need-1]
+		if cur != nil && (len(cur.vals) >= need || cur.fixed) {
+			return cur.vals[min(need, len(cur.vals))-1]
 		}
 		// Extend by the same successive multiplication the fallback loop
-		// performed, continuing from the last memoized value.
-		var grown []float64
+		// performed, continuing from the last memoized value, until k or
+		// the fixed point.
+		grown := &powTail{}
 		p := pow[len(pow)-1]
 		if cur != nil {
-			grown = append(grown, *cur...)
-			p = grown[len(grown)-1]
+			grown.vals = append(grown.vals, cur.vals...)
+			p = grown.vals[len(grown.vals)-1]
 		}
-		for len(grown) < need {
-			p *= beta
-			grown = append(grown, p)
+		for len(grown.vals) < need && !grown.fixed {
+			next := p * beta
+			grown.fixed = math.Float64bits(next) == math.Float64bits(p)
+			p = next
+			grown.vals = append(grown.vals, p)
 		}
-		if latest := ext.Load(); latest == nil || len(*latest) < len(grown) {
-			ext.Store(&grown)
+		if latest := ext.Load(); latest == nil || !latest.fixed && (grown.fixed || len(latest.vals) < len(grown.vals)) {
+			ext.Store(grown)
 		}
-		return grown[need-1]
+		return grown.vals[min(need, len(grown.vals))-1]
 	}
 }
 
@@ -164,10 +178,14 @@ type Channel struct {
 	binSet *bitset.Set
 	// sampleBuf and idxBuf are ResetRandom's reused sampling buffers.
 	sampleBuf, idxBuf []int
+	// placed and bin are QueryStreamed's reused buffers: a bin's
+	// positives with their positions, or a small bin's members.
+	placed []placed
+	bin    []int
 	// posIDs mirrors positives as a sorted ID slice — the sparse side of
 	// the poll fast path. With d = |positives| ≪ words(n), counting a
 	// rendered bin against d ids beats the word-parallel sweep; see
-	// queryLossless. It is snapshotted at construction/reset, which is
+	// queryRendered. It is snapshotted at construction/reset, which is
 	// sound because the positive set is fixed for a session's lifetime.
 	posIDs []int
 }
@@ -294,33 +312,143 @@ func (c *Channel) TraceAttrs() []trace.Attr {
 }
 
 // Query implements query.Querier: it polls the bin and reports what the
-// initiator's radio observes.
+// initiator's radio observes. The bin's positives reply, in bin order,
+// and answer resolves what the initiator hears.
 //
 // With no per-reply loss configured every bin positive is heard, so the
-// response depends only on |bin ∩ positives|: the fast path renders the
-// bin into a reused bitset and counts the intersection word-parallel
-// instead of walking the positive set per node. Bernoulli(0) consumes no
-// randomness, so skipping the per-reply draws leaves the RNG stream — and
-// therefore every trace and figure — bit-identical to the slow path's.
+// response depends only on k = |bin ∩ positives|, and a large bin is
+// counted without collecting its positives (queryRendered). Bernoulli(0)
+// consumes no randomness, so skipping the per-reply draws leaves the RNG
+// stream — and therefore every trace and figure — bit-identical to the
+// lossy path's.
 func (c *Channel) Query(bin []int) query.Response {
-	if c.cfg.MissProb == 0 {
-		return c.queryLossless(bin)
+	if words := (c.positives.Cap() + 63) / 64; c.cfg.MissProb == 0 && len(bin) >= 4*words {
+		return c.queryRendered(bin, words)
 	}
-	c.stats.Polls++
-	// heard collects the positive repliers whose frames reach the
-	// initiator.
-	heard := c.heard[:0]
+	hits := c.heard[:0]
 	for _, id := range bin {
-		if !c.positives.Contains(id) {
-			continue
-		}
-		c.stats.Replies++
-		if !c.r.Bernoulli(c.cfg.MissProb) {
-			heard = append(heard, id)
+		if c.positives.Contains(id) {
+			hits = append(hits, id)
 		}
 	}
-	c.heard = heard
-	if len(heard) == 0 {
+	c.heard = hits
+	return c.answer(hits)
+}
+
+// placed is one positive of a streamed bin and its partition position.
+type placed struct{ pos, id int }
+
+// QueryStreamed answers a poll of bin i of a streamed round without the
+// bin's member list: st partitions the ranks of the candidate snapshot
+// rk, as core's streamed rounds draw them. It returns what Query returns
+// for the materialized bin, with the same draws, because a response
+// depends only on the bin's positives in bin order. It finds them from
+// each positive's snapshot rank and Place, keeping bin i's and sorting
+// them by position, which is AppendBin's order. A bin smaller than the
+// positive set is cheaper to decode and Query, so a poll costs
+// O(min(|positives|, |bin|)).
+func (c *Channel) QueryStreamed(st *binning.Streamer, rk *idset.Ranked, i int) query.Response {
+	if len(c.posIDs) > st.BinSize(i) {
+		bin := st.AppendBin(i, c.bin[:0])
+		for j, rank := range bin {
+			bin[j] = rk.Select(rank)
+		}
+		c.bin = bin
+		return c.Query(bin)
+	}
+	in := c.placed[:0]
+	for _, id := range c.posIDs {
+		if rank, ok := rk.Rank(id); ok {
+			if bin, pos := st.Place(rank); bin == i {
+				in = append(in, placed{pos, id})
+			}
+		}
+	}
+	slices.SortFunc(in, func(a, b placed) int { return cmp.Compare(a.pos, b.pos) })
+	hits := c.heard[:0]
+	for _, p := range in {
+		hits = append(hits, p.id)
+	}
+	c.placed, c.heard = in, hits
+	return c.answer(hits)
+}
+
+// queryRendered is Query's lossless count for a bin of at least four
+// times the word count — small bins, the common case once a session is
+// past its opening rounds, are scanned against the positive bitset
+// instead. It renders the bin into the reused bin bitset and counts by
+// whichever side is smaller: with d = |positives| below the word count,
+// probing the d sorted positive ids against the rendered bin is O(d)
+// where the word sweep is O(n/64) — the min(|bin|, d) side selection
+// that matters at sparse scale — and otherwise the word-parallel
+// IntersectionCount runs.
+//
+// The decoded replier is the j-th of the bin's positives in bin order,
+// found by scanning the bin, so responses and the RNG draw sequence match
+// the collecting path's bit for bit — decode events are rare (at most
+// one per decoded response), so the scan is not paid in steady state.
+func (c *Channel) queryRendered(bin []int, words int) query.Response {
+	if c.binSet == nil || c.binSet.Cap() != c.positives.Cap() {
+		c.binSet = bitset.New(c.positives.Cap())
+	}
+	c.binSet.AddAll(bin)
+	var k int
+	if len(c.posIDs) < words {
+		for _, id := range c.posIDs {
+			if c.binSet.Contains(id) {
+				k++
+			}
+		}
+	} else {
+		k = c.binSet.IntersectionCount(c.positives)
+	}
+	c.binSet.Clear()
+	c.stats.Polls++
+	c.stats.Replies += k
+	resp, j := c.respond(k)
+	if j >= 0 {
+		for _, id := range bin {
+			if c.positives.Contains(id) {
+				if j == 0 {
+					resp.DecodedID = id
+					break
+				}
+				j--
+			}
+		}
+	}
+	return resp
+}
+
+// answer completes a poll whose bin holds the positives hits, in bin
+// order: every hit transmits, each reply is missed independently with
+// MissProb (one draw per hit, in order), and respond resolves the heard
+// rest. heard reuses hits' storage.
+func (c *Channel) answer(hits []int) query.Response {
+	c.stats.Polls++
+	c.stats.Replies += len(hits)
+	heard := hits
+	if c.cfg.MissProb > 0 {
+		heard = hits[:0]
+		for _, id := range hits {
+			if !c.r.Bernoulli(c.cfg.MissProb) {
+				heard = append(heard, id)
+			}
+		}
+	}
+	resp, j := c.respond(len(heard))
+	if j >= 0 {
+		resp.DecodedID = heard[j]
+	}
+	return resp
+}
+
+// respond is every poll's shared response tail: what the initiator's
+// radio observes when k replies reach it. It returns j ≥ 0 when the 2+
+// radio captured one frame — the j-th heard reply in bin order, which the
+// caller names in DecodedID — and -1 otherwise.
+func (c *Channel) respond(k int) (query.Response, int) {
+	if k == 0 {
 		if c.cfg.FalseActiveProb > 0 && c.r.Bernoulli(c.cfg.FalseActiveProb) {
 			// Interference: energy sensing reports activity. Even a
 			// 2+ radio cannot decode interference, so it looks like
@@ -329,105 +457,18 @@ func (c *Channel) Query(bin []int) query.Response {
 			// conservative interference artifact is Active/Collision
 			// per model. Backcast deployments set this to 0.
 			if c.cfg.Model == query.OnePlus {
-				return query.Response{Kind: query.Active}
+				return query.Response{Kind: query.Active}, -1
 			}
-			return query.Response{Kind: query.Collision}
+			return query.Response{Kind: query.Collision}, -1
 		}
-		return query.Response{Kind: query.Empty}
+		return query.Response{Kind: query.Empty}, -1
 	}
 	if c.cfg.Model == query.OnePlus {
-		return query.Response{Kind: query.Active}
+		return query.Response{Kind: query.Active}, -1
 	}
 	// 2+ radio: try to capture one frame.
-	if c.r.Bernoulli(c.cfg.Capture(len(heard))) {
-		return query.Response{
-			Kind:      query.Decoded,
-			DecodedID: heard[c.r.Intn(len(heard))],
-		}
-	}
-	return query.Response{Kind: query.Collision}
-}
-
-// queryLossless is the MissProb == 0 fast path: no reply can be missed, so
-// heard would equal the bin's positives in bin order and the response
-// depends only on k = |bin ∩ positives|. Counting picks the cheapest of
-// three shapes:
-//
-//   - small bins (the common case once a session is past its opening
-//     rounds) scan the bin against the positive bitset, collecting the
-//     hits — O(|bin|), no render;
-//   - large bins render into the reused bin bitset, then count by
-//     whichever side is smaller: with d = |positives| below the word
-//     count, probing the d sorted positive ids against the rendered bin
-//     is O(d) where the word sweep is O(n/64) — the min(|bin|, d) side
-//     selection that matters at sparse scale — and otherwise the
-//     word-parallel IntersectionCount runs exactly as before.
-//
-// The decoded replier — uniform over heard in the slow path — comes from
-// the same Intn(k) draw: directly as hits[j] when the small-bin scan
-// collected the hits (they are in bin order, exactly heard), else by
-// scanning the bin for its j-th positive, which is exactly heard[j].
-// Either way k is exact and the selection order is the bin order, so
-// responses and the RNG draw sequence match the slow path's bit for bit
-// at every population — decode events are rare (at most one per decoded
-// response), so the rendered paths never pay the scan in steady state.
-func (c *Channel) queryLossless(bin []int) query.Response {
-	c.stats.Polls++
-	hits := c.heard[:0]
-	collected := true
-	var k int
-	if words := (c.positives.Cap() + 63) / 64; len(bin) < 4*words {
-		for _, id := range bin {
-			if c.positives.Contains(id) {
-				hits = append(hits, id)
-			}
-		}
-		k = len(hits)
-	} else {
-		if c.binSet == nil || c.binSet.Cap() != c.positives.Cap() {
-			c.binSet = bitset.New(c.positives.Cap())
-		}
-		c.binSet.AddAll(bin)
-		if len(c.posIDs) < words {
-			for _, id := range c.posIDs {
-				if c.binSet.Contains(id) {
-					k++
-				}
-			}
-		} else {
-			k = c.binSet.IntersectionCount(c.positives)
-		}
-		collected = false
-		c.binSet.Clear()
-	}
-	c.heard = hits
-	c.stats.Replies += k
-	if k == 0 {
-		if c.cfg.FalseActiveProb > 0 && c.r.Bernoulli(c.cfg.FalseActiveProb) {
-			// Interference artifact, exactly as in the slow path.
-			if c.cfg.Model == query.OnePlus {
-				return query.Response{Kind: query.Active}
-			}
-			return query.Response{Kind: query.Collision}
-		}
-		return query.Response{Kind: query.Empty}
-	}
-	if c.cfg.Model == query.OnePlus {
-		return query.Response{Kind: query.Active}
-	}
 	if c.r.Bernoulli(c.cfg.Capture(k)) {
-		j := c.r.Intn(k)
-		if collected {
-			return query.Response{Kind: query.Decoded, DecodedID: hits[j]}
-		}
-		for _, id := range bin {
-			if c.positives.Contains(id) {
-				if j == 0 {
-					return query.Response{Kind: query.Decoded, DecodedID: id}
-				}
-				j--
-			}
-		}
+		return query.Response{Kind: query.Decoded}, c.r.Intn(k)
 	}
-	return query.Response{Kind: query.Collision}
+	return query.Response{Kind: query.Collision}, -1
 }

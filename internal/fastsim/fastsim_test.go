@@ -2,6 +2,7 @@ package fastsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,34 @@ func TestGeometricCaptureValues(t *testing.T) {
 	}
 	if m(0) != 1 {
 		t.Error("k=0 should degenerate to 1")
+	}
+}
+
+// TestGeometricCaptureStopsAtFixedPoint: a huge superposition must not
+// grow the memoized power table past the product's fixed point (beta^k
+// underflows to 0 near k = 1076 at beta = 0.5), and every value must
+// still be the O(k) loop's.
+func TestGeometricCaptureStopsAtFixedPoint(t *testing.T) {
+	m := GeometricCapture(0.5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if got := m(1 << 20); got != 0 {
+		t.Fatalf("GeometricCapture(0.5)(2^20) = %v, want 0", got)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("GeometricCapture(0.5)(2^20) allocated %d bytes, want < 64 KB", grew)
+	}
+	for _, beta := range []float64{0.5, 0.9, 0.999, 1, 0} {
+		m := GeometricCapture(beta)
+		m(1 << 20) // reach the fixed point first, then read below it
+		p := 1.0
+		for k := 1; k <= 4096; k++ {
+			if got := m(k); math.Float64bits(got) != math.Float64bits(p) {
+				t.Fatalf("GeometricCapture(%v)(%d) = %v, loop gives %v", beta, k, got, p)
+			}
+			p *= beta
+		}
 	}
 }
 

@@ -221,7 +221,8 @@ func TestHybridEqualAcrossForms(t *testing.T) {
 }
 
 // checkSelect snapshots h into rk and checks every rank against the
-// ascending member list.
+// ascending member list, and Rank as Select's inverse on members and a
+// miss on every other id.
 func checkSelect(t *testing.T, label string, rk *Ranked, h *Hybrid) {
 	t.Helper()
 	rk.Snapshot(h)
@@ -232,6 +233,22 @@ func checkSelect(t *testing.T, label string, rk *Ranked, h *Hybrid) {
 	for k, id := range want {
 		if got := rk.Select(k); got != id {
 			t.Fatalf("%s: Select(%d)=%d want %d", label, k, got, id)
+		}
+		if got, ok := rk.Rank(id); got != k || !ok {
+			t.Fatalf("%s: Rank(Select(%d))=(%d, %v) want (%d, true)", label, k, got, ok, k)
+		}
+	}
+	// Every non-member, in range or not, reports ok == false.
+	for _, id := range []int{-1, h.Cap(), h.Cap() + 64} {
+		if _, ok := rk.Rank(id); ok {
+			t.Fatalf("%s: Rank(%d) reported a member outside the universe", label, id)
+		}
+	}
+	for id := 0; id < h.Cap(); id++ {
+		if !h.Contains(id) {
+			if _, ok := rk.Rank(id); ok {
+				t.Fatalf("%s: Rank(%d) reported a non-member", label, id)
+			}
 		}
 	}
 }
@@ -411,7 +428,8 @@ func TestRemoveIDsMatchesRemove(t *testing.T) {
 
 // FuzzRankedSelect turns arbitrary bytes into bitset words over a
 // cutover-sized universe and checks Select against AppendMembers at every
-// rank, in dense form and again after compaction.
+// rank, Rank(Select(k)) == (k, true), and ok == false for every
+// non-member, in dense form and again after compaction.
 func FuzzRankedSelect(f *testing.F) {
 	f.Add([]byte{0xff}, uint16(0))
 	f.Add([]byte{0x01, 0x00, 0x00, 0x80}, uint16(64))

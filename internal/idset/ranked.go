@@ -1,6 +1,9 @@
 package idset
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Ranked is a frozen rank/select directory over one Hybrid snapshot: it
 // answers Select(k) — the k-th member in ascending order — which is what
@@ -105,6 +108,26 @@ func (rk *Ranked) Select(k int) int {
 		}
 	}
 	return lo*64 + select64(rk.words[lo], k-int(rk.sums[lo]))
+}
+
+// Rank is Select's inverse: it returns the rank of id among the
+// snapshot's members, and ok == false when id is not a member. The dense
+// form is O(1) (one prefix count plus one popcount); the sparse form
+// binary-searches its id slice.
+func (rk *Ranked) Rank(id int) (rank int, ok bool) {
+	if rk.sparse {
+		i, found := slices.BinarySearch(rk.ids, id)
+		return i, found
+	}
+	w := id >> 6
+	if id < 0 || w >= len(rk.words) {
+		return 0, false
+	}
+	bit := uint64(1) << (uint(id) & 63)
+	if rk.words[w]&bit == 0 {
+		return 0, false
+	}
+	return int(rk.sums[w]) + bits.OnesCount64(rk.words[w]&(bit-1)), true
 }
 
 const (

@@ -36,6 +36,9 @@ type Knowledge struct {
 	Threshold int
 
 	roundLB int
+	// pending counts candidates that deferred bins have ruled out but
+	// Candidates still holds (see ApplyDeferred).
+	pending int
 }
 
 // NewKnowledge starts a session over participants {0..n-1} with
@@ -67,11 +70,17 @@ func (k *Knowledge) Reset(n, t int) {
 	k.Confirmed = 0
 	k.Threshold = t
 	k.roundLB = 0
+	k.pending = 0
 }
 
 // StartRound resets the per-round lower bound. Call at the top of each
-// re-binning round.
-func (k *Knowledge) StartRound() { k.roundLB = 0 }
+// re-binning round. It panics if a deferred bin was never settled.
+func (k *Knowledge) StartRound() {
+	if k.pending != 0 {
+		panic("query: StartRound with deferred bins unsettled")
+	}
+	k.roundLB = 0
+}
 
 // RoundLowerBound returns the guaranteed positive count among the bins
 // queried so far in the current round, excluding Confirmed nodes.
@@ -82,16 +91,49 @@ func (k *Knowledge) RoundLowerBound() int { return k.roundLB }
 func (k *Knowledge) LowerBound() int { return k.Confirmed + k.roundLB }
 
 // UpperBound returns the largest x still possible: confirmed positives plus
-// all remaining candidates.
-func (k *Knowledge) UpperBound() int { return k.Confirmed + k.Candidates.Len() }
+// all remaining candidates, less those deferred bins have ruled out.
+func (k *Knowledge) UpperBound() int { return k.Confirmed + k.Candidates.Len() - k.pending }
 
 // Apply folds one bin's response into the ledger. traits tells Apply how
 // much a Decoded response proves (see Traits.CaptureEffect).
 func (k *Knowledge) Apply(bin []int, r Response, traits Traits) {
+	if k.fold(len(bin), r, traits) {
+		k.Candidates.RemoveIDs(bin)
+	}
+}
+
+// ApplyDeferred is Apply for a bin known only by its size, as a streamed
+// round polls it. A bin whose members all leave the candidate set — a
+// silent bin, or the rest of a no-capture decode's bin — is not removed
+// but counted, and UpperBound subtracts the count, so every Decision is
+// the one Apply would give. It reports whether the bin dropped out; the
+// caller removes the dropped bins' members from Candidates and calls
+// Settled before the next round. Until then the dropped members still
+// answer Contains, so a decode must name a member of its own bin, as a
+// lossless substrate's does.
+func (k *Knowledge) ApplyDeferred(size int, r Response, traits Traits) (dropped bool) {
+	if !k.fold(size, r, traits) {
+		return false
+	}
+	k.pending += size
+	if r.Kind == Decoded {
+		k.pending-- // the decoded node has already left
+	}
+	return true
+}
+
+// Settled records that the caller has removed every member of the bins
+// ApplyDeferred dropped from Candidates.
+func (k *Knowledge) Settled() { k.pending = 0 }
+
+// fold applies r's evidence to the ledger except for removing a dropped
+// bin, and reports whether the bin dropped out: every member still a
+// candidate is then proven negative.
+func (k *Knowledge) fold(size int, r Response, traits Traits) (dropped bool) {
 	switch r.Kind {
 	case Empty:
 		// Every node in a silent bin is negative (Alg 1 line 8).
-		k.Candidates.RemoveIDs(bin)
+		return true
 	case Active:
 		k.roundLB++
 	case Collision:
@@ -108,20 +150,19 @@ func (k *Knowledge) Apply(bin []int, r Response, traits Traits) {
 			// proven negative), letting UpperBound grow past ground
 			// truth and corrupting the decision.
 			k.roundLB++
-			return
+			return false
 		}
 		k.Confirmed++
 		k.Candidates.Remove(r.DecodedID)
-		if r.MaxPositives(bin, traits) == 1 {
-			// Without capture, a decode proves the bin had exactly
-			// one replier: everyone else in the bin is negative. The
-			// decoded node itself is already gone, so removing the
-			// whole bin is the same.
-			k.Candidates.RemoveIDs(bin)
-		}
+		// Without capture, a decode proves the bin had exactly one
+		// replier: everyone else in the bin is negative. The decoded
+		// node itself is already gone, so dropping the whole bin is the
+		// same.
+		return r.maxPositives(size, traits) == 1
 	default:
 		panic(fmt.Sprintf("query: unknown response kind %v", r.Kind))
 	}
+	return false
 }
 
 // Decision reports whether the threshold question is resolved:

@@ -3,6 +3,8 @@ package query
 import (
 	"testing"
 	"testing/quick"
+
+	"tcast/internal/rng"
 )
 
 // A decode naming a node that is not (or is no longer) a candidate can only
@@ -83,4 +85,56 @@ func TestQuickResetMatchesNewKnowledge(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestApplyDeferredMatchesApply: a round folded with ApplyDeferred must
+// give the same bounds and decision as Apply after every bin, and once
+// the dropped bins are removed and Settled, the same candidate set.
+func TestApplyDeferredMatchesApply(t *testing.T) {
+	const n, bins = 64, 16
+	kinds := []Kind{Empty, Active, Collision, Decoded}
+	for _, traits := range []Traits{{Model: TwoPlus, CaptureEffect: true}, {Model: TwoPlus}} {
+		for seed := uint64(0); seed < 20; seed++ {
+			r := rng.New(seed)
+			eager, lazy := NewKnowledge(n, 40), NewKnowledge(n, 40)
+			eager.StartRound()
+			lazy.StartRound()
+			var dropped [][]int
+			for i := 0; i < bins; i++ {
+				bin := make([]int, 0, n/bins)
+				for id := i; id < n; id += bins {
+					bin = append(bin, id)
+				}
+				resp := Response{Kind: kinds[r.Intn(len(kinds))], DecodedID: bin[r.Intn(len(bin))]}
+				eager.Apply(bin, resp, traits)
+				if lazy.ApplyDeferred(len(bin), resp, traits) {
+					dropped = append(dropped, bin)
+				}
+				if eager.UpperBound() != lazy.UpperBound() || eager.LowerBound() != lazy.LowerBound() || eager.Confirmed != lazy.Confirmed {
+					t.Fatalf("seed %d bin %d (%v): eager [%d, %d] confirmed %d, deferred [%d, %d] confirmed %d", seed, i, resp.Kind,
+						eager.LowerBound(), eager.UpperBound(), eager.Confirmed, lazy.LowerBound(), lazy.UpperBound(), lazy.Confirmed)
+				}
+			}
+			for _, bin := range dropped {
+				lazy.Candidates.RemoveIDs(bin)
+			}
+			lazy.Settled()
+			if !eager.Candidates.Equal(lazy.Candidates) || eager.UpperBound() != lazy.UpperBound() {
+				t.Fatalf("seed %d: settled candidates differ from Apply's", seed)
+			}
+			lazy.StartRound() // settled: no panic
+		}
+	}
+}
+
+func TestStartRoundPanicsWhileUnsettled(t *testing.T) {
+	k := NewKnowledge(8, 3)
+	k.StartRound()
+	k.ApplyDeferred(4, Response{Kind: Empty}, Traits{Model: OnePlus})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StartRound with an unsettled deferred bin did not panic")
+		}
+	}()
+	k.StartRound()
 }

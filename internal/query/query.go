@@ -145,6 +145,11 @@ func (r Response) MinPositives() int {
 // ground-truth checker both derive their exclusion logic from this helper
 // so the two can never diverge.
 func (r Response) MaxPositives(bin []int, traits Traits) int {
+	return r.maxPositives(len(bin), traits)
+}
+
+// maxPositives is MaxPositives for a bin known only by its size.
+func (r Response) maxPositives(size int, traits Traits) int {
 	switch r.Kind {
 	case Empty:
 		return 0
@@ -152,9 +157,9 @@ func (r Response) MaxPositives(bin []int, traits Traits) int {
 		if !traits.CaptureEffect {
 			return 1
 		}
-		return len(bin)
+		return size
 	default:
-		return len(bin)
+		return size
 	}
 }
 
