@@ -1,8 +1,8 @@
 package tcast
 
-// One benchmark per paper table/figure: each iteration regenerates the
-// experiment's data at reduced trial counts (the CLI `tcastfigs` runs the
-// paper-scale versions). Micro-benchmarks for the primitives follow.
+// Micro-benchmarks for the primitives. The per-figure sweeps are
+// benchmarked by cmd/tcastbench, which regenerates every registered
+// experiment at reduced trial counts.
 
 import (
 	"testing"
@@ -10,7 +10,6 @@ import (
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
 	"tcast/internal/core"
-	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/motelab"
 	"tcast/internal/pollcast"
@@ -18,49 +17,6 @@ import (
 	"tcast/internal/radio"
 	"tcast/internal/rng"
 )
-
-// benchFigure regenerates one registered experiment per iteration.
-func benchFigure(b *testing.B, id string, runs int) {
-	e, err := experiment.Get(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(experiment.Options{Runs: runs, Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Series) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkFig1(b *testing.B)   { benchFigure(b, "fig1", 20) }
-func BenchmarkFig2(b *testing.B)   { benchFigure(b, "fig2", 20) }
-func BenchmarkFig3(b *testing.B)   { benchFigure(b, "fig3", 20) }
-func BenchmarkFig4(b *testing.B)   { benchFigure(b, "fig4", 4) }
-func BenchmarkFig5(b *testing.B)   { benchFigure(b, "fig5", 20) }
-func BenchmarkFig6(b *testing.B)   { benchFigure(b, "fig6", 20) }
-func BenchmarkFig7(b *testing.B)   { benchFigure(b, "fig7", 20) }
-func BenchmarkFig8(b *testing.B)   { benchFigure(b, "fig8", 1) }
-func BenchmarkFig9(b *testing.B)   { benchFigure(b, "fig9", 20) }
-func BenchmarkFig10(b *testing.B)  { benchFigure(b, "fig10", 1) }
-func BenchmarkFig11(b *testing.B)  { benchFigure(b, "fig11", 20) }
-func BenchmarkTabErr(b *testing.B) { benchFigure(b, "tab-err", 4) }
-
-func BenchmarkAblationCapture(b *testing.B)  { benchFigure(b, "abl-capture", 10) }
-func BenchmarkAblationVariants(b *testing.B) { benchFigure(b, "abl-variants", 10) }
-
-func BenchmarkExtEnergy(b *testing.B)   { benchFigure(b, "ext-energy", 10) }
-func BenchmarkExtBattery(b *testing.B)  { benchFigure(b, "ext-battery", 10) }
-func BenchmarkExtTime(b *testing.B)     { benchFigure(b, "ext-time", 10) }
-func BenchmarkExtMultihop(b *testing.B) { benchFigure(b, "ext-multihop", 2) }
-func BenchmarkExtCount(b *testing.B)    { benchFigure(b, "ext-count", 10) }
-func BenchmarkExtKPlus(b *testing.B)    { benchFigure(b, "ext-kplus", 10) }
-
-// --- primitive micro-benchmarks ---
 
 func benchAlgorithm(b *testing.B, alg core.Algorithm, n, t, x int, cfg fastsim.Config) {
 	root := rng.New(1)

@@ -394,8 +394,8 @@ func writeBenchFile(path string, f File) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// figureRuns mirrors the reduced per-figure trial counts of the repo's
-// bench_test.go, so one iteration stays well under the benchtime budget.
+// figureRuns is each experiment's reduced trial count per benchmark
+// iteration, so one iteration stays well under the benchtime budget.
 func figureRuns(id string) int {
 	switch id {
 	case "fig4", "tab-err":

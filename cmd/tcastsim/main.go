@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -47,7 +48,7 @@ func main() {
 		workers = flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS); results are worker-count-independent")
 		seed    = flag.Uint64("seed", 2011, "root random seed")
 		miss    = flag.Float64("miss", 0, "per-reply miss probability (radio irregularity)")
-		dump    = flag.Bool("dump", false, "print a poll-by-poll trace of one session before the sweep")
+		dump    = flag.Bool("dump", false, "print a poll-by-poll trace of the sweep's trial 0 before the sweep")
 		doAudit = flag.Bool("audit", false, "grade every session against ground truth and print the audit summary (tcast algorithms only)")
 
 		faultsSpec = flag.String("faults", "", "fault-injection spec, e.g. burst=8,frac=0.2,churn=0.01,skew=0.01 (csma honors the burst process via its drop hook)")
@@ -116,7 +117,7 @@ func main() {
 		fatal(err)
 	}
 	if *dump {
-		if err := printTrace(*alg, *n, *t, *x, cfg, *seed); err != nil {
+		if err := printTrace(os.Stdout, *alg, *n, *t, *x, cfg, fcfg, retry, *seed); err != nil {
 			fatal(err)
 		}
 	}
@@ -265,23 +266,43 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 	}, name, nil
 }
 
-// printTrace runs one session with a trace recorder and prints its
-// poll-by-poll timeline. Baselines have no group polls to trace.
-func printTrace(alg string, n, t, x int, cfg fastsim.Config, seed uint64) error {
+// printTrace runs the sweep's trial 0 — the same spec, layers and trial
+// stream — with a private span trace and prints its poll-by-poll timeline.
+// Baselines have no group polls to trace.
+func printTrace(w io.Writer, alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config, retry query.RetryPolicy, seed uint64) error {
 	if _, err := session.Algorithm(alg, nil); err != nil {
 		return fmt.Errorf("-dump supports the tcast algorithms, not %q", alg)
 	}
-	r := rng.New(seed)
-	ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-	a, _ := session.Algorithm(alg, ch)
-	rec := trace.NewRecorder(ch)
-	res, err := a.Run(rec, n, t, r.Split(2))
+	b := trace.NewBuilder()
+	trial, _, err := buildTrial(alg, n, t, x, cfg, fcfg, retry, nil, b, 1, nil, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("--- trace of one %s session (decision=%v, %d polls) ---\n", a.Name(), res.Decision, res.Queries)
-	fmt.Print(rec.Render())
-	fmt.Println("---")
+	if _, err := experiment.RunTrials(1, 1, rng.New(seed), trial); err != nil {
+		return err
+	}
+	b.Graft()
+	polls := 0
+	for _, root := range b.Trace().Roots {
+		root.Walk(func(_ int, sp *trace.Span) {
+			switch sp.Kind {
+			case trace.KindSession:
+				decision, _ := sp.Attr("decision")
+				queries, _ := sp.Attr("queries")
+				fmt.Fprintf(w, "--- trace of one %s session (decision=%s, %s polls) ---\n", sp.Name, decision, queries)
+			case trace.KindPoll:
+				size, _ := sp.Attr("bin_size")
+				kind, _ := sp.Attr("kind")
+				fmt.Fprintf(w, "#%-3d |bin|=%-3s -> %s", polls, size, kind)
+				if id, ok := sp.Attr("decoded_id"); ok {
+					fmt.Fprintf(w, " (node %s)", id)
+				}
+				fmt.Fprintln(w)
+				polls++
+			}
+		})
+	}
+	fmt.Fprintln(w, "---")
 	return nil
 }
 

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 
 	"tcast/internal/audit"
+	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
 	"tcast/internal/metrics"
@@ -92,14 +95,61 @@ func TestBuildTrialDeterministic(t *testing.T) {
 }
 
 func TestPrintTraceRejectsBaselines(t *testing.T) {
-	if err := printTrace("csma", 16, 4, 4, fastsim.DefaultConfig(), 1); err == nil {
+	if err := printTrace(io.Discard, "csma", 16, 4, 4, fastsim.DefaultConfig(), faults.Config{}, query.RetryPolicy{}, 1); err == nil {
 		t.Fatal("baseline trace accepted")
 	}
 }
 
 func TestPrintTraceRuns(t *testing.T) {
-	if err := printTrace("probabns", 16, 4, 4, fastsim.DefaultConfig(), 1); err != nil {
+	if err := printTrace(io.Discard, "probabns", 16, 4, 4, fastsim.DefaultConfig(), faults.Config{}, query.RetryPolicy{}, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrintTraceIsSweepTrialZero: -dump prints the session the sweep runs
+// as its trial 0, faults and retries included, so it lists exactly as many
+// polls as that trial's query count.
+func TestPrintTraceIsSweepTrialZero(t *testing.T) {
+	fcfg, err := faults.ParseSpec("burst=4,frac=0.3,churn=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		fcfg  faults.Config
+		retry query.RetryPolicy
+	}{
+		{"bare", faults.Config{}, query.RetryPolicy{}},
+		{"faulted", fcfg, query.RetryPolicy{MaxRetries: 2, Backoff: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n, th, x, seed = 64, 8, 12, 2011
+			cfg := fastsim.DefaultConfig()
+			trial, _, err := buildTrial("2tbins", n, th, x, cfg, c.fcfg, c.retry, nil, nil, 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values, err := experiment.RunTrials(3, 1, rng.New(seed), trial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			if err := printTrace(&out, "2tbins", n, th, x, cfg, c.fcfg, c.retry, seed); err != nil {
+				t.Fatal(err)
+			}
+			polls := 0
+			for _, line := range strings.Split(out.String(), "\n") {
+				if strings.HasPrefix(line, "#") {
+					polls++
+				}
+			}
+			if want := int(values[0]); polls != want {
+				t.Fatalf("dumped %d polls, sweep trial 0 made %d queries\n%s", polls, want, out.String())
+			}
+			if !strings.Contains(out.String(), "polls) ---") {
+				t.Fatalf("dump has no session header:\n%s", out.String())
+			}
+		})
 	}
 }
 

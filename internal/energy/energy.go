@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tcast/internal/timing"
-	"tcast/internal/trace"
 )
 
 // Model holds radio current draws (mA) and the supply voltage (V).
@@ -118,19 +117,20 @@ func ObservedSession(m Model, txAir, rxAir, idleAir time.Duration, initiator Slo
 	return rep
 }
 
-// TcastSession computes the energy of one traced tcast-over-backcast
-// session with the given rounds, over n participants whose ground truth
-// is isPositive.
-func TcastSession(m Model, c timing.Costs, rounds int, events []trace.Event, n int, isPositive func(id int) bool) Report {
+// TcastSession prices one tcast-over-backcast session of the given rounds
+// and polls over n participants. node reports each participant's slot
+// ledger — an audited session's Verdict.Nodes.At — whose Rx counts the
+// polls the node heard and Tx the replies it sent.
+func TcastSession(m Model, c timing.Costs, rounds, polls, n int, node func(id int) SlotLedger) Report {
 	pollAir := timing.FrameAirtime(3)
 	ackAir := timing.AckAirtime()
-	sessionTime := c.TcastLatency(len(events), rounds)
+	sessionTime := c.TcastLatency(polls, rounds)
 
 	rep := Report{PerNode: make([]float64, n)}
 	// Initiator: transmits every bind and poll, listens for every ACK
 	// window, idles through turnarounds.
-	txTime := time.Duration(rounds)*c.RoundBind + time.Duration(len(events))*pollAir
-	rxTime := time.Duration(len(events)) * ackAir
+	txTime := time.Duration(rounds)*c.RoundBind + time.Duration(polls)*pollAir
+	rxTime := time.Duration(polls) * ackAir
 	idleTime := sessionTime - txTime - rxTime
 	if idleTime < 0 {
 		idleTime = 0
@@ -141,27 +141,16 @@ func TcastSession(m Model, c timing.Costs, rounds int, events []trace.Event, n i
 	// members receive the poll; polled positives transmit the HACK;
 	// the rest of the session is idle/sleep.
 	bindRx := time.Duration(rounds) * c.RoundBind
-	rx := make([]time.Duration, n)
-	tx := make([]time.Duration, n)
-	for _, e := range events {
-		for _, id := range e.Bin {
-			if id < 0 || id >= n {
-				continue
-			}
-			rx[id] += pollAir
-			if isPositive(id) {
-				tx[id] += ackAir
-			}
-		}
-	}
 	for id := 0; id < n; id++ {
-		active := bindRx + rx[id] + tx[id]
-		idle := sessionTime - active
+		l := node(id)
+		rx := time.Duration(l.Rx) * pollAir
+		tx := time.Duration(l.Tx) * ackAir
+		idle := sessionTime - bindRx - rx - tx
 		if idle < 0 {
 			idle = 0
 		}
-		rep.PerNode[id] = m.millijoules(bindRx+rx[id], m.RxmA) +
-			m.millijoules(tx[id], m.TxmA) +
+		rep.PerNode[id] = m.millijoules(bindRx+rx, m.RxmA) +
+			m.millijoules(tx, m.TxmA) +
 			m.millijoules(idle, m.IdlemA)
 	}
 	return rep

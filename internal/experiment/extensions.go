@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 
+	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
 	"tcast/internal/core"
@@ -166,15 +168,24 @@ func init() {
 				Title:  "mean participant energy until the threshold decision",
 				XLabel: "positive nodes x", YLabel: "millijoules per participant",
 			}
+			// The auditor's node ledgers count each participant's polls
+			// and replies; one pooled auditor per worker keeps its
+			// account's slots across trials.
+			auditors := sync.Pool{New: func() any { return new(audit.Auditor) }}
 			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
-					rec := trace.NewRecorder(ch)
-					res, err := (core.TwoTBins{}).Run(rec, defaultN, defaultT, r.Split(2))
+					a := auditors.Get().(*audit.Auditor)
+					defer auditors.Put(a)
+					if err := a.Reset(ch, audit.Config{N: defaultN, T: defaultT}); err != nil {
+						return 0, err
+					}
+					res, err := (core.TwoTBins{}).Run(a, defaultN, defaultT, r.Split(2))
 					if err != nil {
 						return 0, err
 					}
-					rep := energy.TcastSession(model, costs, res.Rounds, rec.Events(), defaultN, ch.IsPositive)
+					v := a.Finish(res.Decision)
+					rep := energy.TcastSession(model, costs, res.Rounds, v.Polls, defaultN, v.Nodes.At)
 					return rep.MeanNode(), nil
 				}
 			})

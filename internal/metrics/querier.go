@@ -40,7 +40,7 @@ const (
 )
 
 // InstrumentedQuerier is middleware over query.Querier (mirroring
-// trace.Recorder) that records every group poll into a Registry: per-poll
+// trace.SpanQuerier) that records every group poll into a Registry: per-poll
 // response kinds and bin sizes as they happen, and per-session
 // query/slot/energy totals when Finish is called. It works on any
 // substrate — fastsim channel, packet radio, or emulated mote — because it
@@ -51,7 +51,7 @@ const (
 // Metric handles are resolved at construction (and by Reset when the
 // registry changes); the per-poll path is pure atomic updates and safe to
 // use from concurrently running sessions (each session holds its own
-// InstrumentedQuerier, like trace.Recorder).
+// InstrumentedQuerier, like trace.SpanQuerier).
 type InstrumentedQuerier struct {
 	q     query.Querier
 	m     *Registry // the registry the handles below were resolved in

@@ -11,7 +11,6 @@ import (
 	"tcast/internal/radio"
 	"tcast/internal/rng"
 	"tcast/internal/timing"
-	"tcast/internal/trace"
 )
 
 // These tests validate the abl-packet experiment from DESIGN.md: the same
@@ -114,27 +113,35 @@ func TestElapsedMatchesAnalyticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(s)
-	res, err := (core.TwoTBins{}).Run(rec, n, th, r.Split(3))
+	model := &airtimeModel{Querier: s}
+	res, err := (core.TwoTBins{}).Run(model, n, th, r.Split(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Analytic: per query, bind (len(bin)+2 payload bytes) + poll
-	// (3 bytes) + HACK or idle HACK slot, each with a turnaround (busy)
-	// or a backoff period (idle HACK slot on empty bins).
-	var want time.Duration
-	for _, e := range rec.Events() {
-		want += timing.FrameAirtime(len(e.Bin)+2) + timing.Turnaround // bind
-		want += timing.FrameAirtime(3) + timing.Turnaround            // poll
-		if e.Response.Kind == query.Empty {
-			want += timing.BackoffSlot // silent HACK slot
-		} else {
-			want += timing.AckAirtime() + timing.Turnaround
-		}
-	}
-	if got := s.Elapsed(); got != want {
+	if got, want := s.Elapsed(), model.want; got != want {
 		t.Fatalf("measured %v, analytic %v (%d queries)", got, want, res.Queries)
 	}
+}
+
+// airtimeModel sums the analytic air time of every poll it forwards: per
+// query, bind (len(bin)+2 payload bytes) + poll (3 bytes) + HACK or idle
+// HACK slot, each with a turnaround (busy) or a backoff period (idle HACK
+// slot on empty bins).
+type airtimeModel struct {
+	query.Querier
+	want time.Duration
+}
+
+func (m *airtimeModel) Query(bin []int) query.Response {
+	resp := m.Querier.Query(bin)
+	m.want += timing.FrameAirtime(len(bin)+2) + timing.Turnaround // bind
+	m.want += timing.FrameAirtime(3) + timing.Turnaround          // poll
+	if resp.Kind == query.Empty {
+		m.want += timing.BackoffSlot // silent HACK slot
+	} else {
+		m.want += timing.AckAirtime() + timing.Turnaround
+	}
+	return resp
 }
 
 func TestPacketSlotAccounting(t *testing.T) {

@@ -5,11 +5,9 @@ import (
 	"strings"
 )
 
-// The differ pinpoints the first divergent span between two traces — the
-// structured successor of the Replayer's poll-by-poll divergence check:
-// instead of learning only that poll i asked a different bin, the caller
-// learns which experiment/trial/session/round the first difference sits
-// in and which field moved.
+// The differ pinpoints the first divergent span between two traces: the
+// caller learns which experiment/trial/session/round the first difference
+// sits in and which field moved.
 
 // flatSpan is one span in preorder together with its ancestry path.
 type flatSpan struct {

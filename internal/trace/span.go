@@ -1,3 +1,11 @@
+// Package trace renders threshold-query sessions as hierarchical spans of
+// virtual time. The SpanQuerier middleware wraps any query.Querier, turns
+// every group poll into a leaf span and listens for the algorithms' round
+// boundaries; a Builder holds the span tree, forks it per trial and grafts
+// the forks back in trial order. Traces encode to JSONL, diff span by
+// span and summarize per phase. Because the span layer is middleware over
+// the Querier interface, it works identically on the abstract channel,
+// the packet radio and the mote testbed.
 package trace
 
 import (
@@ -8,10 +16,10 @@ import (
 	"tcast/internal/query"
 )
 
-// This file is the structured half of the package: a hierarchical span
-// model over the flat Event list. A span is a named interval of *virtual*
-// time — the paper's cost units (RCD slots), never the wall clock — so a
-// trace of a seeded run is bit-identical across machines and re-runs.
+// This file is the span model itself. A span is a named interval of
+// *virtual* time — the paper's cost units (RCD slots), never the wall
+// clock — so a trace of a seeded run is bit-identical across machines and
+// re-runs.
 // The hierarchy mirrors how the harness drives a session:
 //
 //	experiment → series → point → trial → session → round → poll
@@ -186,7 +194,7 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) Now() int64 { return b.now }
 
 // Advance moves the virtual clock forward by d slots. Negative d panics:
-// virtual time, like the sim kernel's, never rewinds.
+// virtual time never rewinds.
 func (b *Builder) Advance(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("trace: advancing clock by %d", d))
@@ -238,8 +246,8 @@ func (b *Builder) Trace() *Trace {
 
 // Annotator lets a layer contribute span attributes it alone knows —
 // the collision model and capture configuration on the abstract channel,
-// the primitive and slot ledger at packet level, backoff counts under the
-// MAC baselines, poll grades and verdicts from the audit middleware.
+// the primitive, slot and air-time ledgers at packet level, injected
+// faults, poll grades and verdicts from the audit middleware.
 // SpanQuerier collects attributes from every Annotator in the querier
 // middleware chain when a session span closes (so an auditor stacked
 // below the span layer annotates the session with its verdict).
@@ -269,8 +277,8 @@ type slotCounter interface {
 // EndSession closes everything, folding in the result and every
 // substrate Annotator in the chain below.
 //
-// Like Recorder it consumes no randomness and never alters bins or
-// responses, so a traced run is bit-identical to a bare one. Not safe for
+// It consumes no randomness and never alters bins or responses, so a
+// traced run is bit-identical to a bare one. Not safe for
 // concurrent use.
 type SpanQuerier struct {
 	q query.Querier
