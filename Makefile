@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzRankedSelect -fuzztime=30s ./internal/idset/
+	$(GO) test -fuzz=FuzzFormsAgree -fuzztime=30s ./internal/idset/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
+	"tcast/internal/idset"
 	"tcast/internal/motelab"
 	"tcast/internal/pollcast"
 	"tcast/internal/query"
@@ -59,11 +59,7 @@ func BenchmarkBaselineCSMA(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		pos := bitset.New(128)
-		for _, id := range r.Split(1).Sample(128, 32) {
-			pos.Add(id)
-		}
-		baseline.CSMA{}.Run(128, 16, pos, r.Split(2))
+		baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
 	}
 }
 
@@ -72,7 +68,7 @@ func BenchmarkBaselineSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		pos := bitset.New(128)
+		pos := idset.NewDense(128)
 		for _, id := range r.Split(1).Sample(128, 32) {
 			pos.Add(id)
 		}

@@ -42,7 +42,6 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/core"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
@@ -744,20 +743,12 @@ func csmaBench() bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := root.Split(uint64(i))
-				pos := bitset.New(128)
-				for _, id := range r.Split(1).Sample(128, 32) {
-					pos.Add(id)
-				}
-				baseline.CSMA{}.Run(128, 16, pos, r.Split(2))
+				baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
 			}
 		},
 		traced: func() (int64, int64, error) {
 			r := rng.New(1).Split(0)
-			pos := bitset.New(128)
-			for _, id := range r.Split(1).Sample(128, 32) {
-				pos.Add(id)
-			}
-			res := baseline.CSMA{}.Run(128, 16, pos, r.Split(2))
+			res := baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
 			return 0, int64(res.Slots), nil
 		},
 	}

@@ -39,6 +39,11 @@ func main() {
 	var obsCfg obs.Config
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	// rng.Bernoulli clamps, so an out-of-range -miss would silently run a
+	// lossless or all-losing radio; NaN fails both comparisons.
+	if !(*miss >= 0 && *miss <= 1) {
+		fatal(fmt.Errorf("-miss %v outside [0, 1]", *miss))
+	}
 
 	var reg *metrics.Registry
 	if *metricsOut != "" || obsCfg.Enabled() {

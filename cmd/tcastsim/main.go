@@ -24,10 +24,10 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
+	"tcast/internal/idset"
 	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
@@ -63,6 +63,11 @@ func main() {
 	var obsCfg obs.Config
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	// rng.Bernoulli clamps, so an out-of-range -miss would silently run a
+	// lossless or all-losing channel; NaN fails both comparisons.
+	if !(*miss >= 0 && *miss <= 1) {
+		fatal(fmt.Errorf("-miss %v outside [0, 1]", *miss))
+	}
 
 	var reg *metrics.Registry
 	if *metricsOut != "" || obsCfg.Enabled() {
@@ -191,15 +196,14 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 	if err := sp.Validate(); err != nil {
 		return nil, "", err
 	}
-	baselineTrial := func(scheme string, run func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result) func(i int, r *rng.Source) (float64, error) {
+	// run simulates one baseline session from the trial stream: the
+	// positives (when the scheme needs their ids) from r.Split(1), the
+	// scheme itself from r.Split(2).
+	baselineTrial := func(scheme string, run func(r *rng.Source) baseline.Result) func(i int, r *rng.Source) (float64, error) {
 		return func(trialN int, r *rng.Source) (float64, error) {
-			pos := bitset.New(n)
-			for _, id := range r.Split(1).Sample(n, x) {
-				pos.Add(id)
-			}
 			label := fmt.Sprintf("%s/trial=%d", scheme, trialN)
 			obs.PublishSessionStart(bus, label, trialN)
-			res := run(n, t, pos, r.Split(2))
+			res := run(r)
 			obs.PublishDecision(bus, label, trialN, res.Decision, x >= t, 0, int64(res.Slots))
 			if b != nil {
 				f := b.Fork(trialN)
@@ -223,20 +227,25 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 		if col != nil {
 			return nil, "", fmt.Errorf("-audit grades group-poll sessions; csma has none")
 		}
-		return baselineTrial("csma", func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
+		return baselineTrial("csma", func(r *rng.Source) baseline.Result {
+			r = r.Split(2)
 			c := baseline.CSMA{}
 			if fcfg.Burst.Active() {
 				link := faults.NewLink(fcfg.Burst, r.Split(9))
 				c.Drop = func(int) bool { return link.Lost() }
 			}
-			return c.Run(n, t, pos, r)
+			return c.Run(n, t, x, r)
 		}), "CSMA", nil
 	case "seq":
 		if col != nil {
 			return nil, "", fmt.Errorf("-audit grades group-poll sessions; seq has none")
 		}
-		return baselineTrial("sequential", func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
-			return baseline.Sequential{}.Run(n, t, pos, r)
+		return baselineTrial("sequential", func(r *rng.Source) baseline.Result {
+			pos := idset.NewDense(n)
+			for _, id := range r.Split(1).Sample(n, x) {
+				pos.Add(id)
+			}
+			return baseline.Sequential{}.Run(n, t, pos, r.Split(2))
 		}), "Sequential", nil
 	}
 	a, err := session.Algorithm(alg, nil)

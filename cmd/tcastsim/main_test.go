@@ -185,7 +185,8 @@ func TestMain(m *testing.M) {
 // TestRejectsSpecsTcastdRejects: tcastsim checks its inputs by the same
 // session rules tcastd applies to a request, so each spec below, which
 // tcastd answers with a 400, makes tcastsim exit non-zero before it
-// prints a result.
+// prints a result. -miss, which tcastd does not take, must lie in
+// [0, 1].
 func TestRejectsSpecsTcastdRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -203,6 +204,10 @@ func TestRejectsSpecsTcastdRejects(t *testing.T) {
 		{"baseline zero threshold", []string{"-runs", "2", "-alg", "seq", "-t", "0"}, false},
 		{"unknown algorithm", []string{"-runs", "2", "-alg", "nope"}, false},
 		{"unknown model", []string{"-runs", "2", "-model", "3+"}, false},
+		{"miss at 1", []string{"-runs", "2", "-miss", "1"}, true},
+		{"miss above 1", []string{"-runs", "2", "-miss", "1.5"}, false},
+		{"negative miss", []string{"-runs", "2", "-miss", "-0.2"}, false},
+		{"NaN miss", []string{"-runs", "2", "-miss", "NaN"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 
 	"tcast"
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
+	"tcast/internal/idset"
 	"tcast/internal/rng"
 )
 
@@ -48,7 +48,7 @@ func main() {
 				}
 				tcastCost += float64(res.Queries)
 
-				pos := bitset.New(n)
+				pos := idset.NewDense(n)
 				for _, id := range tags {
 					pos.Add(id)
 				}

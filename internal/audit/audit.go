@@ -348,17 +348,12 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 		// LB <= x <= UB there would report spurious violations. Walk the
 		// whole chain and let any layer that reports losslessness veto.
 		lossless = true
-		for walk := q; walk != nil; {
-			if ll, ok := walk.(interface{ Lossless() bool }); ok && !ll.Lossless() {
+		query.Walk(q, func(l query.Querier) bool {
+			if ll, ok := l.(interface{ Lossless() bool }); ok && !ll.Lossless() {
 				lossless = false
-				break
 			}
-			w, ok := walk.(query.Wrapper)
-			if !ok {
-				break
-			}
-			walk = w.Unwrap()
-		}
+			return lossless
+		})
 	}
 	a.q = q
 	a.truth = truth

@@ -9,7 +9,7 @@
 package baseline
 
 import (
-	"tcast/internal/bitset"
+	"tcast/internal/idset"
 	"tcast/internal/rng"
 )
 
@@ -76,11 +76,11 @@ func (c CSMA) bounds() (cwMin, cwMax int) {
 // Name identifies the baseline in experiment output.
 func (c CSMA) Name() string { return "CSMA" }
 
-// Run simulates one session: n participants of which the members of
-// positives reply, threshold t.
-func (c CSMA) Run(n, t int, positives *bitset.Set, r *rng.Source) Result {
+// Run simulates one session: n participants of which x reply, threshold
+// t. Which nodes are positive does not matter to contention, only how
+// many.
+func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 	cwMin, cwMax := c.bounds()
-	x := positives.Len()
 
 	if t <= 0 {
 		return Result{Decision: true}
@@ -191,7 +191,7 @@ func (s Sequential) Name() string {
 }
 
 // Run simulates one session over a uniformly random reply order.
-func (s Sequential) Run(n, t int, positives *bitset.Set, r *rng.Source) Result {
+func (s Sequential) Run(n, t int, positives *idset.Dense, r *rng.Source) Result {
 	if t <= 0 {
 		return Result{Decision: true}
 	}

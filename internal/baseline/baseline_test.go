@@ -4,15 +4,22 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tcast/internal/bitset"
+	"tcast/internal/idset"
 	"tcast/internal/rng"
 )
 
-func randomPositives(n, x int, r *rng.Source) *bitset.Set {
-	s := bitset.New(n)
+func randomPositives(n, x int, r *rng.Source) *idset.Dense {
+	s := idset.NewDense(n)
 	for _, id := range r.Sample(n, x) {
 		s.Add(id)
 	}
+	return s
+}
+
+// full returns the dense set {0, ..., n-1}.
+func full(n int) *idset.Dense {
+	s := idset.NewDense(n)
+	s.Fill()
 	return s
 }
 
@@ -24,7 +31,7 @@ func TestCSMAIdealCorrect(t *testing.T) {
 	} {
 		for i := 0; i < 10; i++ {
 			r := root.Split(uint64(tc.n*1000 + tc.x*10 + i))
-			res := CSMA{}.Run(tc.n, tc.th, randomPositives(tc.n, tc.x, r), r)
+			res := CSMA{}.Run(tc.n, tc.th, tc.x, r)
 			if want := tc.x >= tc.th; res.Decision != want {
 				t.Fatalf("n=%d t=%d x=%d: decision %v, want %v", tc.n, tc.th, tc.x, res.Decision, want)
 			}
@@ -34,7 +41,7 @@ func TestCSMAIdealCorrect(t *testing.T) {
 
 func TestCSMAZeroPositivesIdealFree(t *testing.T) {
 	r := rng.New(2)
-	res := CSMA{}.Run(64, 8, bitset.New(64), r)
+	res := CSMA{}.Run(64, 8, 0, r)
 	if res.Decision || res.Slots != 0 {
 		t.Fatalf("x=0 ideal: %+v", res)
 	}
@@ -42,10 +49,10 @@ func TestCSMAZeroPositivesIdealFree(t *testing.T) {
 
 func TestCSMATrivialThresholds(t *testing.T) {
 	r := rng.New(3)
-	if res := (CSMA{}).Run(8, 0, randomPositives(8, 3, r), r); !res.Decision || res.Slots != 0 {
+	if res := (CSMA{}).Run(8, 0, 3, r); !res.Decision || res.Slots != 0 {
 		t.Fatalf("t=0: %+v", res)
 	}
-	if res := (CSMA{}).Run(8, 9, randomPositives(8, 3, r), r); res.Decision || res.Slots != 0 {
+	if res := (CSMA{}).Run(8, 9, 3, r); res.Decision || res.Slots != 0 {
 		t.Fatalf("t>n: %+v", res)
 	}
 }
@@ -59,7 +66,7 @@ func TestCSMACostGrowsWithX(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			r := root.Split(uint64(x*1000 + i))
 			// High threshold so every reply must be collected.
-			res := CSMA{}.Run(128, 128, randomPositives(128, x, r), r)
+			res := CSMA{}.Run(128, 128, x, r)
 			total += res.Slots
 		}
 		return float64(total) / runs
@@ -82,9 +89,8 @@ func TestCSMAEarlyStopAtThreshold(t *testing.T) {
 	var early, full int
 	for i := 0; i < runs; i++ {
 		r := root.Split(uint64(i))
-		pos := randomPositives(128, 100, r)
-		early += CSMA{}.Run(128, 8, pos.Clone(), r.Split(1)).Slots
-		full += CSMA{}.Run(128, 100, pos.Clone(), r.Split(2)).Slots
+		early += CSMA{}.Run(128, 8, 100, r.Split(1)).Slots
+		full += CSMA{}.Run(128, 100, 100, r.Split(2)).Slots
 	}
 	if early >= full/2 {
 		t.Fatalf("early stop not effective: early=%d full=%d", early, full)
@@ -93,7 +99,7 @@ func TestCSMAEarlyStopAtThreshold(t *testing.T) {
 
 func TestCSMADeliveredAndCollisions(t *testing.T) {
 	r := rng.New(6)
-	res := CSMA{}.Run(64, 64, randomPositives(64, 20, r), r)
+	res := CSMA{}.Run(64, 64, 20, r)
 	if res.Delivered != 20 {
 		t.Fatalf("Delivered = %d, want 20", res.Delivered)
 	}
@@ -108,7 +114,7 @@ func TestCSMAGuardTermination(t *testing.T) {
 	root := rng.New(7)
 	for i := 0; i < 30; i++ {
 		r := root.Split(uint64(i))
-		res := CSMA{GuardSlots: 256}.Run(64, 8, randomPositives(64, 3, r), r)
+		res := CSMA{GuardSlots: 256}.Run(64, 8, 3, r)
 		if res.Decision {
 			t.Fatalf("trial %d: guard termination decided true with x=3 < t=8", i)
 		}
@@ -120,7 +126,7 @@ func TestCSMAGuardTermination(t *testing.T) {
 
 func TestCSMAGuardZeroPositivesCostsGuard(t *testing.T) {
 	r := rng.New(8)
-	res := CSMA{GuardSlots: 32}.Run(64, 8, bitset.New(64), r)
+	res := CSMA{GuardSlots: 32}.Run(64, 8, 0, r)
 	if res.Decision || res.Slots != 32 {
 		t.Fatalf("guard idle cost: %+v", res)
 	}
@@ -128,7 +134,7 @@ func TestCSMAGuardZeroPositivesCostsGuard(t *testing.T) {
 
 func TestCSMACustomWindows(t *testing.T) {
 	r := rng.New(9)
-	res := CSMA{CWMin: 2, CWMax: 8}.Run(32, 32, randomPositives(32, 16, r), r)
+	res := CSMA{CWMin: 2, CWMax: 8}.Run(32, 32, 16, r)
 	if res.Delivered != 16 {
 		t.Fatalf("custom windows broke delivery: %+v", res)
 	}
@@ -140,7 +146,7 @@ func TestQuickCSMAIdealAlwaysCorrect(t *testing.T) {
 		th := int(tRaw) % (n + 2)
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		res := CSMA{}.Run(n, th, randomPositives(n, x, r), r)
+		res := CSMA{}.Run(n, th, x, r)
 		return res.Decision == (x >= th)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -168,7 +174,7 @@ func TestSequentialZeroPositivesCost(t *testing.T) {
 	// x=0: "false" resolves once the remaining slots cannot reach t:
 	// exactly n-t+1 slots.
 	r := rng.New(11)
-	res := Sequential{}.Run(128, 16, bitset.New(128), r)
+	res := Sequential{}.Run(128, 16, idset.NewDense(128), r)
 	if res.Decision || res.Slots != 128-16+1 {
 		t.Fatalf("x=0: %+v, want slots=%d", res, 128-16+1)
 	}
@@ -177,7 +183,7 @@ func TestSequentialZeroPositivesCost(t *testing.T) {
 func TestSequentialAllPositiveCost(t *testing.T) {
 	// x=n: the t-th slot delivers the t-th positive.
 	r := rng.New(12)
-	res := Sequential{}.Run(128, 16, bitset.Full(128), r)
+	res := Sequential{}.Run(128, 16, full(128), r)
 	if !res.Decision || res.Slots != 16 {
 		t.Fatalf("x=n: %+v, want slots=16", res)
 	}
@@ -202,7 +208,7 @@ func TestSequentialLargeCostForSmallX(t *testing.T) {
 func TestSequentialContactNextDoubles(t *testing.T) {
 	r1 := rng.New(14)
 	r2 := rng.New(14)
-	pos := bitset.Full(64)
+	pos := full(64)
 	plain := Sequential{}.Run(64, 8, pos, r1)
 	contact := Sequential{ContactNext: true}.Run(64, 8, pos, r2)
 	if contact.Slots != 2*plain.Slots {
@@ -216,10 +222,10 @@ func TestSequentialContactNextDoubles(t *testing.T) {
 
 func TestSequentialTrivialThresholds(t *testing.T) {
 	r := rng.New(15)
-	if res := (Sequential{}).Run(8, 0, bitset.New(8), r); !res.Decision || res.Slots != 0 {
+	if res := (Sequential{}).Run(8, 0, idset.NewDense(8), r); !res.Decision || res.Slots != 0 {
 		t.Fatalf("t=0: %+v", res)
 	}
-	if res := (Sequential{}).Run(8, 9, bitset.Full(8), r); res.Decision || res.Slots != 0 {
+	if res := (Sequential{}).Run(8, 9, full(8), r); res.Decision || res.Slots != 0 {
 		t.Fatalf("t>n: %+v", res)
 	}
 }
@@ -255,7 +261,7 @@ func BenchmarkCSMA(b *testing.B) {
 	root := rng.New(1)
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		CSMA{}.Run(128, 16, randomPositives(128, 32, r), r)
+		CSMA{}.Run(128, 16, 32, r)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"tcast/internal/binning"
-	"tcast/internal/bitset"
 	"tcast/internal/idset"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -120,7 +119,7 @@ type session struct {
 	// answered and the ledger deferred; droppedMembers is their total
 	// size, and decoded lists the round's other decodes. settle reads
 	// all three at round end.
-	dropped        bitset.Set
+	dropped        idset.Dense
 	droppedMembers int
 	decoded        []int
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/faults"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -54,16 +53,12 @@ var extRetry = query.RetryPolicy{MaxRetries: 2, Backoff: 1}
 // reply slot, the same clock the injector steps per poll).
 func csmaFaultedPoint(burst faults.BurstConfig, o Options, root *rng.Source) ([]float64, error) {
 	return RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
-		pos := bitset.New(backcastN)
-		for _, id := range r.Split(1).Sample(backcastN, backcastX) {
-			pos.Add(id)
-		}
 		link := faults.NewLink(burst, r.Split(3))
 		c := baseline.CSMA{GuardSlots: extGuard}
 		if burst.Active() {
 			c.Drop = func(int) bool { return link.Lost() }
 		}
-		res := c.Run(backcastN, backcastT, pos, r.Split(2))
+		res := c.Run(backcastN, backcastT, backcastX, r.Split(2))
 		if res.Decision == (backcastX >= backcastT) {
 			return 1, nil
 		}

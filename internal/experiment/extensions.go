@@ -6,11 +6,11 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/core"
 	"tcast/internal/count"
 	"tcast/internal/energy"
 	"tcast/internal/fastsim"
+	"tcast/internal/idset"
 	"tcast/internal/kplus"
 	"tcast/internal/multihop"
 	"tcast/internal/pollcast"
@@ -62,11 +62,7 @@ func init() {
 			// least two stations transmit in each.
 			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
-					for _, id := range r.Split(1).Sample(defaultN, x) {
-						pos.Add(id)
-					}
-					res := baseline.CSMA{}.Run(defaultN, defaultT, pos, r.Split(2))
+					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
 					return float64(res.Delivered + 2*res.Collisions), nil
 				}
 			})
@@ -78,7 +74,7 @@ func init() {
 			// decision transmit.
 			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
+					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
 						pos.Add(id)
 					}
@@ -126,11 +122,7 @@ func init() {
 			}
 			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
-					for _, id := range r.Split(1).Sample(defaultN, x) {
-						pos.Add(id)
-					}
-					res := baseline.CSMA{}.Run(defaultN, defaultT, pos, r.Split(2))
+					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
 					return costs.CSMALatency(res.Slots, res.Delivered).Seconds() * 1000, nil
 				}
 			})
@@ -140,7 +132,7 @@ func init() {
 			tab.Add(csma)
 			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
+					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
 						pos.Add(id)
 					}
@@ -195,12 +187,8 @@ func init() {
 			tab.Add(tcastEnergy)
 			csmaEnergy, err := sweep("CSMA", xs, o, root.Split(2), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
 					ids := r.Split(1).Sample(defaultN, x)
-					for _, id := range ids {
-						pos.Add(id)
-					}
-					res := baseline.CSMA{}.Run(defaultN, defaultT, pos, r.Split(2))
+					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
 					rep := energy.CSMASession(model, costs, res.Slots, res.Delivered, defaultN, ids)
 					return rep.MeanNode(), nil
 				}
@@ -211,7 +199,7 @@ func init() {
 			tab.Add(csmaEnergy)
 			seqEnergy, err := sweep("Sequential", xs, o, root.Split(3), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					pos := bitset.New(defaultN)
+					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
 						pos.Add(id)
 					}

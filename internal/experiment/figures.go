@@ -6,10 +6,10 @@ import (
 	"strconv"
 
 	"tcast/internal/baseline"
-	"tcast/internal/bitset"
 	"tcast/internal/core"
 	"tcast/internal/dist"
 	"tcast/internal/fastsim"
+	"tcast/internal/idset"
 	"tcast/internal/motelab"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
@@ -72,11 +72,7 @@ func baselineTrialSpan(b *trace.Builder, scheme string, trial, n, t, x int, res 
 // csmaCost measures the CSMA baseline's slot count.
 func csmaCost(n, t, x int, o Options) pointCost {
 	return func(trial int, r *rng.Source) (float64, error) {
-		pos := bitset.New(n)
-		for _, id := range r.Split(1).Sample(n, x) {
-			pos.Add(id)
-		}
-		res := baseline.CSMA{}.Run(n, t, pos, r.Split(2))
+		res := baseline.CSMA{}.Run(n, t, x, r.Split(2))
 		if b := o.Trace; b != nil {
 			baselineTrialSpan(b.Fork(trial), "csma", trial, n, t, x, res)
 		}
@@ -90,7 +86,7 @@ func csmaCost(n, t, x int, o Options) pointCost {
 // sequentialCost measures the sequential-ordering baseline's slot count.
 func sequentialCost(n, t, x int, o Options) pointCost {
 	return func(trial int, r *rng.Source) (float64, error) {
-		pos := bitset.New(n)
+		pos := idset.NewDense(n)
 		for _, id := range r.Split(1).Sample(n, x) {
 			pos.Add(id)
 		}

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"tcast/internal/binning"
-	"tcast/internal/bitset"
 	"tcast/internal/idset"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -166,27 +165,23 @@ func TwoPlusConfig() Config {
 // Channel is one query session against a fixed ground truth. It implements
 // query.Querier. Not safe for concurrent use.
 type Channel struct {
-	positives *bitset.Set
+	positives *idset.Dense
 	cfg       Config
 	r         *rng.Source
 	stats     TxStats
 	// heard is reused across queries to keep the per-poll hot path
 	// allocation-free.
 	heard []int
-	// binSet is the reused bin bitset of the word-parallel query fast
-	// path (see Query); sized to the population on first use.
-	binSet *bitset.Set
 	// sampleBuf and idxBuf are ResetRandom's reused sampling buffers.
 	sampleBuf, idxBuf []int
 	// placed and bin are QueryStreamed's reused buffers: a bin's
 	// positives with their positions, or a small bin's members.
 	placed []placed
 	bin    []int
-	// posIDs mirrors positives as a sorted ID slice — the sparse side of
-	// the poll fast path. With d = |positives| ≪ words(n), counting a
-	// rendered bin against d ids beats the word-parallel sweep; see
-	// queryRendered. It is snapshotted at construction/reset, which is
-	// sound because the positive set is fixed for a session's lifetime.
+	// posIDs mirrors positives as a sorted ID slice, which QueryStreamed
+	// walks when the positives are fewer than a bin's members. It is
+	// snapshotted at construction/reset, which is sound because the
+	// positive set is fixed for a session's lifetime.
 	posIDs []int
 }
 
@@ -216,7 +211,7 @@ type TxStats struct {
 // New creates a channel over participants {0..n-1} where exactly the
 // listed nodes are positive. It panics on out-of-range IDs.
 func New(n int, positives []int, cfg Config, r *rng.Source) *Channel {
-	set := bitset.New(n)
+	set := idset.NewDense(n)
 	for _, id := range positives {
 		set.Add(id)
 	}
@@ -226,7 +221,7 @@ func New(n int, positives []int, cfg Config, r *rng.Source) *Channel {
 // NewFromSet is like New but takes ownership of an existing positive set.
 // The membership is snapshotted; the caller must not mutate the set
 // afterwards (PositiveSet documents the same).
-func NewFromSet(positives *bitset.Set, cfg Config, r *rng.Source) *Channel {
+func NewFromSet(positives *idset.Dense, cfg Config, r *rng.Source) *Channel {
 	if cfg.Capture == nil {
 		cfg.Capture = defaultCapture
 	}
@@ -235,8 +230,8 @@ func NewFromSet(positives *bitset.Set, cfg Config, r *rng.Source) *Channel {
 
 // RandomPositives draws x distinct positive nodes out of n uniformly at
 // random and returns the channel plus the chosen set.
-func RandomPositives(n, x int, cfg Config, r *rng.Source) (*Channel, *bitset.Set) {
-	set := bitset.New(n)
+func RandomPositives(n, x int, cfg Config, r *rng.Source) (*Channel, *idset.Dense) {
+	set := idset.NewDense(n)
 	ids, _ := samplePositives(n, x, r, nil, nil)
 	for _, id := range ids {
 		set.Add(id)
@@ -256,7 +251,7 @@ func (c *Channel) ResetRandom(n, x int, cfg Config, r *rng.Source) {
 		cfg.Capture = defaultCapture
 	}
 	if c.positives == nil {
-		c.positives = bitset.New(n)
+		c.positives = idset.NewDense(n)
 	} else {
 		c.positives.Reset(n)
 	}
@@ -273,7 +268,7 @@ func (c *Channel) ResetRandom(n, x int, cfg Config, r *rng.Source) {
 
 // PositiveSet returns the channel's ground-truth positive set. The set is
 // owned by the channel; callers must not mutate it.
-func (c *Channel) PositiveSet() *bitset.Set { return c.positives }
+func (c *Channel) PositiveSet() *idset.Dense { return c.positives }
 
 // Traits implements query.Querier.
 func (c *Channel) Traits() query.Traits {
@@ -313,18 +308,10 @@ func (c *Channel) TraceAttrs() []trace.Attr {
 
 // Query implements query.Querier: it polls the bin and reports what the
 // initiator's radio observes. The bin's positives reply, in bin order,
-// and answer resolves what the initiator hears.
-//
-// With no per-reply loss configured every bin positive is heard, so the
-// response depends only on k = |bin ∩ positives|, and a large bin is
-// counted without collecting its positives (queryRendered). Bernoulli(0)
-// consumes no randomness, so skipping the per-reply draws leaves the RNG
-// stream — and therefore every trace and figure — bit-identical to the
-// lossy path's.
+// and answer resolves what the initiator hears. Membership is one bit
+// test per bin member, so a poll costs O(|bin|) whatever the loss
+// configuration.
 func (c *Channel) Query(bin []int) query.Response {
-	if words := (c.positives.Cap() + 63) / 64; c.cfg.MissProb == 0 && len(bin) >= 4*words {
-		return c.queryRendered(bin, words)
-	}
 	hits := c.heard[:0]
 	for _, id := range bin {
 		if c.positives.Contains(id) {
@@ -373,57 +360,10 @@ func (c *Channel) QueryStreamed(st *binning.Streamer, rk *idset.Ranked, i int) q
 	return c.answer(hits)
 }
 
-// queryRendered is Query's lossless count for a bin of at least four
-// times the word count — small bins, the common case once a session is
-// past its opening rounds, are scanned against the positive bitset
-// instead. It renders the bin into the reused bin bitset and counts by
-// whichever side is smaller: with d = |positives| below the word count,
-// probing the d sorted positive ids against the rendered bin is O(d)
-// where the word sweep is O(n/64) — the min(|bin|, d) side selection
-// that matters at sparse scale — and otherwise the word-parallel
-// IntersectionCount runs.
-//
-// The decoded replier is the j-th of the bin's positives in bin order,
-// found by scanning the bin, so responses and the RNG draw sequence match
-// the collecting path's bit for bit — decode events are rare (at most
-// one per decoded response), so the scan is not paid in steady state.
-func (c *Channel) queryRendered(bin []int, words int) query.Response {
-	if c.binSet == nil || c.binSet.Cap() != c.positives.Cap() {
-		c.binSet = bitset.New(c.positives.Cap())
-	}
-	c.binSet.AddAll(bin)
-	var k int
-	if len(c.posIDs) < words {
-		for _, id := range c.posIDs {
-			if c.binSet.Contains(id) {
-				k++
-			}
-		}
-	} else {
-		k = c.binSet.IntersectionCount(c.positives)
-	}
-	c.binSet.Clear()
-	c.stats.Polls++
-	c.stats.Replies += k
-	resp, j := c.respond(k)
-	if j >= 0 {
-		for _, id := range bin {
-			if c.positives.Contains(id) {
-				if j == 0 {
-					resp.DecodedID = id
-					break
-				}
-				j--
-			}
-		}
-	}
-	return resp
-}
-
 // answer completes a poll whose bin holds the positives hits, in bin
 // order: every hit transmits, each reply is missed independently with
-// MissProb (one draw per hit, in order), and respond resolves the heard
-// rest. heard reuses hits' storage.
+// MissProb (one draw per hit, in order), and the initiator's radio
+// observes the heard rest. heard reuses hits' storage.
 func (c *Channel) answer(hits []int) query.Response {
 	c.stats.Polls++
 	c.stats.Replies += len(hits)
@@ -436,18 +376,7 @@ func (c *Channel) answer(hits []int) query.Response {
 			}
 		}
 	}
-	resp, j := c.respond(len(heard))
-	if j >= 0 {
-		resp.DecodedID = heard[j]
-	}
-	return resp
-}
-
-// respond is every poll's shared response tail: what the initiator's
-// radio observes when k replies reach it. It returns j ≥ 0 when the 2+
-// radio captured one frame — the j-th heard reply in bin order, which the
-// caller names in DecodedID — and -1 otherwise.
-func (c *Channel) respond(k int) (query.Response, int) {
+	k := len(heard)
 	if k == 0 {
 		if c.cfg.FalseActiveProb > 0 && c.r.Bernoulli(c.cfg.FalseActiveProb) {
 			// Interference: energy sensing reports activity. Even a
@@ -457,18 +386,18 @@ func (c *Channel) respond(k int) (query.Response, int) {
 			// conservative interference artifact is Active/Collision
 			// per model. Backcast deployments set this to 0.
 			if c.cfg.Model == query.OnePlus {
-				return query.Response{Kind: query.Active}, -1
+				return query.Response{Kind: query.Active}
 			}
-			return query.Response{Kind: query.Collision}, -1
+			return query.Response{Kind: query.Collision}
 		}
-		return query.Response{Kind: query.Empty}, -1
+		return query.Response{Kind: query.Empty}
 	}
 	if c.cfg.Model == query.OnePlus {
-		return query.Response{Kind: query.Active}, -1
+		return query.Response{Kind: query.Active}
 	}
-	// 2+ radio: try to capture one frame.
+	// 2+ radio: try to capture one frame, a uniformly drawn heard reply.
 	if c.r.Bernoulli(c.cfg.Capture(k)) {
-		return query.Response{Kind: query.Decoded}, c.r.Intn(k)
+		return query.Response{Kind: query.Decoded, DecodedID: heard[c.r.Intn(k)]}
 	}
-	return query.Response{Kind: query.Collision}, -1
+	return query.Response{Kind: query.Collision}
 }

@@ -1,6 +1,7 @@
 package fastsim
 
 import (
+	"slices"
 	"testing"
 
 	"tcast/internal/binning"
@@ -9,10 +10,10 @@ import (
 	"tcast/internal/rng"
 )
 
-// referenceQuery is the pre-fast-path lossless query: walk the bin, collect
-// the heard positives (Bernoulli(0) consumes no randomness under
-// MissProb == 0), then resolve the response exactly as the slow path does.
-// The fast path must match it response for response AND draw for draw.
+// referenceQuery is the lossless query written out from the model: walk
+// the bin, collect the heard positives (Bernoulli(0) consumes no
+// randomness under MissProb == 0), then resolve the response. Query must
+// match it response for response AND draw for draw.
 func referenceQuery(c *Channel, bin []int, r *rng.Source) query.Response {
 	var heard []int
 	for _, id := range bin {
@@ -38,7 +39,7 @@ func referenceQuery(c *Channel, bin []int, r *rng.Source) query.Response {
 	return query.Response{Kind: query.Collision}
 }
 
-func TestLosslessFastPathMatchesReference(t *testing.T) {
+func TestQueryMatchesReference(t *testing.T) {
 	const n = 130 // capacity straddles a word boundary
 	configs := []Config{
 		{Model: query.OnePlus},
@@ -50,7 +51,7 @@ func TestLosslessFastPathMatchesReference(t *testing.T) {
 	for ci, cfg := range configs {
 		for seed := uint64(1); seed <= 20; seed++ {
 			root := rng.New(seed)
-			fast, _ := RandomPositives(n, int(seed%40), cfg, root.Split(1))
+			ch, _ := RandomPositives(n, int(seed%40), cfg, root.Split(1))
 			refR := root.Split(1)
 			refR.Sample(n, int(seed%40)) // advance past the positive draw
 			binR := root.Split(5)
@@ -59,15 +60,15 @@ func TestLosslessFastPathMatchesReference(t *testing.T) {
 				// word-scale, with duplicates impossible (Sample draws
 				// distinct IDs, like real partitions).
 				bin := binR.Sample(n, binR.Intn(n))
-				want := referenceQuery(fast, bin, refR)
-				got := fast.Query(bin)
+				want := referenceQuery(ch, bin, refR)
+				got := ch.Query(bin)
 				if got != want {
-					t.Fatalf("config %d seed %d poll %d: fast path %+v, reference %+v", ci, seed, polls, got, want)
+					t.Fatalf("config %d seed %d poll %d: Query %+v, reference %+v", ci, seed, polls, got, want)
 				}
 			}
 			// Same stream position afterwards: no extra or missing draws.
-			if fast.r.Uint64() != refR.Uint64() {
-				t.Fatalf("config %d seed %d: fast path left the RNG at a different position", ci, seed)
+			if ch.r.Uint64() != refR.Uint64() {
+				t.Fatalf("config %d seed %d: Query left the RNG at a different position", ci, seed)
 			}
 		}
 	}
@@ -81,7 +82,7 @@ func TestResetRandomMatchesRandomPositives(t *testing.T) {
 		x := int(seed % 20)
 		fresh, set := RandomPositives(n, x, cfg, rng.New(seed))
 		pooled.ResetRandom(n, x, cfg, rng.New(seed))
-		if !pooled.PositiveSet().Equal(set) {
+		if got := pooled.PositiveSet(); got.Cap() != set.Cap() || !slices.Equal(got.Members(), set.Members()) {
 			t.Fatalf("seed %d: pooled positives differ from fresh", seed)
 		}
 		if pooled.Stats() != (TxStats{}) {

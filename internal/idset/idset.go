@@ -19,7 +19,9 @@
 package idset
 
 import (
-	"tcast/internal/bitset"
+	"fmt"
+	"math/bits"
+	"slices"
 )
 
 const (
@@ -58,10 +60,12 @@ type Set interface {
 	ForEach(f func(id int))
 }
 
-// Dense is the bitset-backed form. The zero value is an empty set over
-// the empty universe; Reset re-targets it.
+// Dense is the word-array form: bit b of words[w] is member w*64+b. The
+// zero value is an empty set over the empty universe; Reset re-targets it.
 type Dense struct {
-	bitset.Set
+	words []uint64
+	n     int // universe size: members are [0, n)
+	count int // cached cardinality
 }
 
 // NewDense returns an empty dense set over [0, n).
@@ -71,12 +75,109 @@ func NewDense(n int) *Dense {
 	return d
 }
 
-// Add inserts id, adapting bitset's value signature to the Set contract.
-func (d *Dense) Add(id int) { d.Set.Add(id) }
+// Cap returns the universe size.
+func (d *Dense) Cap() int { return d.n }
 
-// Bits exposes the underlying bitset for word-parallel callers (the
-// fastsim intersection fast path). Mutating it mutates the set.
-func (d *Dense) Bits() *bitset.Set { return &d.Set }
+// Len returns the number of members.
+func (d *Dense) Len() int { return d.count }
+
+func (d *Dense) check(id int) {
+	if id < 0 || id >= d.n {
+		panic(fmt.Sprintf("idset: element %d out of range [0,%d)", id, d.n))
+	}
+}
+
+// Contains reports membership; out-of-range ids are simply absent.
+func (d *Dense) Contains(id int) bool {
+	if id < 0 || id >= d.n {
+		return false
+	}
+	return d.words[id/64]&(1<<uint(id%64)) != 0
+}
+
+// Add inserts id. It panics out of range.
+func (d *Dense) Add(id int) {
+	d.check(id)
+	w, b := id/64, uint(id%64)
+	if d.words[w]&(1<<b) == 0 {
+		d.words[w] |= 1 << b
+		d.count++
+	}
+}
+
+// Remove deletes id; absent ids are a no-op. It panics out of range.
+func (d *Dense) Remove(id int) {
+	d.check(id)
+	w, b := id/64, uint(id%64)
+	if d.words[w]&(1<<b) != 0 {
+		d.words[w] &^= 1 << b
+		d.count--
+	}
+}
+
+// Reset empties the set and re-targets it at [0, n), reusing the word
+// array when it is large enough, so pooled sets stay allocation-free
+// once warmed.
+func (d *Dense) Reset(n int) {
+	if n < 0 {
+		panic("idset: negative capacity")
+	}
+	need := (n + 63) / 64
+	if cap(d.words) < need {
+		d.words = make([]uint64, need)
+	} else {
+		d.words = d.words[:need]
+		clear(d.words)
+	}
+	d.n = n
+	d.count = 0
+}
+
+// Fill sets the membership to the full universe {0, ..., n-1}, clearing
+// the bits beyond n in the last word.
+func (d *Dense) Fill() {
+	for i := range d.words {
+		d.words[i] = ^uint64(0)
+	}
+	if rem := d.n % 64; rem != 0 {
+		d.words[len(d.words)-1] = 1<<uint(rem) - 1
+	}
+	d.count = d.n
+}
+
+// Clone returns an independent copy of the set.
+func (d *Dense) Clone() *Dense {
+	return &Dense{words: slices.Clone(d.words), n: d.n, count: d.count}
+}
+
+// Members returns the members in ascending order.
+func (d *Dense) Members() []int {
+	return d.AppendMembers(make([]int, 0, d.count))
+}
+
+// AppendMembers appends the members in ascending order to dst; hot loops
+// pass a reused buffer. The word loop is open-coded rather than built on
+// ForEach: a closure appending to dst captures the slice by reference and
+// forces a heap allocation per call.
+func (d *Dense) AppendMembers(dst []int) []int {
+	for w, word := range d.words {
+		for word != 0 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
+// ForEach calls f for every member in ascending order.
+func (d *Dense) ForEach(f func(id int)) {
+	for w, word := range d.words {
+		for word != 0 {
+			f(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+}
 
 // Sparse is the sorted-slice form: ids ascending, no duplicates. The
 // zero value is an empty set over the empty universe.
@@ -251,9 +352,6 @@ func (h *Hybrid) Len() int {
 	return h.dense.Len()
 }
 
-// Empty reports whether the set has no members.
-func (h *Hybrid) Empty() bool { return h.Len() == 0 }
-
 // Contains reports membership.
 func (h *Hybrid) Contains(id int) bool {
 	if h.isSparse {
@@ -343,52 +441,9 @@ func (h *Hybrid) Compact() bool {
 // IsSparse reports which form is live (observability and tests).
 func (h *Hybrid) IsSparse() bool { return h.isSparse }
 
-// IntersectionCount returns |h ∩ s| for a dense bitset over the same
-// universe: word-parallel popcounts in dense form, one membership probe
-// per member in sparse form — the sparse side is at most compactLimit
-// ids by construction, so either way the cost tracks the smaller
-// operand, never the universe.
-func (h *Hybrid) IntersectionCount(s *bitset.Set) int {
-	if !h.isSparse {
-		return h.dense.Set.IntersectionCount(s)
-	}
-	k := 0
-	for _, id := range h.sparse.ids {
-		if s.Contains(id) {
-			k++
-		}
-	}
-	return k
-}
-
 // Equal reports whether h and o contain exactly the same members over
-// the same universe, whatever forms they are in.
+// the same universe, whatever forms they are in (a test-path helper, not
+// a hot path).
 func (h *Hybrid) Equal(o *Hybrid) bool {
-	if h.Cap() != o.Cap() || h.Len() != o.Len() {
-		return false
-	}
-	if !h.isSparse && !o.isSparse {
-		return h.dense.Set.Equal(&o.dense.Set)
-	}
-	eq := true
-	i, b := 0, other(o)
-	h.ForEach(func(id int) {
-		if eq && b(i) != id {
-			eq = false
-		}
-		i++
-	})
-	return eq
-}
-
-// other returns an index-addressable view of o's members for Equal's
-// merge walk; the sparse form indexes directly, the dense form walks
-// alongside via AppendMembers into a scratch (Equal is a test-path
-// helper, not a hot path).
-func other(o *Hybrid) func(i int) int {
-	if o.isSparse {
-		return func(i int) int { return o.sparse.ids[i] }
-	}
-	ids := o.Members()
-	return func(i int) int { return ids[i] }
+	return h.Cap() == o.Cap() && slices.Equal(h.Members(), o.Members())
 }

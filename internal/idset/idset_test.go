@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"testing"
 
-	"tcast/internal/bitset"
 	"tcast/internal/rng"
 )
 
@@ -22,52 +21,225 @@ func (m model) members(n int) []int {
 	return out
 }
 
-// TestFormsAgree drives Dense, Sparse and Hybrid through the same random
+// forms is one Dense, one Sparse and one Hybrid over the same universe,
+// driven through the same mutations and checked against a map model.
+type forms struct {
+	n    int
+	sets []Set
+	m    model
+}
+
+func newForms(n int) *forms {
+	return &forms{n: n, sets: []Set{NewDense(n), NewSparse(n), NewHybrid(n)}, m: model{}}
+}
+
+func (f *forms) add(id int) {
+	f.m[id] = true
+	for _, s := range f.sets {
+		s.Add(id)
+	}
+}
+
+func (f *forms) remove(id int) {
+	delete(f.m, id)
+	for _, s := range f.sets {
+		s.Remove(id)
+	}
+}
+
+// fill makes the whole universe members: Dense and Hybrid by Fill, and
+// Sparse, which has no Fill, by adding every id.
+func (f *forms) fill() {
+	for id := 0; id < f.n; id++ {
+		f.m[id] = true
+	}
+	for _, s := range f.sets {
+		if fl, ok := s.(interface{ Fill() }); ok {
+			fl.Fill()
+			continue
+		}
+		for id := 0; id < f.n; id++ {
+			s.Add(id)
+		}
+	}
+}
+
+// reset empties every form and re-targets it at [0, n).
+func (f *forms) reset(n int) {
+	f.n, f.m = n, model{}
+	for _, s := range f.sets {
+		s.(interface{ Reset(n int) }).Reset(n)
+	}
+}
+
+// check compares every observable of every form with the model: Cap,
+// Len, Contains at probe and just outside the universe, and the members
+// in ascending order through AppendMembers and ForEach. Bits a Fill or
+// Reset failed to trim past the universe's end would show up as extra
+// members.
+func (f *forms) check(t *testing.T, step string, probe int) {
+	t.Helper()
+	want := f.m.members(f.n)
+	for _, s := range f.sets {
+		if s.Cap() != f.n || s.Len() != len(want) {
+			t.Fatalf("%s: %T Cap=%d Len=%d, want %d and %d", step, s, s.Cap(), s.Len(), f.n, len(want))
+		}
+		for _, id := range []int{probe, -1, f.n, f.n + 64} {
+			if s.Contains(id) != f.m[id] {
+				t.Fatalf("%s: %T Contains(%d)=%v want %v", step, s, id, s.Contains(id), f.m[id])
+			}
+		}
+		got := s.AppendMembers(nil)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %T members %v want %v", step, s, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: %T members %v want %v", step, s, got, want)
+			}
+		}
+		i := 0
+		s.ForEach(func(id int) {
+			if want[i] != id {
+				t.Fatalf("%s: %T ForEach yields %d at %d, want %d", step, s, id, i, want[i])
+			}
+			i++
+		})
+	}
+}
+
+// TestFormsAgree drives Dense, Sparse and Hybrid through the same
 // mutation script and checks every observable against the map model.
+// One set of forms is reset from universe to universe, growing and
+// shrinking across word boundaries, so a reset set must look new
+// whatever it held. Each universe starts empty, takes the ids around
+// every word boundary (with a repeated Add and Remove), is filled, and
+// then takes a random walk of Adds and Removes with the odd Fill or
+// Reset.
 func TestFormsAgree(t *testing.T) {
-	const n, steps = 300, 2000
 	r := rng.New(7)
-	sets := []Set{NewDense(n), NewSparse(n), NewHybrid(n)}
-	m := model{}
-	for step := 0; step < steps; step++ {
-		id := r.Intn(n)
-		if r.Bernoulli(0.5) {
-			m[id] = true
-			for _, s := range sets {
-				s.Add(id)
-			}
-		} else {
-			delete(m, id)
-			for _, s := range sets {
-				s.Remove(id)
+	f := newForms(0)
+	for _, n := range []int{130, 7, 300, 0, 64, 1, 63, 200, 65} {
+		f.reset(n)
+		f.check(t, fmt.Sprintf("n=%d reset", n), 0)
+		for _, id := range []int{0, 1, 63, 64, 65, 127, 128, 129, 63} {
+			if id < n {
+				f.add(id)
+				f.check(t, fmt.Sprintf("n=%d add %d", n, id), id)
 			}
 		}
-		probe := r.Intn(n)
-		want := m.members(n)
-		for _, s := range sets {
-			if s.Len() != len(want) {
-				t.Fatalf("step %d: %T Len=%d want %d", step, s, s.Len(), len(want))
+		for _, id := range []int{63, 63, 0} {
+			if id < n {
+				f.remove(id)
+				f.check(t, fmt.Sprintf("n=%d remove %d", n, id), id)
 			}
-			if s.Contains(probe) != m[probe] {
-				t.Fatalf("step %d: %T Contains(%d)=%v want %v", step, s, probe, s.Contains(probe), m[probe])
-			}
-			got := s.AppendMembers(nil)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: %T members %v want %v", step, s, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: %T members %v want %v", step, s, got, want)
-				}
-			}
-			i := 0
-			s.ForEach(func(id int) {
-				if want[i] != id {
-					t.Fatalf("step %d: %T ForEach yields %d at %d, want %d", step, s, id, i, want[i])
-				}
-				i++
-			})
 		}
+		f.fill()
+		f.check(t, fmt.Sprintf("n=%d fill", n), n-1)
+		for step := 0; n > 0 && step < 1000; step++ {
+			id := r.Intn(n)
+			switch p := r.Float64(); {
+			case p < 0.01:
+				f.fill()
+			case p < 0.02:
+				f.reset(n)
+			case p < 0.51:
+				f.add(id)
+			default:
+				f.remove(id)
+			}
+			f.check(t, fmt.Sprintf("n=%d step %d", n, step), r.Intn(n))
+		}
+	}
+}
+
+// FuzzFormsAgree runs a fuzz-chosen script of Add, Remove, Fill and
+// Reset over universes of up to 255 ids (four word boundaries) through
+// all three forms and checks them against the map model after each op.
+// Each op is two bytes: the op, then its argument (an id mod n, or the
+// new universe size for Reset).
+func FuzzFormsAgree(f *testing.F) {
+	f.Add(uint8(130), []byte{0, 0, 0, 63, 0, 64, 1, 63, 2, 0, 3, 65, 0, 64})
+	f.Add(uint8(64), []byte{2, 0, 1, 63, 3, 1, 0, 0, 3, 200, 2, 0})
+	f.Add(uint8(0), []byte{2, 0, 0, 5, 3, 129, 2, 0, 1, 128})
+	f.Fuzz(func(t *testing.T, n uint8, script []byte) {
+		fs := newForms(int(n))
+		for i := 0; i+1 < len(script); i += 2 {
+			arg := int(script[i+1])
+			switch script[i] % 4 {
+			case 0:
+				if fs.n > 0 {
+					fs.add(arg % fs.n)
+				}
+			case 1:
+				if fs.n > 0 {
+					fs.remove(arg % fs.n)
+				}
+			case 2:
+				fs.fill()
+			case 3:
+				fs.reset(arg)
+			}
+			fs.check(t, fmt.Sprintf("op %d", i/2), arg)
+		}
+	})
+}
+
+// TestOutOfRangePanics: the dense form (and a Hybrid in it) panics on an
+// Add or Remove outside the universe, either side of it.
+func TestOutOfRangePanics(t *testing.T) {
+	d, h := NewDense(10), NewHybrid(10)
+	for _, f := range []func(){
+		func() { d.Add(10) },
+		func() { d.Add(-1) },
+		func() { d.Remove(10) },
+		func() { d.Remove(-1) },
+		func() { h.Add(10) },
+		func() { h.Remove(-1) },
+		func() { NewDense(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestAppendMembersReusesBuffer: with room in dst, every form appends in
+// place.
+func TestAppendMembersReusesBuffer(t *testing.T) {
+	f := newForms(70)
+	for _, id := range []int{3, 64, 69} {
+		f.add(id)
+	}
+	for _, s := range f.sets {
+		buf := make([]int, 0, 8)
+		got := s.AppendMembers(buf)
+		if len(got) != 3 || got[0] != 3 || got[1] != 64 || got[2] != 69 {
+			t.Fatalf("%T: members %v", s, got)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("%T: AppendMembers reallocated despite sufficient capacity", s)
+		}
+	}
+}
+
+func TestCloneIndependent(t *testing.T) {
+	d := NewDense(130)
+	d.Add(5)
+	d.Add(129)
+	c := d.Clone()
+	c.Add(6)
+	c.Remove(129)
+	if d.Contains(6) || !d.Contains(129) || d.Len() != 2 {
+		t.Fatal("Clone shares storage with the original")
+	}
+	if !c.Contains(5) || c.Len() != 2 || c.Cap() != 130 {
+		t.Fatalf("Clone lost state: len %d cap %d", c.Len(), c.Cap())
 	}
 }
 
@@ -217,6 +389,10 @@ func TestHybridEqualAcrossForms(t *testing.T) {
 	b.Remove(0)
 	if a.Equal(b) || b.Equal(a) {
 		t.Fatal("differing sets reported Equal")
+	}
+	// Empty sets are Equal over the same universe only.
+	if !NewHybrid(64).Equal(NewHybrid(64)) || NewHybrid(64).Equal(NewHybrid(65)) {
+		t.Fatal("empty sets: Equal ignores or misreads the universe")
 	}
 }
 
@@ -478,32 +654,6 @@ func TestRankedSelectOutOfRange(t *testing.T) {
 		}
 	}()
 	rk.Select(8)
-}
-
-// TestHybridIntersectionCount: both forms count against a dense bitset
-// identically.
-func TestHybridIntersectionCount(t *testing.T) {
-	n := SparseCutover
-	h := FullHybrid(n)
-	for id := 0; id < n; id++ {
-		if id%7 != 0 {
-			h.Remove(id)
-		}
-	}
-	probe := bitset.New(n)
-	for id := 0; id < n; id += 21 {
-		probe.Add(id)
-	}
-	want := h.IntersectionCount(probe)
-	if want == 0 {
-		t.Fatal("degenerate probe")
-	}
-	if !h.Compact() {
-		t.Fatal("setup: set did not compact")
-	}
-	if got := h.IntersectionCount(probe); got != want {
-		t.Fatalf("sparse IntersectionCount = %d, dense said %d", got, want)
-	}
 }
 
 // BenchmarkRankedSelect times one Select at a random rank of a full

@@ -59,7 +59,7 @@ func (rk *Ranked) Snapshot(h *Hybrid) {
 		return
 	}
 	rk.sparse = false
-	rk.words = append(rk.words[:0], h.dense.Set.Words()...)
+	rk.words = append(rk.words[:0], h.dense.words...)
 	if cap(rk.sums) < len(rk.words)+1 {
 		rk.sums = make([]int32, len(rk.words)+1)
 	}

@@ -167,15 +167,11 @@ func (iq *InstrumentedQuerier) Finish() {
 // span recorder, outside the instrumented querier without losing their
 // session totals.
 func FinishSession(q query.Querier) {
-	for q != nil {
-		if iq, ok := q.(*InstrumentedQuerier); ok {
+	query.Walk(q, func(l query.Querier) bool {
+		iq, ok := l.(*InstrumentedQuerier)
+		if ok {
 			iq.Finish()
-			return
 		}
-		w, ok := q.(query.Wrapper)
-		if !ok {
-			return
-		}
-		q = w.Unwrap()
-	}
+		return !ok
+	})
 }

@@ -129,35 +129,29 @@ func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 // abstract fastsim channel) cost one slot per poll; fallbackPolls covers
 // them.
 func ChainSlots(q query.Querier, fallbackPolls int) int64 {
-	for walk := q; walk != nil; {
-		if sc, ok := walk.(interface{ Slots() int }); ok {
-			return int64(sc.Slots())
+	slots := int64(fallbackPolls)
+	query.Walk(q, func(l query.Querier) bool {
+		sc, ok := l.(interface{ Slots() int })
+		if ok {
+			slots = int64(sc.Slots())
 		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
-	return int64(fallbackPolls)
+		return !ok
+	})
+	return slots
 }
 
 // chainLayers finds the outermost retry layer and fault injector in q's
 // middleware chain (nil when absent).
 func chainLayers(q query.Querier) (rq *query.Retry, inj *faults.Injector) {
-	for walk := q; walk != nil; {
-		if r, ok := walk.(*query.Retry); ok && rq == nil {
+	query.Walk(q, func(l query.Querier) bool {
+		if r, ok := l.(*query.Retry); ok && rq == nil {
 			rq = r
 		}
-		if j, ok := walk.(*faults.Injector); ok && inj == nil {
+		if j, ok := l.(*faults.Injector); ok && inj == nil {
 			inj = j
 		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
+		return true
+	})
 	return rq, inj
 }
 

@@ -193,20 +193,27 @@ type Wrapper interface {
 	Unwrap() Querier
 }
 
-// Root follows Unwrap to the innermost Querier — the substrate below
-// every middleware layer.
-func Root(q Querier) Querier {
-	for {
+// Walk calls visit on q and then on each querier below it, outermost
+// first, following Unwrap until visit returns false or the chain ends: at
+// a querier that is not a Wrapper, or one whose Unwrap returns nil.
+func Walk(q Querier, visit func(Querier) bool) {
+	for q != nil && visit(q) {
 		w, ok := q.(Wrapper)
 		if !ok {
-			return q
+			return
 		}
-		inner := w.Unwrap()
-		if inner == nil {
-			return q
-		}
-		q = inner
+		q = w.Unwrap()
 	}
+}
+
+// Root follows Unwrap to the innermost Querier — the substrate below
+// every middleware layer.
+func Root(q Querier) (root Querier) {
+	Walk(q, func(l Querier) bool {
+		root = l
+		return true
+	})
+	return root
 }
 
 // Counting wraps a Querier and counts issued queries — the paper's cost

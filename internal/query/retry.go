@@ -53,24 +53,16 @@ func WithRetry(q Querier, p RetryPolicy) Querier {
 		return q
 	}
 	r := &Retry{q: q, policy: p}
-	for walk := q; ; {
-		if rr, ok := walk.(*Retry); ok {
+	Walk(q, func(l Querier) bool {
+		if rr, ok := l.(*Retry); ok {
 			r.below = append(r.below, rr)
-		} else if sc, ok := walk.(interface{ Slots() int }); ok {
+		} else if sc, ok := l.(interface{ Slots() int }); ok {
 			// Keep walking: a deeper counter supersedes this one, so the
 			// binding lands on the substrate's own meter.
 			r.meter = sc
 		}
-		w, ok := walk.(Wrapper)
-		if !ok {
-			break
-		}
-		inner := w.Unwrap()
-		if inner == nil {
-			break
-		}
-		walk = inner
-	}
+		return true
+	})
 	return r
 }
 

@@ -203,18 +203,14 @@ type mediumQuerier struct {
 // meter.
 func (m *mediumQuerier) reset(inner query.Querier, r *run) {
 	*m = mediumQuerier{inner: inner, r: r}
-	for walk := inner; walk != nil; {
-		if sc, ok := walk.(interface{ Slots() int }); ok {
+	query.Walk(inner, func(l query.Querier) bool {
+		sc, ok := l.(interface{ Slots() int })
+		if ok {
 			m.meter = sc
 			m.last = sc.Slots()
-			break
 		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
+		return !ok
+	})
 }
 
 // Query implements query.Querier: park, wait for the grant, transmit.

@@ -303,20 +303,16 @@ type SpanQuerier struct {
 // NewSpanQuerier wraps q, emitting spans into b.
 func NewSpanQuerier(q query.Querier, b *Builder) *SpanQuerier {
 	sq := &SpanQuerier{q: q, b: b}
-	// Find the innermost slot meter so virtual time tracks the substrate's
-	// own cost accounting when it has one.
-	for walk := q; walk != nil; {
-		if sc, ok := walk.(slotCounter); ok {
+	// Bind the outermost slot meter so virtual time tracks the chain's own
+	// cost accounting when it has one.
+	query.Walk(q, func(l query.Querier) bool {
+		sc, ok := l.(slotCounter)
+		if ok {
 			sq.slots = sc
 			sq.lastSlots = sc.Slots()
-			break
 		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
+		return !ok
+	})
 	return sq
 }
 
@@ -402,18 +398,12 @@ func (s *SpanQuerier) EndSession(attrs ...Attr) {
 		IntAttr("nodes_polled", s.nodes),
 	)
 	s.session.SetAttr(attrs...)
-	for walk := query.Querier(s); walk != nil; {
-		if walk != query.Querier(s) {
-			if an, ok := walk.(Annotator); ok {
-				s.session.SetAttr(an.TraceAttrs()...)
-			}
+	query.Walk(s.q, func(l query.Querier) bool {
+		if an, ok := l.(Annotator); ok {
+			s.session.SetAttr(an.TraceAttrs()...)
 		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
+		return true
+	})
 	s.b.End()
 	s.session = nil
 }

@@ -25,11 +25,11 @@ import (
 	"fmt"
 	"sync"
 
-	"tcast/internal/bitset"
 	"tcast/internal/core"
 	"tcast/internal/count"
 	"tcast/internal/dist"
 	"tcast/internal/fastsim"
+	"tcast/internal/idset"
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
@@ -67,7 +67,7 @@ func ProbABNS() Algorithm { return core.ProbABNS{} }
 // interleaving decides which stream each one gets).
 type Network struct {
 	n         int
-	positives *bitset.Set
+	positives *idset.Dense
 	cfg       fastsim.Config
 
 	mu       sync.Mutex
@@ -132,7 +132,7 @@ func NewNetwork(n int, positives []int, opts ...Option) (*Network, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("tcast: negative network size %d", n)
 	}
-	nw := &Network{n: n, positives: bitset.New(n), cfg: fastsim.DefaultConfig(), root: rng.New(0)}
+	nw := &Network{n: n, positives: idset.NewDense(n), cfg: fastsim.DefaultConfig(), root: rng.New(0)}
 	for _, id := range positives {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("tcast: positive node %d outside [0,%d)", id, n)
