@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench-module bench tcastbench bench-smoke bench-obs bench-faults bench-scale bench-serve serve-smoke baseline figs lab cover fuzz clean
+.PHONY: all build test race lint unused bench-module bench tcastbench bench-smoke bench-obs bench-faults bench-scale bench-serve serve-smoke baseline figs lab cover fuzz clean
 
 all: build test
 
@@ -25,6 +25,11 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
 	fi
+
+# Exported declarations under internal/ that no program code references,
+# and exported struct fields no program code sets (CI runs it too).
+unused:
+	$(GO) run ./scripts/unused
 
 # bench/ is a separate Go module (`replace tcast => ../`) that the root
 # build never compiles: vet and test it on its own.
@@ -96,6 +101,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzRankedSelect -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzFormsAgree -fuzztime=30s ./internal/idset/
+	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzSerialDecode -fuzztime=30s ./internal/serial/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

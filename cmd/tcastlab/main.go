@@ -39,10 +39,14 @@ func main() {
 	var obsCfg obs.Config
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	// rng.Bernoulli clamps, so an out-of-range -miss would silently run a
-	// lossless or all-losing radio; NaN fails both comparisons.
+	// rng.Bernoulli clamps, so an out-of-range -miss or -badmiss would
+	// silently run a lossless or all-losing radio; NaN fails both
+	// comparisons.
 	if !(*miss >= 0 && *miss <= 1) {
 		fatal(fmt.Errorf("-miss %v outside [0, 1]", *miss))
+	}
+	if !(*badMiss >= 0 && *badMiss <= 1) {
+		fatal(fmt.Errorf("-badmiss %v outside [0, 1]", *badMiss))
 	}
 
 	var reg *metrics.Registry

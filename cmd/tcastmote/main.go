@@ -99,6 +99,11 @@ func runServer(addr string, participants int, miss float64, x int, seed uint64, 
 	if x < 0 || x > participants {
 		return fmt.Errorf("x=%d outside [0,%d]", x, participants)
 	}
+	// rng.Bernoulli clamps, so an out-of-range miss would silently run a
+	// lossless or all-losing radio; NaN fails both comparisons.
+	if !(miss >= 0 && miss <= 1) {
+		return fmt.Errorf("-miss %v outside [0, 1]", miss)
+	}
 	root := rng.New(seed)
 	var med radio.Channel = radio.NewMedium(radio.Config{MissProb: miss}, root.Split(1))
 	if fcfg.Active() {

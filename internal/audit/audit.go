@@ -83,21 +83,11 @@ func (c Class) String() string {
 	}
 }
 
-// Classify grades one response against ground truth. The soundness bounds
-// come from Response.MinPositives and Response.MaxPositives — the same
-// helpers Knowledge.Apply infers from — so the auditor and the initiator's
-// ledger can never disagree about what a response proves.
-func Classify(bin []int, r query.Response, traits query.Traits, truth Truth) Class {
-	k := 0
-	for _, id := range bin {
-		if truth.IsPositive(id) {
-			k++
-		}
-	}
-	return classify(bin, r, traits, truth, k)
-}
-
-// classify is Classify with the bin's true positive count precomputed.
+// classify grades one response against ground truth, given the bin's
+// true positive count k. The soundness bounds come from
+// Response.MinPositives and Response.MaxPositives — the same helpers
+// Knowledge.Apply infers from — so the auditor and the initiator's ledger
+// can never disagree about what a response proves.
 func classify(bin []int, r query.Response, traits query.Traits, truth Truth, k int) Class {
 	if r.Kind == query.Decoded {
 		member := false
@@ -236,7 +226,7 @@ type Verdict struct {
 	// Violations lists every Knowledge-invariant breach observed.
 	Violations []Violation
 	// Initiator and Nodes are the per-node channel-occupancy ledgers
-	// (see Verdict.Energy). Nodes is sparse: only nodes that appeared in
+	// (see Auditor.account). Nodes is sparse: only nodes that appeared in
 	// a polled bin carry an entry, and Nodes.At reports the zero ledger
 	// for the rest. It aliases the auditor's working account — read it
 	// before the auditor is Reset for the next session.
@@ -263,19 +253,11 @@ const (
 
 // Config configures an Auditor.
 type Config struct {
-	// Truth is the ground-truth oracle; nil discovers it from the
-	// substrate at the root of the wrapped querier chain.
-	Truth Truth
 	// N is the participant population {0..N-1} and T the session's
 	// threshold.
 	N, T int
 	// Metrics, when non-nil, receives the tcast_audit_* counters.
 	Metrics *metrics.Registry
-	// Lossless overrides substrate lossless detection: the Knowledge
-	// bound invariants (LowerBound ≤ true x ≤ UpperBound) are only
-	// checked on lossless substrates, where every response is sound by
-	// construction. Nil asks the substrate (its Lossless method).
-	Lossless *bool
 }
 
 // Auditor is the ground-truth grading middleware. Not safe for concurrent
@@ -304,10 +286,12 @@ type Auditor struct {
 	mViolations [NumInvariants]*metrics.Counter
 }
 
-// New wraps q with a ground-truth auditor. When cfg.Truth is nil the
-// substrate at the root of q's middleware chain must implement Truth;
-// likewise cfg.Lossless defaults to the substrate's own Lossless report
-// (false when it has none).
+// New wraps q with a ground-truth auditor. The substrate at the root of
+// q's middleware chain must implement Truth. The Knowledge bound
+// invariants (LowerBound ≤ true x ≤ UpperBound) are only checked when
+// the substrate reports itself lossless (its Lossless method) and no
+// layer above it reports loss, since only then is every response sound
+// by construction.
 func New(q query.Querier, cfg Config) (*Auditor, error) {
 	a := &Auditor{}
 	if err := a.Reset(q, cfg); err != nil {
@@ -330,18 +314,12 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 		return fmt.Errorf("audit: negative population n=%d or threshold t=%d", cfg.N, cfg.T)
 	}
 	root := query.Root(q)
-	truth := cfg.Truth
-	if truth == nil {
-		var ok bool
-		truth, ok = root.(Truth)
-		if !ok {
-			return fmt.Errorf("audit: substrate %T exposes no ground truth and none was supplied", root)
-		}
+	truth, ok := root.(Truth)
+	if !ok {
+		return fmt.Errorf("audit: substrate %T exposes no ground truth", root)
 	}
 	lossless := false
-	if cfg.Lossless != nil {
-		lossless = *cfg.Lossless
-	} else if _, ok := root.(interface{ Lossless() bool }); ok {
+	if _, ok := root.(interface{ Lossless() bool }); ok {
 		// The bound invariants need every layer sound, not just the
 		// substrate: a middleware that injects loss of its own (the
 		// faults injector) sits above a lossless medium, and grading

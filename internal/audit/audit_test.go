@@ -56,8 +56,14 @@ func TestClassify(t *testing.T) {
 		{"captured decode may hide positives", []int{0, 1}, query.Response{Kind: query.Decoded, DecodedID: 0}, twoplusCapture, ClassOK},
 	}
 	for _, c := range cases {
-		if got := Classify(c.bin, c.r, c.traits, truth); got != c.want {
-			t.Errorf("%s: Classify = %v, want %v", c.name, got, c.want)
+		k := 0
+		for _, id := range c.bin {
+			if truth.IsPositive(id) {
+				k++
+			}
+		}
+		if got := classify(c.bin, c.r, c.traits, truth, k); got != c.want {
+			t.Errorf("%s: classify = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -113,10 +119,6 @@ func TestAuditorGradesSession(t *testing.T) {
 	if v.Nodes.At(0) != (energy.SlotLedger{Rx: 1, Tx: 1}) || v.Nodes.At(3) != (energy.SlotLedger{Rx: 1, Idle: 1}) {
 		t.Fatalf("node ledgers = %+v", v.Nodes)
 	}
-	rep := v.Energy(energy.CC2420())
-	if rep.Initiator <= 0 || rep.PerNode[0] <= 0 {
-		t.Fatalf("energy report not positive: %+v", rep)
-	}
 
 	// The audit metrics partition the graded polls and sessions.
 	var classSum int64
@@ -134,8 +136,7 @@ func TestAuditorGradesSession(t *testing.T) {
 // TestAuditorInvariantViolations: a lying lossless substrate must trip the
 // Knowledge bound checks and the bin-subset check.
 func TestAuditorInvariantViolations(t *testing.T) {
-	yes := true
-	sub := &scripted{
+	sub := &losslessScripted{scripted{
 		truth:  map[int]bool{0: true},
 		traits: query.Traits{Model: query.TwoPlus},
 		resps: []query.Response{
@@ -143,13 +144,13 @@ func TestAuditorInvariantViolations(t *testing.T) {
 			{Kind: query.Empty},     // [1 2 3]: sound, but now UpperBound = 0 < x
 			{Kind: query.Collision}, // [1 2]: excluded nodes re-polled; LowerBound = 2 > x
 		},
-	}
-	aud, err := New(sub, Config{N: 4, T: 1, Lossless: &yes})
+	}}
+	aud, err := New(sub, Config{N: 4, T: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !aud.Lossless() {
-		t.Fatal("lossless override ignored")
+		t.Fatal("lossless substrate must enable the bound invariants")
 	}
 	aud.Query([]int{0})
 	aud.Query([]int{1, 2, 3})
@@ -255,15 +256,21 @@ func TestCollector(t *testing.T) {
 	}
 }
 
+// layer is a middleware over a substrate, standing in for the
+// observability and fault layers.
+type layer struct{ query.Querier }
+
+func (l layer) Unwrap() query.Querier { return l.Querier }
+
 func TestNewDiscoversNothing(t *testing.T) {
-	// A substrate with no ground truth must be rejected unless Truth is
-	// supplied explicitly.
-	q := &query.Counting{Q: &scripted{truth: map[int]bool{}, resps: []query.Response{{Kind: query.Empty}}}}
+	// The ground truth is found at the root of the middleware chain; a
+	// substrate with no ground truth must be rejected.
+	q := layer{&scripted{truth: map[int]bool{}, resps: []query.Response{{Kind: query.Empty}}}}
 	if _, err := New(q, Config{N: 2, T: 1}); err != nil {
 		t.Fatalf("discovery through Wrapper failed: %v", err)
 	}
 	type bare struct{ query.Querier }
-	if _, err := New(bare{&query.Counting{}}, Config{N: 2, T: 1}); err == nil {
+	if _, err := New(bare{&scripted{}}, Config{N: 2, T: 1}); err == nil {
 		t.Fatal("expected error for a substrate without ground truth")
 	}
 }

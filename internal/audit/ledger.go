@@ -1,16 +1,11 @@
 package audit
 
-import (
-	"tcast/internal/energy"
-	"tcast/internal/timing"
-)
-
 // This file is the channel-accounting half of the auditor: every poll is
 // charged to the nodes it occupied, in slots, from the auditor's
 // ground-truth vantage point. The analytical models in internal/energy
 // assume a schedule; the ledger instead bills what each radio actually did
 // in the audited session — which bins a node was polled in and whether it
-// truly replied — and energy.ObservedSession prices the slots.
+// truly replied — and energy.TcastSession prices the slots.
 
 // account charges one poll: the initiator broadcasts the poll (tx) and
 // listens through the reply window (rx); every bin member receives the
@@ -32,17 +27,4 @@ func (a *Auditor) account(bin []int) {
 			l.Idle++
 		}
 	}
-}
-
-// Energy prices the verdict's slot ledgers with the 802.15.4 air times:
-// poll frames on the downlink, ACK-length replies on the uplink, and the
-// reply window for idle listening. The initiator's tx slots are poll
-// broadcasts while a participant's are replies, so the two sides are
-// priced separately.
-func (v Verdict) Energy(m energy.Model) energy.Report {
-	pollAir := timing.FrameAirtime(3)
-	ackAir := timing.AckAirtime()
-	rep := energy.ObservedSession(m, ackAir, pollAir, ackAir, energy.SlotLedger{}, v.Nodes.Dense())
-	rep.Initiator = energy.ObservedSession(m, pollAir, ackAir, ackAir, v.Initiator, nil).Initiator
-	return rep
 }

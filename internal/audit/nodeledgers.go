@@ -1,11 +1,6 @@
 package audit
 
-import (
-	"sort"
-
-	"tcast/internal/energy"
-	"tcast/internal/sketch"
-)
+import "tcast/internal/energy"
 
 // NodeLedgers is the sparse per-node channel-occupancy account over a
 // population of N nodes. The dense predecessor allocated N ledgers up
@@ -15,8 +10,7 @@ import (
 // The store is generation-stamped: node ids map to stable slots in an
 // entry array through a persistent index that is never cleared, and each
 // entry carries the generation that last touched it. Reset is a
-// generation bump plus truncating the touched-slot list — no map clear,
-// no bucket churn — so a recycled auditor accounts sessions with zero
+// generation bump — no map clear, no bucket churn — so a recycled auditor accounts sessions with zero
 // steady-state allocations even when a round polls the whole field
 // (2tBins round 1 touches every candidate, which degenerates a
 // clear-and-refill map into O(N) overflow-bucket traffic per trial).
@@ -35,19 +29,12 @@ type NodeLedgers struct {
 	// entries holds one slot per node ever touched; a slot belongs to
 	// the current session iff its gen matches.
 	entries []nodeEntry
-	// touched lists the slots stamped this generation, in touch order.
-	touched []int32
 }
 
 type nodeEntry struct {
 	gen    uint64
 	id     int
 	ledger energy.SlotLedger
-}
-
-// newNodeLedgers returns an empty account over n nodes.
-func newNodeLedgers(n int) NodeLedgers {
-	return NodeLedgers{N: n, gen: 1, idx: map[int]int32{}}
 }
 
 // reset re-targets the account at a population of n. It invalidates all
@@ -59,7 +46,6 @@ func (nl *NodeLedgers) reset(n int) {
 	if nl.idx == nil {
 		nl.idx = map[int]int32{}
 	}
-	nl.touched = nl.touched[:0]
 }
 
 // ledgerFor returns a mutable ledger for node id, marking it touched in
@@ -76,7 +62,6 @@ func (nl *NodeLedgers) ledgerFor(id int) *energy.SlotLedger {
 	if e.gen != nl.gen {
 		e.gen = nl.gen
 		e.ledger = energy.SlotLedger{}
-		nl.touched = append(nl.touched, slot)
 	}
 	return &e.ledger
 }
@@ -87,72 +72,4 @@ func (nl NodeLedgers) At(id int) energy.SlotLedger {
 		return nl.entries[slot].ledger
 	}
 	return energy.SlotLedger{}
-}
-
-// Len returns the number of touched nodes.
-func (nl NodeLedgers) Len() int { return len(nl.touched) }
-
-// IDs returns the touched node ids in ascending order.
-func (nl NodeLedgers) IDs() []int {
-	return nl.AppendIDs(make([]int, 0, len(nl.touched)))
-}
-
-// AppendIDs appends the touched node ids to dst in ascending order and
-// returns the extended slice — the allocation-free form for pooled
-// report paths. The appended run matches the order every idset iterator
-// (AppendMembers, ForEach, the ranked snapshot) yields ids in, so audit
-// reports line up positionally with candidate-set walks at any scale.
-// Only the appended portion is sorted; dst's existing contents are
-// untouched.
-func (nl NodeLedgers) AppendIDs(dst []int) []int {
-	start := len(dst)
-	for _, slot := range nl.touched {
-		dst = append(dst, nl.entries[slot].id)
-	}
-	sort.Ints(dst[start:])
-	return dst
-}
-
-// Dense materializes the account as one ledger per node — the dense
-// shape energy.ObservedSession prices. It allocates O(N); call it only
-// on report paths, never per-trial.
-func (nl NodeLedgers) Dense() []energy.SlotLedger {
-	out := make([]energy.SlotLedger, nl.N)
-	for _, slot := range nl.touched {
-		e := nl.entries[slot]
-		if e.id >= 0 && e.id < nl.N {
-			out[e.id] = e.ledger
-		}
-	}
-	return out
-}
-
-// SlotSketch summarizes the population's per-node slot totals as a
-// mergeable quantile sketch: every touched node contributes its
-// rx+tx+idle slot count and the N-touched silent nodes contribute zeros,
-// so quantiles are over the whole field, not just the polled part.
-// Sketch bucket adds commute, so the summary is independent of touch
-// order — the same population always renders the same bytes.
-// Non-positive alpha selects sketch.DefaultAlpha.
-func (nl NodeLedgers) SlotSketch(alpha float64) *sketch.Quantile {
-	q := sketch.NewQuantile(alpha)
-	nl.SlotSketchInto(q)
-	return q
-}
-
-// SlotSketchInto folds the population's slot totals into an existing
-// sketch — the allocation-free form for pooled callers.
-func (nl NodeLedgers) SlotSketchInto(q *sketch.Quantile) {
-	counted := 0
-	for _, slot := range nl.touched {
-		e := nl.entries[slot]
-		if e.id < 0 || e.id >= nl.N {
-			continue
-		}
-		counted++
-		q.ObserveN(float64(e.ledger.Slots()), 1)
-	}
-	if silent := nl.N - counted; silent > 0 {
-		q.ObserveN(0, uint64(silent))
-	}
 }

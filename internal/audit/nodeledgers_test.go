@@ -1,14 +1,12 @@
 package audit
 
 import (
-	"reflect"
 	"testing"
 
 	"tcast/internal/energy"
 	"tcast/internal/fastsim"
 	"tcast/internal/query"
 	"tcast/internal/rng"
-	"tcast/internal/sketch"
 )
 
 func scriptedSession() *scripted {
@@ -24,9 +22,8 @@ func scriptedSession() *scripted {
 }
 
 // TestSparseLedgerMatchesDense pins the sparse account to the dense
-// semantics: At reports untouched nodes as zero ledgers, Dense
-// reconstructs exactly the array the old dense auditor built, and the
-// verdict's energy report is unchanged.
+// semantics: At reports exactly the ledgers the old dense auditor built,
+// and untouched nodes as zero ledgers.
 func TestSparseLedgerMatchesDense(t *testing.T) {
 	aud, err := New(scriptedSession(), Config{N: 6, T: 2})
 	if err != nil {
@@ -41,9 +38,6 @@ func TestSparseLedgerMatchesDense(t *testing.T) {
 		{Rx: 1, Tx: 1}, {Rx: 1, Tx: 1}, {Rx: 1, Tx: 1},
 		{Rx: 1, Idle: 1}, {Rx: 1, Idle: 1}, {Rx: 1, Idle: 1},
 	}
-	if got := v.Nodes.Dense(); !reflect.DeepEqual(got, wantDense) {
-		t.Fatalf("Dense() = %+v, want %+v", got, wantDense)
-	}
 	for id, want := range wantDense {
 		if got := v.Nodes.At(id); got != want {
 			t.Errorf("At(%d) = %+v, want %+v", id, got, want)
@@ -52,18 +46,11 @@ func TestSparseLedgerMatchesDense(t *testing.T) {
 	if got := v.Nodes.At(99); got != (energy.SlotLedger{}) {
 		t.Errorf("At(untouched) = %+v, want zero", got)
 	}
-	if ids := v.Nodes.IDs(); !reflect.DeepEqual(ids, []int{0, 1, 2, 3, 4, 5}) {
-		t.Errorf("IDs() = %v", ids)
-	}
-	rep := v.Energy(energy.CC2420())
-	if len(rep.PerNode) != 6 || rep.PerNode[0] <= 0 {
-		t.Fatalf("energy report: %+v", rep)
-	}
 }
 
 // TestAuditorResetEquivalence: a Reset-recycled auditor must grade a
 // session identically to a freshly constructed one — same verdict, same
-// ledgers, same sketch bytes.
+// ledgers.
 func TestAuditorResetEquivalence(t *testing.T) {
 	run := func(a *Auditor) Verdict {
 		for _, bin := range [][]int{{0, 1}, {2, 3}, {4, 5}} {
@@ -76,7 +63,6 @@ func TestAuditorResetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := run(fresh)
-	wantSketch := want.Nodes.SlotSketch(0.01).String()
 
 	pooled, err := New(scriptedSession(), Config{N: 9, T: 1})
 	if err != nil {
@@ -97,43 +83,10 @@ func TestAuditorResetEquivalence(t *testing.T) {
 	}
 	// The recycled store sits at a later generation and may hold stale
 	// slots from the dirty session, so compare observationally.
-	if !reflect.DeepEqual(got.Nodes.Dense(), want.Nodes.Dense()) {
-		t.Fatalf("recycled node account differs:\n got %+v\nwant %+v", got.Nodes.Dense(), want.Nodes.Dense())
-	}
-	if !reflect.DeepEqual(got.Nodes.IDs(), want.Nodes.IDs()) {
-		t.Fatalf("recycled touched set differs:\n got %v\nwant %v", got.Nodes.IDs(), want.Nodes.IDs())
-	}
-	if gotSketch := got.Nodes.SlotSketch(0.01).String(); gotSketch != wantSketch {
-		t.Fatalf("recycled population sketch differs:\n got %q\nwant %q", gotSketch, wantSketch)
-	}
-}
-
-// TestSlotSketchCoversPopulation: the population sketch summarizes all N
-// nodes — the touched ones by their slot totals, the silent majority as
-// zeros — in memory independent of N.
-func TestSlotSketchCoversPopulation(t *testing.T) {
-	nl := newNodeLedgers(1000)
-	*nl.ledgerFor(3) = energy.SlotLedger{Rx: 2, Tx: 1}
-	*nl.ledgerFor(700) = energy.SlotLedger{Rx: 4, Idle: 4}
-	q := nl.SlotSketch(0.01)
-	if q.Count() != 1000 {
-		t.Fatalf("sketch count %d, want 1000", q.Count())
-	}
-	if got := q.Value(0.5); got != 0 {
-		t.Errorf("median %v, want 0 (silent majority)", got)
-	}
-	if got := q.Value(1); got < 7.9 || got > 8.1 {
-		t.Errorf("max quantile %v, want ~8", got)
-	}
-	if q.Buckets() > 3 {
-		t.Errorf("buckets %d for 2 distinct totals + zeros", q.Buckets())
-	}
-	// SlotSketchInto folds into an existing sketch without allocating.
-	q2 := sketch.NewQuantile(0.01)
-	nl.SlotSketchInto(q2)
-	nl.SlotSketchInto(q2)
-	if q2.Count() != 2000 {
-		t.Fatalf("into-count %d, want 2000", q2.Count())
+	for id := 0; id < 9; id++ {
+		if g, w := got.Nodes.At(id), want.Nodes.At(id); g != w {
+			t.Fatalf("recycled node %d ledger %+v, want %+v", id, g, w)
+		}
 	}
 }
 

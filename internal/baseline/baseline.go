@@ -40,9 +40,6 @@ type Result struct {
 // one reply using slotted carrier sensing with binary exponential backoff.
 // The initiator stops as soon as it can answer the threshold question.
 type CSMA struct {
-	// CWMin and CWMax bound the contention window. Zero values default
-	// to 4 and 128.
-	CWMin, CWMax int
 	// GuardSlots selects the termination rule for the "x < t" side.
 	// Zero means idealized termination — the initiator magically knows
 	// when the last reply has arrived, the assumption most favorable to
@@ -62,26 +59,13 @@ type CSMA struct {
 	Drop func(slot int) bool
 }
 
-func (c CSMA) bounds() (cwMin, cwMax int) {
-	cwMin, cwMax = c.CWMin, c.CWMax
-	if cwMin <= 0 {
-		cwMin = 4
-	}
-	if cwMax < cwMin {
-		cwMax = 128
-	}
-	return cwMin, cwMax
-}
-
-// Name identifies the baseline in experiment output.
-func (c CSMA) Name() string { return "CSMA" }
+// cwMin and cwMax bound CSMA's contention window.
+const cwMin, cwMax = 4, 128
 
 // Run simulates one session: n participants of which x reply, threshold
 // t. Which nodes are positive does not matter to contention, only how
 // many.
 func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
-	cwMin, cwMax := c.bounds()
-
 	if t <= 0 {
 		return Result{Decision: true}
 	}
@@ -174,21 +158,7 @@ func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 // synchronized variant, which it notes "favors the sequential ordering
 // results"). Positive nodes reply in their slot; the initiator stops as
 // soon as the threshold question resolves.
-type Sequential struct {
-	// ContactNext selects the alternative implementation the paper
-	// sketches — the initiator polls each node and waits for its answer
-	// before contacting the next — which doubles the per-node cost but
-	// needs no time synchronization.
-	ContactNext bool
-}
-
-// Name identifies the baseline in experiment output.
-func (s Sequential) Name() string {
-	if s.ContactNext {
-		return "Sequential(contact-next)"
-	}
-	return "Sequential"
-}
+type Sequential struct{}
 
 // Run simulates one session over a uniformly random reply order.
 func (s Sequential) Run(n, t int, positives *idset.Dense, r *rng.Source) Result {
@@ -198,15 +168,11 @@ func (s Sequential) Run(n, t int, positives *idset.Dense, r *rng.Source) Result 
 	if t > n {
 		return Result{Decision: false}
 	}
-	perSlot := 1
-	if s.ContactNext {
-		perSlot = 2
-	}
 	order := r.Perm(n)
 	res := Result{Order: order}
 	heard := 0
 	for i, id := range order {
-		res.Slots += perSlot
+		res.Slots++
 		if positives.Contains(id) {
 			heard++
 			res.Delivered++

@@ -132,14 +132,6 @@ func TestCSMAGuardZeroPositivesCostsGuard(t *testing.T) {
 	}
 }
 
-func TestCSMACustomWindows(t *testing.T) {
-	r := rng.New(9)
-	res := CSMA{CWMin: 2, CWMax: 8}.Run(32, 32, 16, r)
-	if res.Delivered != 16 {
-		t.Fatalf("custom windows broke delivery: %+v", res)
-	}
-}
-
 func TestQuickCSMAIdealAlwaysCorrect(t *testing.T) {
 	f := func(seed uint64, nRaw, tRaw, xRaw uint8) bool {
 		n := int(nRaw%64) + 1
@@ -205,21 +197,6 @@ func TestSequentialLargeCostForSmallX(t *testing.T) {
 	}
 }
 
-func TestSequentialContactNextDoubles(t *testing.T) {
-	r1 := rng.New(14)
-	r2 := rng.New(14)
-	pos := full(64)
-	plain := Sequential{}.Run(64, 8, pos, r1)
-	contact := Sequential{ContactNext: true}.Run(64, 8, pos, r2)
-	if contact.Slots != 2*plain.Slots {
-		t.Fatalf("contact-next slots %d, want %d", contact.Slots, 2*plain.Slots)
-	}
-	if (Sequential{ContactNext: true}).Name() != "Sequential(contact-next)" ||
-		(Sequential{}).Name() != "Sequential" || (CSMA{}).Name() != "CSMA" {
-		t.Fatal("names wrong")
-	}
-}
-
 func TestSequentialTrivialThresholds(t *testing.T) {
 	r := rng.New(15)
 	if res := (Sequential{}).Run(8, 0, idset.NewDense(8), r); !res.Decision || res.Slots != 0 {
@@ -231,12 +208,12 @@ func TestSequentialTrivialThresholds(t *testing.T) {
 }
 
 func TestQuickSequentialAlwaysCorrect(t *testing.T) {
-	f := func(seed uint64, nRaw, tRaw, xRaw uint8, contact bool) bool {
+	f := func(seed uint64, nRaw, tRaw, xRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		th := int(tRaw) % (n + 2)
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		res := Sequential{ContactNext: contact}.Run(n, th, randomPositives(n, x, r), r)
+		res := Sequential{}.Run(n, th, randomPositives(n, x, r), r)
 		return res.Decision == (x >= th)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,8 +1,6 @@
 // Package binning implements the group-formation strategies the paper's
-// algorithms use: random equal-sized partitions (Algorithms 1-3),
-// per-node probabilistic sampling bins (Sections V-D and VI), and a
-// deterministic contiguous partition (the Aspnes et al. variant, kept for
-// ablation).
+// algorithms use: random equal-sized partitions (Algorithms 1-3) and
+// per-node probabilistic sampling bins (Sections V-D and VI).
 package binning
 
 import (
@@ -54,11 +52,10 @@ func (a *Arena) RandomPartition(members []int, b int, r *rng.Source) [][]int {
 	return bins
 }
 
-// shuffleMembers is the one shared draw loop behind every random
-// partition in this package — binning.RandomPartition, Arena pooling,
-// and the Streamer's shuffled mode all route through it, which is the
-// draw-order contract the pooled-vs-fresh and streamed-vs-materialized
-// property tests pin:
+// shuffleMembers is the draw loop behind every materialized random
+// partition in this package — binning.RandomPartition and Arena pooling
+// both route through it, which is the draw-order contract the
+// pooled-vs-fresh property tests pin:
 //
 //   - exactly max(0, len(members)-1) Intn draws are consumed — the
 //     Fisher-Yates sequence of rng.ShuffleInts, swap index i descending
@@ -96,29 +93,6 @@ func chunkBounds(n, b, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// DeterministicPartition splits members into b contiguous chunks without
-// shuffling — the deterministic distribution used in the companion
-// theoretical work. It panics if b <= 0.
-func DeterministicPartition(members []int, b int, r *rng.Source) [][]int {
-	if b <= 0 {
-		panic("binning: bin count must be positive")
-	}
-	n := len(members)
-	bins := make([][]int, b)
-	base := n / b
-	extra := n % b
-	pos := 0
-	for i := 0; i < b; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		bins[i] = members[pos : pos+size]
-		pos += size
-	}
-	return bins
-}
-
 // ProbabilisticBin draws one sampling bin: each member joins independently
 // with probability q. This is the probe of Section V-D (q = 2/t) and the
 // repeated sample of Section VI (q = 1/b).
@@ -136,19 +110,4 @@ func AppendProbabilisticBin(dst, members []int, q float64, r *rng.Source) []int 
 		}
 	}
 	return dst
-}
-
-// Strategy names a partition function so algorithm configs can select one.
-type Strategy func(members []int, b int, r *rng.Source) [][]int
-
-// NonEmpty filters a partition down to the bins that contain at least one
-// node, preserving order. Per Section IV-C, only these bins cost a query.
-func NonEmpty(bins [][]int) [][]int {
-	out := bins[:0:0]
-	for _, bin := range bins {
-		if len(bin) > 0 {
-			out = append(out, bin)
-		}
-	}
-	return out
 }

@@ -106,23 +106,6 @@ func TestRandomPartitionIsRandom(t *testing.T) {
 	}
 }
 
-func TestDeterministicPartition(t *testing.T) {
-	bins := DeterministicPartition(seq(10), 3, rng.New(1))
-	checkPartition(t, seq(10), bins, 3)
-	// Contiguity: each bin is a run of consecutive IDs.
-	want := [][]int{{0, 1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	for i := range want {
-		if len(bins[i]) != len(want[i]) {
-			t.Fatalf("bin %d = %v, want %v", i, bins[i], want[i])
-		}
-		for j := range want[i] {
-			if bins[i][j] != want[i][j] {
-				t.Fatalf("bin %d = %v, want %v", i, bins[i], want[i])
-			}
-		}
-	}
-}
-
 func TestProbabilisticBinEdges(t *testing.T) {
 	r := rng.New(4)
 	if got := ProbabilisticBin(seq(10), 0, r); len(got) != 0 {
@@ -159,43 +142,27 @@ func TestProbabilisticBinMembersValid(t *testing.T) {
 	}
 }
 
-func TestNonEmpty(t *testing.T) {
-	bins := [][]int{{1, 2}, {}, {3}, {}}
-	got := NonEmpty(bins)
-	if len(got) != 2 || got[0][0] != 1 || got[1][0] != 3 {
-		t.Fatalf("NonEmpty = %v", got)
-	}
-	if len(NonEmpty([][]int{{}, {}})) != 0 {
-		t.Fatal("all-empty input not filtered")
-	}
-}
-
-// TestQuickPartitionProperty: for random (n, b, seed), both strategies
-// produce exact partitions.
+// TestQuickPartitionProperty: for random (n, b, seed), RandomPartition
+// produces an exact partition.
 func TestQuickPartitionProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, bRaw uint8) bool {
 		n := int(nRaw % 100)
 		b := int(bRaw%32) + 1
 		r := rng.New(seed)
-		for _, strat := range []Strategy{RandomPartition, DeterministicPartition} {
-			bins := strat(seq(n), b, r)
-			if len(bins) != b {
-				return false
-			}
-			seen := make(map[int]bool)
-			for _, bin := range bins {
-				for _, id := range bin {
-					if id < 0 || id >= n || seen[id] {
-						return false
-					}
-					seen[id] = true
+		bins := RandomPartition(seq(n), b, r)
+		if len(bins) != b {
+			return false
+		}
+		seen := make(map[int]bool)
+		for _, bin := range bins {
+			for _, id := range bin {
+				if id < 0 || id >= n || seen[id] {
+					return false
 				}
-			}
-			if len(seen) != n {
-				return false
+				seen[id] = true
 			}
 		}
-		return true
+		return len(seen) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,50 +1,27 @@
 package binning
 
-import (
-	"math/bits"
-
-	"tcast/internal/rng"
-)
+import "math/bits"
 
 // Streamer yields a random equal-sized partition one bin at a time, so a
 // round over a million-candidate field never materializes the full
-// [][]int partition. It has two modes sharing the chunkBounds size rule:
+// [][]int partition. Bin sizes follow the same chunkBounds rule as
+// RandomPartition, but no member buffer exists at all: bin i is the
+// preimage of shuffled positions [lo, hi) under a keyed Feistel
+// permutation of [0, m), decoded on demand into the caller's buffer. One
+// uniform 64-bit key replaces the m-1 Fisher-Yates draws, so the cost per
+// round is O(|bin|) time and O(1) space regardless of m. The permutation
+// is uniform over a family of 4-round Feistel networks rather than over
+// all m! orderings — the paper's analysis only needs exchangeable
+// equal-sized bins, which the keyed network provides — and it is
+// invertible, so Place can answer "where did rank j land" in O(1), which
+// lets a caller find the bins of a few known members without decoding any
+// bin.
 //
-//   - Shuffled: the classic mode. The members are copied and shuffled
-//     through shuffleMembers — the same shared draw loop as
-//     RandomPartition — so for any (members, b, state of r) the streamed
-//     bins are bit-identical to RandomPartition's, just delivered one at
-//     a time from the arena-held buffer.
-//
-//   - Permuted: the sparse mode. No member buffer exists at all; bin i
-//     is the preimage of shuffled positions [lo, hi) under a keyed
-//     Feistel permutation of [0, m), decoded on demand into the caller's
-//     buffer. One uniform 64-bit key replaces the m-1 Fisher-Yates
-//     draws, so the cost per round is O(|bin|) time and O(1) space
-//     regardless of m. The permutation is uniform over a family of
-//     4-round Feistel networks rather than over all m! orderings — the
-//     paper's analysis only needs exchangeable equal-sized bins, which
-//     the keyed network provides — and it is invertible, so Place can
-//     answer "where did rank j land" in O(1), which lets a caller find
-//     the bins of a few known members without decoding any bin.
-//
-// The zero value is ready; Start* reinitializes in place. Not safe for
-// concurrent use.
+// The zero value is ready; StartPermuted reinitializes in place. Not safe
+// for concurrent use.
 type Streamer struct {
-	m, b     int
-	permuted bool
-	buf      []int // shuffled mode: the shuffled members
-	f        feistel
-}
-
-// StartShuffled begins streaming the partition RandomPartition(members,
-// b, r) would return, consuming the identical draw sequence.
-func (st *Streamer) StartShuffled(members []int, b int, r *rng.Source) {
-	if b <= 0 {
-		panic("binning: bin count must be positive")
-	}
-	st.m, st.b, st.permuted = len(members), b, false
-	st.buf = shuffleMembers(st.buf, members, r)
+	m, b int
+	f    feistel
 }
 
 // StartPermuted begins streaming a partition of the ranks [0, m) into b
@@ -58,7 +35,7 @@ func (st *Streamer) StartPermuted(m, b int, key uint64) {
 	if m < 0 {
 		panic("binning: negative member count")
 	}
-	st.m, st.b, st.permuted = m, b, true
+	st.m, st.b = m, b
 	st.f = newFeistel(m, key)
 }
 
@@ -74,15 +51,11 @@ func (st *Streamer) BinSize(i int) int {
 	return hi - lo
 }
 
-// AppendBin appends bin i's members (shuffled mode) or member ranks
-// (permuted mode) to dst and returns the extended slice. Bins stream in
-// any order, any number of times — the partition is a pure function of
-// the Start state.
+// AppendBin appends bin i's member ranks to dst and returns the extended
+// slice. Bins stream in any order, any number of times — the partition is
+// a pure function of the StartPermuted state.
 func (st *Streamer) AppendBin(i int, dst []int) []int {
 	lo, hi := chunkBounds(st.m, st.b, i)
-	if !st.permuted {
-		return append(dst, st.buf[lo:hi]...)
-	}
 	for p := lo; p < hi; p++ {
 		dst = append(dst, st.f.invert(p))
 	}
@@ -90,14 +63,10 @@ func (st *Streamer) AppendBin(i int, dst []int) []int {
 }
 
 // Place returns the bin that member rank j landed in and its position
-// in the partition (permuted mode only — the shuffled mode keeps no
-// inverse). Positions run through the bins in order, so bin i's members
-// are the ranks placed at positions lo..hi-1 of chunkBounds, and
+// in the partition. Positions run through the bins in order, so bin i's
+// members are the ranks placed at positions lo..hi-1 of chunkBounds, and
 // AppendBin lists them in ascending position order.
 func (st *Streamer) Place(j int) (bin, pos int) {
-	if !st.permuted {
-		panic("binning: Place requires permuted mode")
-	}
 	pos = st.f.apply(j)
 	base, extra := st.m/st.b, st.m%st.b
 	pivot := extra * (base + 1)

@@ -1,45 +1,6 @@
 package binning
 
-import (
-	"testing"
-
-	"tcast/internal/rng"
-)
-
-// TestStreamerShuffledMatchesRandomPartition is the acceptance property:
-// for every (n, b, seed) the shuffled streamer must yield bit-identical
-// bins to RandomPartition, because both route through the one shared
-// draw loop.
-func TestStreamerShuffledMatchesRandomPartition(t *testing.T) {
-	var st Streamer
-	var buf []int
-	for n := 0; n <= 40; n++ {
-		members := make([]int, n)
-		for i := range members {
-			members[i] = 3*i + 1 // non-contiguous ids, so order bugs show
-		}
-		for b := 1; b <= n+2; b++ {
-			for seed := uint64(0); seed < 5; seed++ {
-				want := RandomPartition(members, b, rng.New(seed))
-				st.StartShuffled(members, b, rng.New(seed))
-				if st.Bins() != len(want) || st.Members() != n {
-					t.Fatalf("n=%d b=%d: Bins=%d Members=%d", n, b, st.Bins(), st.Members())
-				}
-				for i, wbin := range want {
-					if got := st.BinSize(i); got != len(wbin) {
-						t.Fatalf("n=%d b=%d seed=%d bin %d: size %d want %d", n, b, seed, i, got, len(wbin))
-					}
-					buf = st.AppendBin(i, buf[:0])
-					for j := range wbin {
-						if buf[j] != wbin[j] {
-							t.Fatalf("n=%d b=%d seed=%d bin %d: %v want %v", n, b, seed, i, buf, wbin)
-						}
-					}
-				}
-			}
-		}
-	}
-}
+import "testing"
 
 // TestStreamerPermutedIsPartition: the permuted mode must yield a valid
 // exact-size partition of the ranks [0, m) — every rank exactly once,

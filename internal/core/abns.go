@@ -60,16 +60,10 @@ type ABNS struct {
 	// P0 is the initial estimate p₀ as a multiple of t; the paper
 	// evaluates P0 = 1 (p₀ = t) and P0 = 2 (p₀ = 2t). Zero means 2.
 	P0 float64
-	// Label overrides the algorithm name in experiment output.
-	Label    string
-	Strategy binning.Strategy
 }
 
 // Name implements Algorithm.
 func (a ABNS) Name() string {
-	if a.Label != "" {
-		return a.Label
-	}
 	switch a.p0Mult() {
 	case 1:
 		return "ABNS(p0=t)"
@@ -97,7 +91,7 @@ func (a ABNS) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Result
 	if err := validate(n, t); err != nil {
 		return Result{}, err
 	}
-	s := newSession(ar, q, n, t, r, a.Strategy)
+	s := newSession(ar, q, n, t, r)
 	return a.runSession(s, a.p0Mult()*float64(t))
 }
 
@@ -127,9 +121,7 @@ func (a ABNS) runSession(s *session, p0 float64) (Result, error) {
 // implies x < t/2 with high probability, so ABNS starts with the small
 // estimate p₀ = t/4, while a non-empty probe hands the session to plain
 // 2tBins, which is near-oracle for x > t/2.
-type ProbABNS struct {
-	Strategy binning.Strategy
-}
+type ProbABNS struct{}
 
 // Name implements Algorithm.
 func (a ProbABNS) Name() string { return "ProbABNS" }
@@ -144,7 +136,7 @@ func (a ProbABNS) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Re
 	if err := validate(n, t); err != nil {
 		return Result{}, err
 	}
-	s := newSession(ar, q, n, t, r, a.Strategy)
+	s := newSession(ar, q, n, t, r)
 	if _, decided := s.decision(); decided {
 		return s.finish(), nil
 	}
@@ -163,7 +155,7 @@ func (a ProbABNS) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Re
 			}
 			if resp.Kind == query.Empty {
 				// Likely x < t/2: run ABNS from p0 = t/4.
-				return ABNS{Strategy: a.Strategy}.runSession(s, float64(t)/4)
+				return ABNS{}.runSession(s, float64(t)/4)
 			}
 		}
 	}

@@ -81,9 +81,6 @@ func TestABNSNames(t *testing.T) {
 	if (ABNS{P0: 3}).Name() != "ABNS" {
 		t.Error("generic name wrong")
 	}
-	if (ABNS{P0: 1, Label: "custom"}).Name() != "custom" {
-		t.Error("label override ignored")
-	}
 }
 
 func TestABNSSmallP0CheapForSmallX(t *testing.T) {

@@ -70,13 +70,12 @@ type Arena struct {
 // newSession returns a session over participants {0..n-1} with threshold
 // t, drawing its state from the arena when one is supplied (a nil arena
 // allocates fresh state, preserving Run's historical behaviour).
-func newSession(a *Arena, q query.Querier, n, t int, r *rng.Source, strategy binning.Strategy) *session {
+func newSession(a *Arena, q query.Querier, n, t int, r *rng.Source) *session {
 	// Fields at or above the sparse cutover stream their rounds instead
-	// of materializing partitions; a custom strategy keeps the classic
-	// materialized path, since Strategy's contract is a [][]int.
-	streamed := strategy == nil && n >= idset.SparseCutover
+	// of materializing partitions.
+	streamed := n >= idset.SparseCutover
 	if a == nil {
-		return &session{q: q, k: query.NewKnowledge(n, t), r: r, custom: strategy, streamed: streamed}
+		return &session{q: q, k: query.NewKnowledge(n, t), r: r, streamed: streamed}
 	}
 	if a.k == nil {
 		a.k = query.NewKnowledge(n, t)
@@ -84,7 +83,7 @@ func newSession(a *Arena, q query.Querier, n, t int, r *rng.Source, strategy bin
 		a.k.Reset(n, t)
 	}
 	s := &a.sess
-	s.q, s.k, s.r, s.custom = q, a.k, r, strategy
+	s.q, s.k, s.r = q, a.k, r
 	s.streamed = streamed
 	s.res = Result{}
 	return s
@@ -95,10 +94,9 @@ type session struct {
 	q query.Querier
 	k *query.Knowledge
 	r *rng.Source
-	// custom is a caller-supplied partition strategy; nil selects the
-	// default random equal-sized partition on a zero-allocation fast
-	// path (scratch and the partition arena are reused across rounds).
-	custom  binning.Strategy
+	// scratch holds the candidates' member list and arena the random
+	// equal-sized partition, both reused across rounds so a
+	// materialized round allocates nothing.
 	scratch []int
 	arena   binning.Arena
 	// probeBuf is ProbABNS's reused probabilistic-bin buffer.
@@ -135,16 +133,13 @@ type StreamedQuerier interface {
 }
 
 // partition splits the current candidates into b bins, returning only the
-// bins that contain nodes. The default path shuffles the members into the
-// session's partition arena, drawing exactly the same random sequence as
+// bins that contain nodes. It shuffles the members into the session's
+// partition arena, drawing exactly the same random sequence as
 // binning.RandomPartition; callers clamp b to the candidate count, so
 // every returned bin is non-empty.
 func (s *session) partition(b int) [][]int {
 	s.scratch = s.k.Candidates.AppendMembers(s.scratch[:0])
 	members := s.scratch
-	if s.custom != nil {
-		return binning.NonEmpty(s.custom(members, b, s.r))
-	}
 	bins := s.arena.RandomPartition(members, b, s.r)
 	// Node-less bins are never polled (Section IV-C); RandomPartition
 	// puts them last, so the non-empty bins are a prefix.
@@ -174,9 +169,9 @@ type roundOutcome struct {
 	decided   bool
 }
 
-// runRound partitions the current candidates into b bins with the
-// session's strategy and polls them in order, stopping early the moment
-// the threshold question resolves (Algorithm 1 lines 11 and 14).
+// runRound partitions the current candidates into b random equal-sized
+// bins and polls them in order, stopping early the moment the threshold
+// question resolves (Algorithm 1 lines 11 and 14).
 func (s *session) runRound(b int) roundOutcome {
 	s.res.Rounds++
 	// Round boundary hook for structured tracing: queriers that implement

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"tcast/internal/binning"
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
@@ -41,8 +40,7 @@ func OracleBins(n, t, x int) float64 {
 // plot. Truth must describe the same ground truth the Querier answers
 // from.
 type Oracle struct {
-	Truth    GroundTruth
-	Strategy binning.Strategy
+	Truth GroundTruth
 }
 
 // Name implements Algorithm.
@@ -58,7 +56,7 @@ func (a Oracle) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Resu
 	if err := validate(n, t); err != nil {
 		return Result{}, err
 	}
-	s := newSession(ar, q, n, t, r, a.Strategy)
+	s := newSession(ar, q, n, t, r)
 	return s.runWithPolicy(func(round int, prev roundOutcome) int {
 		// Count the positives still hiding among the candidates and
 		// the threshold still to be proven. The members land in the

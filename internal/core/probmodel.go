@@ -111,10 +111,6 @@ func NewBimodalDetectorDelta(tl, tr float64, delta float64) BimodalDetector {
 	return NewBimodalDetector(tl, tr, RequiredRepeatsPaper(delta, eps))
 }
 
-// Gap returns Δ/r = p_high − p_low, the per-query separation between the
-// hypotheses.
-func (d BimodalDetector) Gap() float64 { return d.PHigh - d.PLow }
-
 // Detect runs the R probes over the given participants and reports whether
 // activity (the high mode) is detected, plus the number of queries spent.
 // Probes that sample no nodes still consume a query: the initiator cannot

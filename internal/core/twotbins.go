@@ -1,7 +1,6 @@
 package core
 
 import (
-	"tcast/internal/binning"
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
@@ -11,12 +10,7 @@ import (
 // discarded; the round guarantees either t non-empty bins (threshold
 // reached) or at least t silent bins (candidate set at least halved), so
 // the query cost is bounded by 2t·log(N/2t) in the worst case.
-type TwoTBins struct {
-	// Strategy selects the partition; nil means random equal-sized bins
-	// as in the paper (the deterministic variant of [4] is available for
-	// ablation).
-	Strategy binning.Strategy
-}
+type TwoTBins struct{}
 
 // Name implements Algorithm.
 func (a TwoTBins) Name() string { return "2tBins" }
@@ -31,7 +25,7 @@ func (a TwoTBins) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Re
 	if err := validate(n, t); err != nil {
 		return Result{}, err
 	}
-	s := newSession(ar, q, n, t, r, a.Strategy)
+	s := newSession(ar, q, n, t, r)
 	return s.runWithPolicy(func(round int, prev roundOutcome) int {
 		return 2 * t
 	})
@@ -74,13 +68,13 @@ func (v ExpVariant) String() string {
 // experimental variants are selectable for ablation; Section IV-B reports
 // "neither of them gave a consistent improvement".
 type ExpIncrease struct {
-	Variant  ExpVariant
-	Strategy binning.Strategy
-	// PauseFraction is the candidate-elimination fraction above which
-	// the pause-and-continue variant keeps the current bin count.
-	// Zero means 0.5 (at least half the candidates eliminated).
-	PauseFraction float64
+	Variant ExpVariant
 }
+
+// pauseFraction is the candidate-elimination fraction above which the
+// pause-and-continue variant keeps the current bin count: at least half
+// the candidates eliminated.
+const pauseFraction = 0.5
 
 // Name implements Algorithm.
 func (a ExpIncrease) Name() string {
@@ -100,11 +94,7 @@ func (a ExpIncrease) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) 
 	if err := validate(n, t); err != nil {
 		return Result{}, err
 	}
-	pause := a.PauseFraction
-	if pause == 0 {
-		pause = 0.5
-	}
-	s := newSession(ar, q, n, t, r, a.Strategy)
+	s := newSession(ar, q, n, t, r)
 	binNum := 2
 	candidatesBefore := n
 	return s.runWithPolicy(func(round int, prev roundOutcome) int {
@@ -115,7 +105,7 @@ func (a ExpIncrease) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) 
 		case ExpPauseAndContinue:
 			now := s.k.Candidates.Len()
 			eliminated := candidatesBefore - now
-			if float64(eliminated) < pause*float64(candidatesBefore) {
+			if float64(eliminated) < pauseFraction*float64(candidatesBefore) {
 				binNum *= 2
 			}
 			candidatesBefore = now

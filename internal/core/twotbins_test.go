@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tcast/internal/binning"
@@ -69,25 +70,34 @@ func TestTwoTBinsTwoPlusGainAtTMinus1(t *testing.T) {
 }
 
 func TestDefaultPathMatchesRandomPartition(t *testing.T) {
-	// The allocation-free default partition draws exactly the same
-	// random sequence as binning.RandomPartition, so both paths must
-	// produce identical sessions for identical seeds.
-	for _, x := range []int{0, 3, 16, 40, 128} {
+	// The session's allocation-free partition draws exactly the same
+	// random sequence as binning.RandomPartition: round after round on
+	// one source, both give the same bins and leave the source in the
+	// same state.
+	for _, removed := range []int{0, 3, 40, 120} {
 		for seed := uint64(0); seed < 5; seed++ {
-			fast := runOne(t, plain(TwoTBins{}), 128, 16, x, onePlus(), seed)
-			slow := runOne(t, plain(TwoTBins{Strategy: binning.RandomPartition}), 128, 16, x, onePlus(), seed)
-			if fast != slow {
-				t.Fatalf("x=%d seed=%d: fast path %+v != strategy path %+v", x, seed, fast, slow)
+			s := newSession(nil, nil, 128, 16, rng.New(seed))
+			for id := 0; id < removed; id++ {
+				s.k.Candidates.Remove(id * 128 / (removed + 1))
+			}
+			ref := rng.New(seed)
+			for _, b := range []int{2, 16, 32, 128} {
+				b = min(b, s.k.Candidates.Len())
+				want := binning.RandomPartition(s.k.Candidates.Members(), b, ref)
+				got := s.partition(b)
+				if len(got) != len(want) {
+					t.Fatalf("removed=%d seed=%d b=%d: %d bins, want %d", removed, seed, b, len(got), len(want))
+				}
+				for i := range got {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("removed=%d seed=%d b=%d bin %d: %v, want %v", removed, seed, b, i, got[i], want[i])
+					}
+				}
+			}
+			if s.r.Uint64() != ref.Uint64() {
+				t.Fatalf("removed=%d seed=%d: sources diverged", removed, seed)
 			}
 		}
-	}
-}
-
-func TestTwoTBinsDeterministicStrategy(t *testing.T) {
-	// The Aspnes-style deterministic partition must stay correct.
-	alg := TwoTBins{Strategy: binning.DeterministicPartition}
-	for _, x := range []int{0, 5, 16, 40} {
-		checkCorrect(t, plain(alg), 64, 8, x, onePlus(), uint64(40+x))
 	}
 }
 

@@ -12,38 +12,6 @@ import (
 	"tcast/internal/rng"
 )
 
-// Sampler draws integer positive-node counts in [0, n].
-type Sampler interface {
-	// Sample returns a positive-node count using r for randomness.
-	Sample(r *rng.Source) int
-}
-
-// Fixed always returns the same count. It models the paper's deterministic
-// sweeps where x is the independent variable.
-type Fixed int
-
-// Sample implements Sampler.
-func (f Fixed) Sample(*rng.Source) int { return int(f) }
-
-// Normal is a normal distribution over counts, discretized by rounding and
-// clamped to [Min, Max].
-type Normal struct {
-	Mu, Sigma float64
-	Min, Max  int
-}
-
-// Sample implements Sampler.
-func (d Normal) Sample(r *rng.Source) int {
-	v := int(math.Round(r.Normal(d.Mu, d.Sigma)))
-	if v < d.Min {
-		v = d.Min
-	}
-	if v > d.Max {
-		v = d.Max
-	}
-	return v
-}
-
 // Bimodal is the Section VI mixture: with probability WQuiet the count is
 // drawn from the "quiet" mode N(Mu1, Sigma1²) (false positives only), and
 // otherwise from the "activity" mode N(Mu2, Sigma2²). Samples are clamped
@@ -71,7 +39,7 @@ func SymmetricBimodal(n int, d, sigma float64) Bimodal {
 	}
 }
 
-// Sample implements Sampler.
+// Sample draws a positive-node count.
 func (d Bimodal) Sample(r *rng.Source) int {
 	var v float64
 	if r.Bernoulli(d.WQuiet) {
@@ -114,13 +82,6 @@ func (d Bimodal) SampleLabeled(r *rng.Source) (count int, quiet bool) {
 // t_l = μ1 + 2σ1 and t_r = μ2 − 2σ2.
 func (d Bimodal) Boundaries() (tl, tr float64) {
 	return d.Mu1 + 2*d.Sigma1, d.Mu2 - 2*d.Sigma2
-}
-
-// Separation reports whether the two modes are "totally separated" in the
-// paper's sense, i.e. t_l < t_r.
-func (d Bimodal) Separated() bool {
-	tl, tr := d.Boundaries()
-	return tl < tr
 }
 
 // Histogram counts integer samples into unit-width buckets over [0, n].

@@ -8,39 +8,6 @@ import (
 	"tcast/internal/rng"
 )
 
-func TestFixed(t *testing.T) {
-	r := rng.New(1)
-	for i := 0; i < 10; i++ {
-		if got := Fixed(7).Sample(r); got != 7 {
-			t.Fatalf("Fixed(7).Sample = %d", got)
-		}
-	}
-}
-
-func TestNormalClamped(t *testing.T) {
-	r := rng.New(2)
-	d := Normal{Mu: 5, Sigma: 100, Min: 0, Max: 10}
-	for i := 0; i < 1000; i++ {
-		v := d.Sample(r)
-		if v < 0 || v > 10 {
-			t.Fatalf("sample %d out of clamp range", v)
-		}
-	}
-}
-
-func TestNormalMean(t *testing.T) {
-	r := rng.New(3)
-	d := Normal{Mu: 50, Sigma: 5, Min: 0, Max: 100}
-	sum := 0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += d.Sample(r)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-50) > 0.2 {
-		t.Fatalf("mean = %v, want ~50", mean)
-	}
-}
-
 func TestBimodalModes(t *testing.T) {
 	r := rng.New(4)
 	d := SymmetricBimodal(128, 32, 0) // modes at 32 and 96
@@ -103,13 +70,6 @@ func TestBoundaries(t *testing.T) {
 	tl, tr := d.Boundaries()
 	if tl != 20 || tr != 88 {
 		t.Fatalf("Boundaries = (%v, %v), want (20, 88)", tl, tr)
-	}
-	if !d.Separated() {
-		t.Fatal("clearly separated distribution reported unseparated")
-	}
-	overlap := Bimodal{Mu1: 60, Sigma1: 10, Mu2: 68, Sigma2: 10, WQuiet: 0.5, N: 128}
-	if overlap.Separated() {
-		t.Fatal("overlapping distribution reported separated")
 	}
 }
 

@@ -55,30 +55,9 @@ func (r Report) MeanNode() float64 {
 	return total / float64(len(r.PerNode))
 }
 
-// MaxNode returns the largest participant energy.
-func (r Report) MaxNode() float64 {
-	max := 0.0
-	for _, e := range r.PerNode {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// Total returns the whole network's energy including the initiator.
-func (r Report) Total() float64 {
-	total := r.Initiator
-	for _, e := range r.PerNode {
-		total += e
-	}
-	return total
-}
-
 // SlotLedger counts one node's radio states over a session, in slots. The
 // audit layer fills one ledger per node from the polls it actually
-// observed; ObservedSession then prices the slots, replacing the analytical
-// session models below with measured occupancy.
+// observed; TcastSession then prices the slots with measured occupancy.
 type SlotLedger struct {
 	// Tx counts slots spent transmitting (polls for the initiator,
 	// replies for positive bin members).
@@ -89,33 +68,8 @@ type SlotLedger struct {
 	Idle int
 }
 
-// Add accumulates another ledger into l.
-func (l *SlotLedger) Add(o SlotLedger) {
-	l.Rx += o.Rx
-	l.Tx += o.Tx
-	l.Idle += o.Idle
-}
-
 // Slots returns the total accounted slots.
 func (l SlotLedger) Slots() int { return l.Rx + l.Tx + l.Idle }
-
-// ObservedSession prices per-node slot ledgers into an energy Report. The
-// caller supplies the per-slot durations for each radio state — typically
-// timing.FrameAirtime for rx/tx and a backoff slot for idle listening — so
-// the bill reflects what each node's radio actually did, not the analytical
-// schedule the session models above assume.
-func ObservedSession(m Model, txAir, rxAir, idleAir time.Duration, initiator SlotLedger, nodes []SlotLedger) Report {
-	bill := func(l SlotLedger) float64 {
-		return m.millijoules(time.Duration(l.Tx)*txAir, m.TxmA) +
-			m.millijoules(time.Duration(l.Rx)*rxAir, m.RxmA) +
-			m.millijoules(time.Duration(l.Idle)*idleAir, m.IdlemA)
-	}
-	rep := Report{Initiator: bill(initiator), PerNode: make([]float64, len(nodes))}
-	for i, l := range nodes {
-		rep.PerNode[i] = bill(l)
-	}
-	return rep
-}
 
 // TcastSession prices one tcast-over-backcast session of the given rounds
 // and polls over n participants. node reports each participant's slot

@@ -44,21 +44,3 @@ func JSON(t *stats.Table) (string, error) {
 	}
 	return string(b) + "\n", nil
 }
-
-// ParseJSON loads a table previously serialized with JSON — used by tests
-// and by tools that post-process stored results.
-func ParseJSON(data []byte) (*stats.Table, error) {
-	var in jsonTable
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{Title: in.Title, XLabel: in.XLabel, YLabel: in.YLabel}
-	for _, js := range in.Series {
-		s := &stats.Series{Name: js.Name}
-		for _, p := range js.Points {
-			s.Append(stats.Point{X: p.X, Y: p.Y, Err: p.Err, N: p.N})
-		}
-		t.Add(s)
-	}
-	return t, nil
-}

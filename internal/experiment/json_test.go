@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -11,8 +12,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJSON([]byte(out))
-	if err != nil {
+	var back jsonTable
+	if err := json.Unmarshal([]byte(out), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Title != tab.Title || back.XLabel != tab.XLabel || back.YLabel != tab.YLabel {
@@ -27,8 +28,8 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("series %d mismatched", i)
 		}
 		for j, p := range s.Points {
-			if bs.Points[j] != p {
-				t.Fatalf("point %d/%d = %+v, want %+v", i, j, bs.Points[j], p)
+			if bp := bs.Points[j]; bp != (jsonPoint{X: p.X, Y: p.Y, Err: p.Err, N: p.N}) {
+				t.Fatalf("point %d/%d = %+v, want %+v", i, j, bp, p)
 			}
 		}
 	}
@@ -46,11 +47,5 @@ func TestJSONSchemaFields(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Error("no trailing newline")
-	}
-}
-
-func TestParseJSONRejectsGarbage(t *testing.T) {
-	if _, err := ParseJSON([]byte("{nope")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -51,18 +51,6 @@ func Grid(cols, rows int, spacing, radioRange float64) (*Deployment, error) {
 	return New(pos, radioRange)
 }
 
-// Random places n nodes uniformly at random on a w×h area.
-func Random(n int, w, h, radioRange float64, r *rng.Source) (*Deployment, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("field: non-positive node count %d", n)
-	}
-	pos := make([]Point, n)
-	for i := range pos {
-		pos[i] = Point{X: r.Float64() * w, Y: r.Float64() * h}
-	}
-	return New(pos, radioRange)
-}
-
 // New builds a deployment from explicit positions.
 func New(pos []Point, radioRange float64) (*Deployment, error) {
 	if radioRange <= 0 {
@@ -86,11 +74,6 @@ func (d *Deployment) N() int { return len(d.Pos) }
 
 // Neighbors returns the nodes within radio range of i (excluding i).
 func (d *Deployment) Neighbors(i int) []int { return d.adj[i] }
-
-// InRange reports whether i and j can hear each other.
-func (d *Deployment) InRange(i, j int) bool {
-	return i != j && d.Pos[i].Dist(d.Pos[j]) <= d.Range
-}
 
 // NodesWithin returns the nodes whose positions lie within radius of p —
 // the sensing footprint of an event at p.
@@ -152,17 +135,6 @@ func (d *Deployment) BFSTree(sink int) (*Tree, error) {
 		}
 	}
 	return t, nil
-}
-
-// PathToSink returns the hop sequence from a node to the sink, inclusive
-// of both endpoints.
-func (t *Tree) PathToSink(from int) []int {
-	path := []int{from}
-	for from != t.Sink {
-		from = t.Parent[from]
-		path = append(path, from)
-	}
-	return path
 }
 
 // Convergecast delivers reports hop by hop up the tree with per-hop loss

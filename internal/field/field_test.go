@@ -51,20 +51,6 @@ func TestGridAdjacency(t *testing.T) {
 	}
 }
 
-func TestInRangeSymmetric(t *testing.T) {
-	d := mustGrid(t, 4, 4, 10, 12)
-	for i := 0; i < d.N(); i++ {
-		if d.InRange(i, i) {
-			t.Fatal("node in range of itself")
-		}
-		for j := 0; j < d.N(); j++ {
-			if d.InRange(i, j) != d.InRange(j, i) {
-				t.Fatalf("asymmetric range between %d and %d", i, j)
-			}
-		}
-	}
-}
-
 func TestNodesWithin(t *testing.T) {
 	d := mustGrid(t, 3, 3, 10, 10)
 	got := d.NodesWithin(Point{X: 10, Y: 10}, 10.5)
@@ -104,7 +90,7 @@ func TestBFSTreeProperties(t *testing.T) {
 		if p < 0 {
 			t.Fatalf("node %d unparented", i)
 		}
-		if !d.InRange(i, p) {
+		if d.Pos[i].Dist(d.Pos[p]) > d.Range {
 			t.Fatalf("node %d's parent %d out of radio range", i, p)
 		}
 		if tree.Depth[i] != tree.Depth[p]+1 {
@@ -128,27 +114,6 @@ func TestBFSTreeDisconnected(t *testing.T) {
 	}
 	if _, err := d.BFSTree(9); err == nil {
 		t.Fatal("out-of-range sink accepted")
-	}
-}
-
-func TestPathToSink(t *testing.T) {
-	d := mustGrid(t, 4, 1, 10, 10) // a line
-	tree, err := d.BFSTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := tree.PathToSink(3)
-	want := []int{3, 2, 1, 0}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if p := tree.PathToSink(0); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("sink path = %v", p)
 	}
 }
 
@@ -204,26 +169,8 @@ func TestDeliverCanFail(t *testing.T) {
 	}
 }
 
-func TestRandomDeployment(t *testing.T) {
-	d, err := Random(50, 100, 100, 25, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 50 {
-		t.Fatalf("N = %d", d.N())
-	}
-	for i, p := range d.Pos {
-		if p.X < 0 || p.X > 100 || p.Y < 0 || p.Y > 100 {
-			t.Fatalf("node %d at %+v outside area", i, p)
-		}
-	}
-	if _, err := Random(0, 10, 10, 5, rng.New(5)); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-}
-
-// TestQuickTreePaths: every node's path ends at the sink with length
-// depth+1 and consecutive hops in radio range.
+// TestQuickTreePaths: every node's parent chain reaches the sink in depth
+// hops, each hop in radio range.
 func TestQuickTreePaths(t *testing.T) {
 	f := func(seed uint64, colsRaw, rowsRaw uint8) bool {
 		cols := int(colsRaw%6) + 1
@@ -241,14 +188,16 @@ func TestQuickTreePaths(t *testing.T) {
 			return false
 		}
 		for i := 0; i < d.N(); i++ {
-			path := tree.PathToSink(i)
-			if len(path) != tree.Depth[i]+1 || path[len(path)-1] != sink {
-				return false
-			}
-			for h := 1; h < len(path); h++ {
-				if !d.InRange(path[h-1], path[h]) {
+			hops := 0
+			for u := i; u != sink; u = tree.Parent[u] {
+				p := tree.Parent[u]
+				if p < 0 || hops > d.N() || d.Pos[u].Dist(d.Pos[p]) > d.Range {
 					return false
 				}
+				hops++
+			}
+			if hops != tree.Depth[i] {
+				return false
 			}
 		}
 		return true

@@ -1,6 +1,6 @@
 // Package idset provides the ID-set substrate the query layers share: a
-// set of node identifiers in [0, n) behind one small interface, with two
-// interchangeable representations.
+// set of node identifiers in [0, n) with two interchangeable
+// representations behind the same methods.
 //
 // The dense form is a bitset word array — the right shape for the paper's
 // own populations (hundreds of nodes), where whole-set sweeps and
@@ -40,25 +40,6 @@ const (
 	// only compacts after eliminating ≥ 75% of a cutover-sized field.
 	compactLimit = 4096
 )
-
-// Set is the representation-agnostic contract shared by both forms.
-// Members are integers in [0, Cap()); enumeration is always ascending.
-type Set interface {
-	// Cap returns the universe size n the set ranges over.
-	Cap() int
-	// Len returns the number of members.
-	Len() int
-	// Contains reports membership; out-of-range ids are simply absent.
-	Contains(id int) bool
-	// Add inserts id (a no-op when present). It panics out of range.
-	Add(id int)
-	// Remove deletes id (a no-op when absent).
-	Remove(id int)
-	// AppendMembers appends the members in ascending order to dst.
-	AppendMembers(dst []int) []int
-	// ForEach calls f for every member in ascending order.
-	ForEach(f func(id int))
-}
 
 // Dense is the word-array form: bit b of words[w] is member w*64+b. The
 // zero value is an empty set over the empty universe; Reset re-targets it.
@@ -156,9 +137,7 @@ func (d *Dense) Members() []int {
 }
 
 // AppendMembers appends the members in ascending order to dst; hot loops
-// pass a reused buffer. The word loop is open-coded rather than built on
-// ForEach: a closure appending to dst captures the slice by reference and
-// forces a heap allocation per call.
+// pass a reused buffer.
 func (d *Dense) AppendMembers(dst []int) []int {
 	for w, word := range d.words {
 		for word != 0 {
@@ -167,16 +146,6 @@ func (d *Dense) AppendMembers(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// ForEach calls f for every member in ascending order.
-func (d *Dense) ForEach(f func(id int)) {
-	for w, word := range d.words {
-		for word != 0 {
-			f(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
 }
 
 // Sparse is the sorted-slice form: ids ascending, no duplicates. The
@@ -282,13 +251,6 @@ func (s *Sparse) RemoveIDs(ids []int) {
 // AppendMembers appends the members in ascending order.
 func (s *Sparse) AppendMembers(dst []int) []int {
 	return append(dst, s.ids...)
-}
-
-// ForEach calls f for every member in ascending order.
-func (s *Sparse) ForEach(f func(id int)) {
-	for _, id := range s.ids {
-		f(id)
-	}
 }
 
 // Hybrid is the adaptive set: dense words until a huge universe has been
@@ -402,15 +364,6 @@ func (h *Hybrid) AppendMembers(dst []int) []int {
 // Members returns the members in ascending order.
 func (h *Hybrid) Members() []int {
 	return h.AppendMembers(make([]int, 0, h.Len()))
-}
-
-// ForEach calls f for every member in ascending order.
-func (h *Hybrid) ForEach(f func(id int)) {
-	if h.isSparse {
-		h.sparse.ForEach(f)
-		return
-	}
-	h.dense.ForEach(f)
 }
 
 // Compact folds a huge, mostly-eliminated dense set down to the sorted

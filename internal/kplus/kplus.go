@@ -8,9 +8,8 @@
 // The key algorithmic consequence: a bin answering c < k is *resolved* —
 // it contributes exactly c to the count forever and its nodes need never
 // be polled again — while saturated bins (≥ k) are split and re-queried.
-// Threshold querying and exact counting both fall out of the same
-// split-until-resolved loop, and stronger radios (larger k) resolve more
-// per query.
+// Threshold querying falls out of this split-until-resolved loop, and
+// stronger radios (larger k) resolve more per query.
 package kplus
 
 import (
@@ -86,10 +85,8 @@ func (c *Channel) Query(bin []int) Response {
 
 // Result reports a k+ session.
 type Result struct {
-	// Decision answers the threshold question (Threshold only).
+	// Decision answers the threshold question.
 	Decision bool
-	// Count is the exact positive count (CountExact only).
-	Count int
 	// Queries is the number of k+ group queries issued.
 	Queries int
 }
@@ -156,37 +153,5 @@ func Threshold(q Querier, n, t int, r *rng.Source) (Result, error) {
 		pendingNodes += len(bin)
 	}
 	res.Decision = confirmed >= t
-	return res, nil
-}
-
-// CountExact determines x exactly by splitting every saturated bin down
-// to resolution. Cost grows with x/k: stronger radios count faster.
-func CountExact(q Querier, n int, r *rng.Source) (Result, error) {
-	if n < 0 {
-		return Result{}, fmt.Errorf("kplus: negative n=%d", n)
-	}
-	if n == 0 {
-		return Result{}, nil
-	}
-	k := q.K()
-	members := r.Perm(n)
-	var res Result
-	pending := [][]int{members}
-	for len(pending) > 0 {
-		bin := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		resp := q.Query(bin)
-		res.Queries++
-		if !resp.Saturated {
-			res.Count += resp.Count
-			continue
-		}
-		if len(bin) <= k {
-			res.Count += len(bin)
-			continue
-		}
-		mid := len(bin) / 2
-		pending = append(pending, bin[:mid], bin[mid:])
-	}
 	return res, nil
 }

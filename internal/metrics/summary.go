@@ -10,9 +10,9 @@ import (
 // the conventional p50/p90/p99 monitoring set.
 var summaryQuantiles = []float64{0.5, 0.9, 0.99}
 
-// Summary is a sketch-backed quantile metric: a mergeable relative-error
-// quantile sketch (constant memory in the observation count) paired with
-// exact streaming moments for count/sum/min/max. Unlike Histogram, a
+// Summary is a sketch-backed quantile metric: a relative-error quantile
+// sketch (constant memory in the observation count) paired with exact
+// streaming moments for count/sum/min/max. Unlike Histogram, a
 // Summary needs no pre-chosen bucket bounds — it tracks any value range
 // at a fixed relative accuracy — and two summaries over the same
 // observations always expose identical quantile estimates regardless of
@@ -44,15 +44,6 @@ func (s *Summary) Count() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.q.Count()
-}
-
-// Merge folds a standalone sketch pair into the summary — the path
-// per-worker sketches take to surface on the registry.
-func (s *Summary) Merge(q *sketch.Quantile, mom sketch.Moments) {
-	s.mu.Lock()
-	s.q.Merge(q)
-	s.mom.Merge(mom)
-	s.mu.Unlock()
 }
 
 // snapshotValue captures the summary for exposition.

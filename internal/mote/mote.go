@@ -141,11 +141,10 @@ type QueryOutcome struct {
 }
 
 // Initiator is the querying mote. Its firmware (the goroutine) owns the
-// radio medium and runs a threshold algorithm over backcast on demand —
-// 2tBins by default, matching the deployed nesC implementation.
+// radio medium and runs 2tBins over backcast on demand, matching the
+// deployed nesC implementation.
 type Initiator struct {
 	id    int
-	alg   core.Algorithm
 	inbox chan initReq
 	done  chan struct{}
 }
@@ -161,17 +160,11 @@ type initResp struct {
 	err     error
 }
 
-// NewInitiator boots the initiator mote with the default 2tBins firmware.
-// It owns med and r; participants are consulted over their radio-side
+// NewInitiator boots the initiator mote with its 2tBins firmware. It
+// owns med and r; participants are consulted over their radio-side
 // interface during queries.
 func NewInitiator(id int, med radio.Channel, participants []*Participant, r *rng.Source) *Initiator {
-	return NewInitiatorWithAlgorithm(id, core.TwoTBins{}, med, participants, r)
-}
-
-// NewInitiatorWithAlgorithm boots the initiator with alternative firmware
-// — any threshold algorithm runs over the same backcast radio path.
-func NewInitiatorWithAlgorithm(id int, alg core.Algorithm, med radio.Channel, participants []*Participant, r *rng.Source) *Initiator {
-	ini := &Initiator{id: id, alg: alg, inbox: make(chan initReq), done: make(chan struct{})}
+	ini := &Initiator{id: id, inbox: make(chan initReq), done: make(chan struct{})}
 	go ini.loop(med, participants, r)
 	return ini
 }
@@ -270,7 +263,7 @@ func (ini *Initiator) runTCast(med radio.Channel, participants []*Participant, t
 		}
 	}
 	q := &backcastQuerier{med: med, initiatorID: ini.id, participants: parts, addr: 0x8000}
-	res, err := ini.alg.Run(q, len(participants), threshold, r)
+	res, err := core.TwoTBins{}.Run(q, len(participants), threshold, r)
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("mote: tcast failed: %w", err)
 	}

@@ -36,9 +36,6 @@ type Config struct {
 	// with errors concentrated in single-HACK groups and essentially
 	// none in superposed groups.
 	MissProb float64
-	// Algorithm selects the initiator firmware; nil means 2tBins, the
-	// algorithm the paper deployed.
-	Algorithm core.Algorithm
 	// PerMoteMiss, when non-nil, assigns each mote its own HACK-loss
 	// probability (length Participants), overriding MissProb. Real
 	// testbeds have bad links — a far or occluded mote loses more
@@ -186,20 +183,8 @@ func New(cfg Config) (*Lab, error) {
 	for i := range parts {
 		parts[i] = mote.NewParticipant(i)
 	}
-	alg := cfg.Algorithm
-	if alg == nil {
-		alg = core.TwoTBins{}
-	}
-	ini := mote.NewInitiatorWithAlgorithm(initiatorID, alg, med, parts, root.Split(2))
+	ini := mote.NewInitiator(initiatorID, med, parts, root.Split(2))
 	return &Lab{cfg: cfg, root: root, parts: parts, initiator: ini}, nil
-}
-
-// algName names the initiator firmware's algorithm for span labels.
-func (l *Lab) algName() string {
-	if l.cfg.Algorithm != nil {
-		return l.cfg.Algorithm.Name()
-	}
-	return core.TwoTBins{}.Name()
 }
 
 // Close shuts all motes down.
@@ -257,7 +242,7 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 			// Replay the initiator's poll record as spans. Backcast
 			// charges 3 RCD slots per group query (bind, poll, HACK).
 			b.Begin(trace.KindTrial, "rep "+strconv.Itoa(rep))
-			sess := b.Begin(trace.KindSession, l.algName())
+			sess := b.Begin(trace.KindSession, core.TwoTBins{}.Name())
 			sess.SetAttr(
 				trace.StringAttr("substrate", "motelab"),
 				trace.StringAttr("primitive", "backcast"),
@@ -302,7 +287,7 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 				polls[i] = audit.ReplayPoll{Bin: rec.Bin, Resp: query.Response{Kind: kind}}
 			}
 			truth := audit.TruthFunc(func(id int) bool { return positive[id] })
-			label := fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", l.algName(), threshold, x, rep)
+			label := fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", core.TwoTBins{}.Name(), threshold, x, rep)
 			v := audit.GradeReplay(threshold, x, truth,
 				query.Traits{Model: query.OnePlus}, polls, outcome.Decision)
 			if c := l.cfg.Audit; c != nil {

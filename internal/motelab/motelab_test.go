@@ -3,8 +3,6 @@ package motelab
 import (
 	"math"
 	"testing"
-
-	"tcast/internal/core"
 )
 
 func newLab(t *testing.T, cfg Config) *Lab {
@@ -96,36 +94,6 @@ func TestPaperProtocolErrorProfile(t *testing.T) {
 		peak := curves[th][th]
 		if peak <= curves[th][12] {
 			t.Errorf("t=%d: cost at x=t (%v) not above x=12 (%v)", th, peak, curves[th][12])
-		}
-	}
-}
-
-func TestAlternativeFirmware(t *testing.T) {
-	// The testbed runs any threshold algorithm over the same backcast
-	// path: ExpIncrease firmware must stay exact on a perfect radio and
-	// beat 2tBins' query count when few motes are positive.
-	cfgClean := DefaultConfig()
-	cfgClean.MissProb = 0
-	cfgExp := cfgClean
-	cfgExp.Algorithm = core.ExpIncrease{}
-
-	twoT := newLab(t, cfgClean)
-	exp := newLab(t, cfgExp)
-	for _, tc := range []struct{ th, x int }{{6, 1}, {6, 6}, {6, 12}, {2, 0}} {
-		stTwoT, err := twoT.RunBatch(tc.th, tc.x, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stExp, err := exp.RunBatch(tc.th, tc.x, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stExp.FalsePositives != 0 || stExp.FalseNegatives != 0 {
-			t.Fatalf("ExpIncrease firmware erred on a perfect radio: %+v", stExp)
-		}
-		if tc.x == 1 && stExp.AvgQueries() >= stTwoT.AvgQueries() {
-			t.Fatalf("x<<t: ExpIncrease (%v) not cheaper than 2tBins (%v) on the testbed",
-				stExp.AvgQueries(), stTwoT.AvgQueries())
 		}
 	}
 }

@@ -216,11 +216,10 @@ func NewMux(reg *metrics.Registry, p *Plane) *http.ServeMux {
 	return mux
 }
 
-// Serve exposes NewMux at addr on a managed background server — the
-// obs-aware superset of metrics.Serve, behind the cmds' -metrics-addr
-// flag. The returned server carries the bound address (so ":0" is
-// testable) and a graceful Shutdown the cmds call on exit instead of
-// leaking the listener goroutine.
+// Serve exposes NewMux at addr on a managed background server, behind
+// the cmds' -metrics-addr flag. The returned server carries the bound
+// address (so ":0" is testable) and a graceful Shutdown the cmds call on
+// exit instead of leaking the listener goroutine.
 func Serve(addr string, reg *metrics.Registry, p *Plane) (*metrics.Server, error) {
 	return metrics.StartServer(addr, NewMux(reg, p))
 }

@@ -31,10 +31,6 @@ func NewLogSink(w io.Writer, json bool, min slog.Level) *LogSink {
 	return &LogSink{h: h}
 }
 
-// NewHandlerSink adapts an existing slog.Handler (tests inject
-// deterministic ones).
-func NewHandlerSink(h slog.Handler) *LogSink { return &LogSink{h: h} }
-
 // OnEvent implements Sink.
 func (s *LogSink) OnEvent(e Event) {
 	lvl := e.Kind.Level()

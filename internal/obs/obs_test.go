@@ -557,16 +557,13 @@ func TestConfigBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Recorder() == nil || p.SLO() == nil || p.Bus() == nil {
+	if p.recorder == nil || p.SLO() == nil || p.Bus() == nil {
 		t.Fatal("plane missing configured pieces")
 	}
 	p.Bus().Publish(Event{Kind: KindSessionVerdict, Trial: -1, Poll: -1, Correct: false, CausalPoll: -1})
 	p.Bus().Publish(Event{Kind: KindSessionVerdict, Trial: -1, Poll: -1, Correct: false, CausalPoll: -1})
 	if p.SLO().Healthy() {
 		t.Fatal("slo should be failing")
-	}
-	if !p.Unhealthy() {
-		t.Fatal("plane should report unhealthy")
 	}
 	// The registry sink counted the published events per kind.
 	var counted int64
@@ -579,7 +576,7 @@ func TestConfigBuild(t *testing.T) {
 		t.Fatalf("registry counted %d verdict events, want 2", counted)
 	}
 	// The SLO failure raised an anomaly, which the recorder dumped.
-	if len(p.Recorder().Dumps()) == 0 {
+	if len(p.recorder.Dumps()) == 0 {
 		t.Fatal("no flight dump after slo anomaly")
 	}
 	if s := p.Summary(); !strings.Contains(s, "flight recorder") || !strings.Contains(s, "min_accuracy") {
@@ -594,7 +591,7 @@ func TestConfigBuild(t *testing.T) {
 	}
 
 	var nilPlane *Plane
-	if nilPlane.Bus() != nil || nilPlane.Summary() != "" || nilPlane.Close() != nil || nilPlane.Unhealthy() {
+	if nilPlane.Bus() != nil || nilPlane.Summary() != "" || nilPlane.Close() != nil {
 		t.Fatal("nil plane not inert")
 	}
 }

@@ -141,14 +141,6 @@ func (p *Plane) SLO() *SLO {
 	return p.slo
 }
 
-// Recorder returns the flight recorder, nil when disabled.
-func (p *Plane) Recorder() *FlightRecorder {
-	if p == nil {
-		return nil
-	}
-	return p.recorder
-}
-
 // Sketches returns the sketch sink, nil when disabled.
 func (p *Plane) Sketches() *SketchSink {
 	if p == nil {
@@ -211,10 +203,4 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	return p.recorder.Err()
-}
-
-// Unhealthy reports whether any SLO rule is currently failing — the
-// cmds' exit-status hook.
-func (p *Plane) Unhealthy() bool {
-	return p != nil && p.slo != nil && !p.slo.Healthy()
 }

@@ -26,9 +26,9 @@ const (
 const sketchExemplars = 8
 
 // SketchSink folds the live verdict stream into constant-memory
-// summaries: mergeable quantile sketches of per-session poll and slot
-// costs, exact moments, and a deterministic slot-weighted reservoir of
-// exemplar sessions. Where the SLO engine answers "is the run healthy",
+// summaries: quantile sketches of per-session poll and slot costs, exact
+// moments, and a deterministic slot-weighted reservoir of exemplar
+// sessions. Where the SLO engine answers "is the run healthy",
 // the sketch sink answers "what does the cost distribution look like" —
 // at any N, for any run length, in a few kilobytes.
 //

@@ -59,7 +59,7 @@ func TestAlgorithmsCorrectOnPacketBackcast(t *testing.T) {
 }
 
 func TestAlgorithmsCorrectOnPacketPollcastTwoPlus(t *testing.T) {
-	cfg := radio.Config{CaptureBeta: 0.5}
+	cfg := radio.Config{}
 	for _, x := range []int{0, 7, 8, 16, 32} {
 		for seed := uint64(0); seed < 3; seed++ {
 			res := runPacket(t, core.TwoTBins{}, 32, 8, x, Pollcast, query.TwoPlus, cfg, seed)

@@ -215,22 +215,3 @@ func Root(q Querier) (root Querier) {
 	})
 	return root
 }
-
-// Counting wraps a Querier and counts issued queries — the paper's cost
-// metric.
-type Counting struct {
-	Q       Querier
-	Queries int
-}
-
-// Query implements Querier, forwarding to the wrapped querier.
-func (c *Counting) Query(bin []int) Response {
-	c.Queries++
-	return c.Q.Query(bin)
-}
-
-// Traits implements Querier.
-func (c *Counting) Traits() Traits { return c.Q.Traits() }
-
-// Unwrap implements Wrapper.
-func (c *Counting) Unwrap() Querier { return c.Q }

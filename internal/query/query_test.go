@@ -57,25 +57,6 @@ func (s *stubQuerier) Query(bin []int) Response {
 }
 func (s *stubQuerier) Traits() Traits { return s.traits }
 
-func TestCounting(t *testing.T) {
-	stub := &stubQuerier{resp: Response{Kind: Active}, traits: Traits{Model: TwoPlus}}
-	c := &Counting{Q: stub}
-	for i := 0; i < 5; i++ {
-		if r := c.Query([]int{i}); r.Kind != Active {
-			t.Fatal("response not forwarded")
-		}
-	}
-	if c.Queries != 5 {
-		t.Fatalf("Queries = %d, want 5", c.Queries)
-	}
-	if c.Traits().Model != TwoPlus {
-		t.Fatal("traits not forwarded")
-	}
-	if len(stub.bins) != 5 {
-		t.Fatal("bins not forwarded")
-	}
-}
-
 func TestNewKnowledge(t *testing.T) {
 	k := NewKnowledge(10, 3)
 	if k.Candidates.Len() != 10 || k.Confirmed != 0 || k.Threshold != 3 {

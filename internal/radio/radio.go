@@ -1,8 +1,8 @@
 // Package radio models the single-hop 802.15.4 medium the packet-level
 // simulations run on: a slot-synchronous broadcast channel with
 // CCA-style energy sensing, per-copy reception loss (the CC2420 "radio
-// irregularities" behind the testbed's false negatives), the capture
-// effect for colliding distinct frames, and the nondestructive
+// irregularities" behind the testbed's false negatives), colliding
+// distinct frames that never decode, and the nondestructive
 // superposition of identical hardware acknowledgements that backcast
 // exploits ("Wireless ACK collisions not considered harmful").
 package radio
@@ -85,8 +85,8 @@ func (f Frame) Airtime() time.Duration {
 }
 
 // Lossy reports whether the per-copy reception loss applies to this frame
-// kind. Control traffic (polls, schedules, data) is modeled as reliable by
-// default — initiators transmit it at full power and the testbed reports
+// kind. Control traffic (polls, schedules, data) is modeled as reliable —
+// initiators transmit it at full power and the testbed reports
 // no errors on it — while simultaneous votes/HACKs ride on superposition
 // and suffer MissProb per copy. Exported so medium middleware (the faults
 // layer) applies the same kind partition.
@@ -115,13 +115,6 @@ type Config struct {
 	// lose more frames — and the testbed analysis benefits from
 	// modeling it.
 	MissProbFor func(src int) float64
-	// ControlMissProb is the per-copy loss for control frames (polls,
-	// schedules, data). Usually 0.
-	ControlMissProb float64
-	// CaptureBeta is the capture-effect strength for colliding distinct
-	// frames: P(capture | k arrivals) = CaptureBeta^(k-1). Zero means
-	// no capture (distinct collisions never decode).
-	CaptureBeta float64
 	// InterferenceProb is the per-slot probability that traffic from a
 	// neighboring region puts energy on the channel.
 	InterferenceProb float64
@@ -170,13 +163,10 @@ func NewMedium(cfg Config, r *rng.Source) *Medium {
 func (m *Medium) Slot() int { return m.slot }
 
 // Lossless reports whether the medium can neither drop a reply nor fake
-// channel activity: no per-copy loss on votes/HACKs or control frames and
-// no external interference. The capture effect alone does not break
-// soundness — a captured frame still names a real transmitter — so
-// CaptureBeta is irrelevant here.
+// channel activity: no per-copy loss on votes/HACKs and no external
+// interference.
 func (m *Medium) Lossless() bool {
-	return m.cfg.MissProb == 0 && m.cfg.MissProbFor == nil &&
-		m.cfg.ControlMissProb == 0 && m.cfg.InterferenceProb == 0
+	return m.cfg.MissProb == 0 && m.cfg.MissProbFor == nil && m.cfg.InterferenceProb == 0
 }
 
 // TraceAttrs implements trace.Annotator: the medium annotates spans with
@@ -251,40 +241,19 @@ func (m *Medium) Observe(receiver int) Observation {
 		return obs
 	}
 
-	// Distinct frames: apply per-copy loss, then the capture effect.
+	// Distinct frames: apply per-copy loss to votes and HACKs. A lone
+	// survivor decodes; colliding survivors destroy one another.
 	var arrived []Frame
 	for _, f := range incoming {
-		loss := m.cfg.ControlMissProb
-		if f.Lossy() {
-			loss = m.lossFor(f)
-		}
-		if !m.r.Bernoulli(loss) {
+		if !f.Lossy() || !m.r.Bernoulli(m.lossFor(f)) {
 			arrived = append(arrived, f)
 		}
 	}
-	switch len(arrived) {
-	case 0:
-		return obs
-	case 1:
-		f := arrived[0]
-		obs.Frame = &f
+	if len(arrived) == 1 {
+		obs.Frame = &arrived[0]
 		obs.Superposed = 1
-		return obs
-	default:
-		p := 0.0
-		if m.cfg.CaptureBeta > 0 {
-			p = 1.0
-			for i := 1; i < len(arrived); i++ {
-				p *= m.cfg.CaptureBeta
-			}
-		}
-		if m.r.Bernoulli(p) {
-			f := arrived[m.r.Intn(len(arrived))]
-			obs.Frame = &f
-			obs.Superposed = 1
-		}
-		return obs
 	}
+	return obs
 }
 
 // EndSlot closes the current slot and advances the medium's clock: a busy

@@ -94,7 +94,12 @@ func TestShuffleIntsMatchesShuffle(t *testing.T) {
 			a[i], b[i] = i, i
 		}
 		ra, rb := New(seed), New(seed)
-		ra.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
+		// The reference Fisher-Yates loop: swap index i descending
+		// from n-1 with a uniform j in [0, i].
+		for i := n - 1; i > 0; i-- {
+			j := ra.Intn(i + 1)
+			a[i], a[j] = a[j], a[i]
+		}
 		rb.ShuffleInts(b)
 		for i := range a {
 			if a[i] != b[i] {

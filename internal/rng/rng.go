@@ -180,17 +180,8 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes s in place using the Fisher-Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// ShuffleInts shuffles s in place, drawing exactly the sequence
-// Shuffle(len(s), swap) draws. The direct swaps replace the per-swap
-// closure call, which the partition hot path repeats every round.
+// ShuffleInts shuffles s in place with the Fisher-Yates algorithm: swap
+// index i descends from len(s)-1, each drawing one Intn(i+1).
 func (r *Source) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

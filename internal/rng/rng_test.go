@@ -204,7 +204,7 @@ func TestShuffleProperty(t *testing.T) {
 		for i := range s {
 			s[i] = i
 		}
-		r.Shuffle(n, func(i, j int) { s[i], s[j] = s[j], s[i] })
+		r.ShuffleInts(s)
 		seen := make([]bool, n)
 		for _, v := range s {
 			if v < 0 || v >= n || seen[v] {

@@ -64,34 +64,6 @@ func ServeInitiator(rw io.ReadWriter, ini *mote.Initiator) error {
 	}
 }
 
-// ServeParticipant speaks the serial protocol on behalf of a participant
-// mote (configure and reboot only, per the paper).
-func ServeParticipant(rw io.ReadWriter, p *mote.Participant) error {
-	for {
-		m, err := Decode(rw)
-		if err != nil {
-			if err == io.EOF || err == io.ErrClosedPipe {
-				return nil
-			}
-			return err
-		}
-		var reply Message
-		switch m.Op {
-		case OpConfigure:
-			p.Configure(m.Positive)
-			reply = Message{Op: OpAck}
-		case OpReboot:
-			p.Reboot()
-			reply = Message{Op: OpAck}
-		default:
-			reply = Message{Op: OpError, Code: CodeBadCommand}
-		}
-		if err := Encode(rw, reply); err != nil {
-			return err
-		}
-	}
-}
-
 // Client is the controller-side stub for one serial link.
 type Client struct {
 	rw io.ReadWriter
@@ -143,19 +115,9 @@ func (c *Client) expectAck(m Message) error {
 	return nil
 }
 
-// Configure sets a participant's predicate value.
-func (c *Client) Configure(positive bool) error {
-	return c.expectAck(Message{Op: OpConfigure, Positive: positive})
-}
-
 // ConfigureInitiator sets the initiator's threshold.
 func (c *Client) ConfigureInitiator(threshold int) error {
 	return c.expectAck(Message{Op: OpConfigureInitiator, Threshold: threshold})
-}
-
-// Reboot clears the mote's state.
-func (c *Client) Reboot() error {
-	return c.expectAck(Message{Op: OpReboot})
 }
 
 // Query stimulates one TCast run and returns its result.

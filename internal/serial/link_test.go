@@ -13,9 +13,10 @@ import (
 	"tcast/internal/rng"
 )
 
-// bootWiredLab builds a 4-mote testbed whose initiator and first
-// participant are reachable over real byte streams (net.Pipe).
-func bootWiredLab(t *testing.T) (iniClient, partClient *Client, parts []*mote.Participant) {
+// bootWiredLab builds a 4-mote testbed whose initiator is reachable over
+// a real byte stream (net.Pipe); the participants are configured
+// directly.
+func bootWiredLab(t *testing.T) (iniClient *Client, parts []*mote.Participant) {
 	t.Helper()
 	root := rng.New(7)
 	med := radio.NewMedium(radio.Config{}, root.Split(1))
@@ -26,36 +27,30 @@ func bootWiredLab(t *testing.T) (iniClient, partClient *Client, parts []*mote.Pa
 	ini := mote.NewInitiator(1<<16, med, parts, root.Split(2))
 
 	iniCtrl, iniMote := net.Pipe()
-	partCtrl, partMote := net.Pipe()
 	go func() { _ = ServeInitiator(iniMote, ini) }()
-	go func() { _ = ServeParticipant(partMote, parts[0]) }()
 
 	t.Cleanup(func() {
 		iniCtrl.Close()
-		partCtrl.Close()
 		ini.Close()
 		for _, p := range parts {
 			p.Close()
 		}
 	})
-	return NewClient(iniCtrl), NewClient(partCtrl), parts
+	return NewClient(iniCtrl), parts
 }
 
 func TestWiredQuerySession(t *testing.T) {
-	iniClient, partClient, parts := bootWiredLab(t)
+	iniClient, parts := bootWiredLab(t)
 
 	// Unconfigured query must come back as a protocol-level error.
 	if _, _, _, err := iniClient.Query(); err == nil {
 		t.Fatal("unconfigured query succeeded over the wire")
 	}
 
-	// Configure over the wire: participant 0 positive (via serial),
-	// participants 1 and 2 positive (direct), threshold 3.
-	if err := partClient.Configure(true); err != nil {
-		t.Fatal(err)
+	// Participants 0, 1 and 2 positive, threshold 3 over the wire.
+	for _, p := range parts[:3] {
+		p.Configure(true)
 	}
-	parts[1].Configure(true)
-	parts[2].Configure(true)
 	if err := iniClient.ConfigureInitiator(3); err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +66,9 @@ func TestWiredQuerySession(t *testing.T) {
 		t.Fatalf("counters not reported: q=%d r=%d", queries, rounds)
 	}
 
-	// Reboot over the wire and re-query: the participant forgets its
-	// predicate, so the threshold fails.
-	if err := partClient.Reboot(); err != nil {
-		t.Fatal(err)
-	}
+	// Reboot a participant and re-query: it forgets its predicate, so
+	// the threshold fails.
+	parts[0].Reboot()
 	decision, _, _, err = iniClient.Query()
 	if err != nil {
 		t.Fatal(err)
@@ -85,20 +78,16 @@ func TestWiredQuerySession(t *testing.T) {
 	}
 }
 
-// TestWiredMiniCampaign drives a small Section IV-D-style campaign
-// entirely over serial links: every participant behind its own pipe, the
-// controller configuring, querying and rebooting through the protocol.
+// TestWiredMiniCampaign drives a small Section IV-D-style campaign with
+// the initiator behind a serial link: the controller sets the threshold
+// and queries through the protocol.
 func TestWiredMiniCampaign(t *testing.T) {
 	const n = 6
 	root := rng.New(99)
 	med := radio.NewMedium(radio.Config{}, root.Split(1))
 	parts := make([]*mote.Participant, n)
-	partClients := make([]*Client, n)
 	for i := range parts {
 		parts[i] = mote.NewParticipant(i)
-		ctrl, moteSide := net.Pipe()
-		go func(p *mote.Participant, rw net.Conn) { _ = ServeParticipant(rw, p) }(parts[i], moteSide)
-		partClients[i] = NewClient(ctrl)
 	}
 	ini := mote.NewInitiator(1<<16, med, parts, root.Split(2))
 	iniCtrl, iniMote := net.Pipe()
@@ -114,20 +103,8 @@ func TestWiredMiniCampaign(t *testing.T) {
 
 	const threshold = 2
 	for x := 0; x <= n; x++ {
-		// Reboot everything over the wire.
-		if err := iniClient.Reboot(); err != nil {
-			t.Fatal(err)
-		}
-		for _, pc := range partClients {
-			if err := pc.Reboot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Configure x positives and the threshold.
-		for i, pc := range partClients {
-			if err := pc.Configure(i < x); err != nil {
-				t.Fatal(err)
-			}
+		for i, p := range parts {
+			p.Configure(i < x)
 		}
 		if err := iniClient.ConfigureInitiator(threshold); err != nil {
 			t.Fatal(err)
@@ -146,11 +123,11 @@ func TestWiredMiniCampaign(t *testing.T) {
 }
 
 func TestWiredRebootInitiator(t *testing.T) {
-	iniClient, _, _ := bootWiredLab(t)
+	iniClient, _ := bootWiredLab(t)
 	if err := iniClient.ConfigureInitiator(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := iniClient.Reboot(); err != nil {
+	if err := iniClient.expectAck(Message{Op: OpReboot}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := iniClient.Query(); err == nil {
@@ -159,14 +136,11 @@ func TestWiredRebootInitiator(t *testing.T) {
 }
 
 func TestServerRejectsWrongCommands(t *testing.T) {
-	iniClient, partClient, _ := bootWiredLab(t)
-	// Participant commands to the initiator and vice versa come back as
-	// protocol errors, not hangs.
-	if err := iniClient.Configure(true); err == nil {
+	iniClient, _ := bootWiredLab(t)
+	// A participant command to the initiator comes back as a protocol
+	// error, not a hang.
+	if err := iniClient.expectAck(Message{Op: OpConfigure, Positive: true}); err == nil {
 		t.Fatal("initiator accepted a participant-only command")
-	}
-	if err := partClient.ConfigureInitiator(2); err == nil {
-		t.Fatal("participant accepted an initiator-only command")
 	}
 }
 
@@ -185,7 +159,7 @@ func TestClientTimeoutOnSilentMote(t *testing.T) {
 	c := NewClient(ctrl)
 	c.Timeout = 20 * time.Millisecond
 	start := time.Now()
-	err := c.Reboot()
+	err := c.ConfigureInitiator(1)
 	if err == nil {
 		t.Fatal("expected a timeout error from a silent mote")
 	}
@@ -200,20 +174,13 @@ func TestClientTimeoutOnSilentMote(t *testing.T) {
 }
 
 func TestClientTimeoutClearsDeadline(t *testing.T) {
-	ctrl, moteSide := net.Pipe()
-	defer ctrl.Close()
-	defer moteSide.Close()
-	go func() {
-		p := mote.NewParticipant(1)
-		_ = ServeParticipant(moteSide, p)
-	}()
-	c := NewClient(ctrl)
+	c, _ := bootWiredLab(t)
 	c.Timeout = time.Second
 	// Two sequential round trips: if the deadline from the first were
 	// left armed, a later slow reply would spuriously expire. Mostly this
 	// pins that a served round trip under Timeout works at all.
 	for i := 0; i < 2; i++ {
-		if err := c.Configure(true); err != nil {
+		if err := c.ConfigureInitiator(1); err != nil {
 			t.Fatalf("round trip %d under timeout: %v", i, err)
 		}
 	}
@@ -225,7 +192,7 @@ func TestClientTimeoutRequiresDeadline(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewClient(&buf)
 	c.Timeout = time.Millisecond
-	err := c.Reboot()
+	err := c.ConfigureInitiator(1)
 	if err == nil || !strings.Contains(err.Error(), "read deadline") {
 		t.Fatalf("err = %v, want a no-read-deadline error", err)
 	}

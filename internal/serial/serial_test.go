@@ -168,3 +168,34 @@ func TestQuickDecodeNeverPanicsOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzSerialDecode: Decode never panics, and every frame it accepts
+// re-encodes and decodes to the same Message.
+func FuzzSerialDecode(f *testing.F) {
+	for _, m := range []Message{
+		{Op: OpConfigure, Positive: true},
+		{Op: OpConfigureInitiator, Threshold: 513},
+		{Op: OpQuery},
+		{Op: OpQueryResult, Decision: true, Queries: 40, Rounds: 3},
+		{Op: OpError, Code: CodeQueryFailed},
+	} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, m); err != nil {
+			t.Fatalf("encode of decoded %+v: %v", m, err)
+		}
+		if got, err := Decode(&buf); err != nil || got != m {
+			t.Fatalf("round trip of %+v: got %+v, %v", m, got, err)
+		}
+	})
+}

@@ -71,9 +71,6 @@ func (f *Field) Clock() int64 { return f.clock.Load() }
 // Served returns the number of sessions the field has completed.
 func (f *Field) Served() int64 { return f.served.Load() }
 
-// Index returns the field's position in the pool.
-func (f *Field) Index() int { return f.index }
-
 // Parked returns the number of sessions currently waiting at the medium
 // for a grant. Tests on a held field use it to fix the arrival order:
 // once every submitted session is parked, Open starts scheduling from a

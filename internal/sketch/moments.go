@@ -7,13 +7,8 @@ import (
 )
 
 // Moments is a streaming summary of count, sum, min, max, and centered
-// second moment (M2), mergeable via the parallel Welford/Chan update. It
-// is a fixed 48 bytes regardless of how many values it has seen.
-//
-// Count, Min, and Max merge exactly; Sum, mean, and M2 are floating-point
-// accumulations, so merge order can perturb the last few ULPs (the
-// experiment harness always merges in worker-index order, which keeps
-// rendered output deterministic for a fixed worker count).
+// second moment (Welford's update). It is a fixed 48 bytes regardless of
+// how many values it has seen.
 type Moments struct {
 	N    uint64
 	Sum  float64
@@ -42,33 +37,6 @@ func (m *Moments) Observe(v float64) {
 	m.m2 += d * (v - m.mean)
 }
 
-// Merge folds other into m (Chan et al. parallel-variance combination).
-func (m *Moments) Merge(other Moments) {
-	if other.N == 0 {
-		return
-	}
-	if m.N == 0 {
-		*m = other
-		return
-	}
-	if other.Min < m.Min {
-		m.Min = other.Min
-	}
-	if other.Max > m.Max {
-		m.Max = other.Max
-	}
-	n := float64(m.N)
-	no := float64(other.N)
-	d := other.mean - m.mean
-	m.m2 += other.m2 + d*d*n*no/(n+no)
-	m.mean = (n*m.mean + no*other.mean) / (n + no)
-	m.N += other.N
-	m.Sum += other.Sum
-}
-
-// Reset returns the summary to its empty state.
-func (m *Moments) Reset() { *m = Moments{} }
-
 // Mean returns the running mean, or 0 for an empty summary.
 func (m *Moments) Mean() float64 {
 	if m.N == 0 {
@@ -76,9 +44,6 @@ func (m *Moments) Mean() float64 {
 	}
 	return m.mean
 }
-
-// M2 returns the centered second moment sum((v-mean)^2).
-func (m *Moments) M2() float64 { return m.m2 }
 
 // Variance returns the sample variance (n-1 denominator), or 0 when
 // fewer than two values have been observed.

@@ -22,10 +22,9 @@ type Exemplar struct {
 // u^(1/weight) with u derived from Hash64(key) (the A-ExpJ weighted
 // reservoir rule with the uniform draw replaced by a hash), and the K
 // highest-priority items survive. Because the priority is a pure
-// function of (key, weight), Merge — union then top-K — is exactly
-// associative and commutative, and identical runs retain identical
-// exemplars regardless of worker count or offer order. Ties (possible
-// only for duplicate keys) break toward the smaller key, then label.
+// function of (key, weight), identical runs retain identical exemplars
+// regardless of worker count or offer order. Ties (possible only for
+// duplicate keys) break toward the smaller key, then label.
 type Reservoir struct {
 	k     int
 	items []weightedExemplar
@@ -44,12 +43,6 @@ func NewReservoir(k int) *Reservoir {
 	}
 	return &Reservoir{k: k, items: make([]weightedExemplar, 0, k+1)}
 }
-
-// Cap returns the reservoir's capacity.
-func (r *Reservoir) Cap() int { return r.k }
-
-// Len returns the number of exemplars currently retained.
-func (r *Reservoir) Len() int { return len(r.items) }
 
 // priority maps an exemplar to its deterministic sampling priority
 // u^(1/w), u = (Hash64(key)+1)/2^64 in (0,1]. Non-positive weights get
@@ -79,19 +72,6 @@ func (r *Reservoir) Offer(ex Exemplar) {
 		r.items = r.items[:r.k]
 	}
 }
-
-// Merge folds other's exemplars into r, keeping the global top K.
-func (r *Reservoir) Merge(other *Reservoir) {
-	if other == nil {
-		return
-	}
-	for _, it := range other.items {
-		r.Offer(it.ex)
-	}
-}
-
-// Reset empties the reservoir, keeping its backing array.
-func (r *Reservoir) Reset() { r.items = r.items[:0] }
 
 // Exemplars returns the retained exemplars in descending priority order.
 // The slice is freshly allocated; callers may keep it.

@@ -1,5 +1,5 @@
-// Package sketch provides deterministic, constant-memory, mergeable
-// summaries for the observability stack: a relative-error quantile sketch
+// Package sketch provides deterministic, constant-memory summaries for
+// the observability stack: a relative-error quantile sketch
 // (log-bucketed, DDSketch-style), streaming moments, and a deterministic
 // weighted reservoir of exemplars.
 //
@@ -16,9 +16,8 @@
 //     SplitMix64 hash of the exemplar's identity, so instrumented runs
 //     stay byte-identical to bare ones and identical runs keep identical
 //     exemplars.
-//   - Quantile-sketch merges are integer bucket-count additions: exactly
-//     associative and commutative, so any merge tree (serial, per-worker,
-//     hierarchical) yields the same summary bytes.
+//   - Quantile-sketch buckets are integer counts, so the summary is
+//     independent of observation order.
 //   - Snapshots render buckets in sorted key order, so a summary's
 //     encoding is a pure function of the observed multiset.
 package sketch
@@ -35,17 +34,16 @@ import (
 // at the queried rank.
 const DefaultAlpha = 0.01
 
-// Quantile is a mergeable relative-error quantile sketch over float64
+// Quantile is a relative-error quantile sketch over float64
 // observations. Values are assigned to logarithmic buckets chosen so that
 // every value in bucket k is within a factor (1+alpha)/(1-alpha) of the
 // bucket's representative value; reporting the log-midpoint keeps the
 // estimate within ±alpha·|v| of the true order statistic.
 //
 // Memory is O(log(max/min)/log(gamma)) buckets regardless of how many
-// values are observed — ~920 buckets span [1, 1e8] at alpha=0.01 — and
-// the counts are plain integers, so Merge is exactly associative and
-// commutative. The zero value is not usable; call NewQuantile. Not safe
-// for concurrent use (callers merge per-worker sketches instead).
+// values are observed — ~920 buckets span [1, 1e8] at alpha=0.01. The
+// zero value is not usable; call NewQuantile. Not safe for concurrent
+// use.
 type Quantile struct {
 	alpha    float64
 	gamma    float64
@@ -74,9 +72,6 @@ func NewQuantile(alpha float64) *Quantile {
 		neg:     map[int32]uint64{},
 	}
 }
-
-// Alpha returns the sketch's relative accuracy.
-func (q *Quantile) Alpha() float64 { return q.alpha }
 
 // Count returns the number of observations folded in.
 func (q *Quantile) Count() uint64 { return q.count }
@@ -141,35 +136,6 @@ func (q *Quantile) ObserveN(v float64, n uint64) {
 	q.count += n
 }
 
-// Merge folds other into q. Both sketches must share the same alpha;
-// mismatched resolutions panic rather than silently degrade. Merging is
-// an integer bucket-count addition, so it is exactly associative and
-// commutative and never loses precision.
-func (q *Quantile) Merge(other *Quantile) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if other.alpha != q.alpha {
-		panic(fmt.Sprintf("sketch: merging alpha=%v into alpha=%v", other.alpha, q.alpha))
-	}
-	for k, n := range other.pos {
-		q.pos[k] += n
-	}
-	for k, n := range other.neg {
-		q.neg[k] += n
-	}
-	q.zero += other.zero
-	q.count += other.count
-}
-
-// Reset empties the sketch, keeping its buckets' map capacity for reuse.
-func (q *Quantile) Reset() {
-	clear(q.pos)
-	clear(q.neg)
-	q.zero = 0
-	q.count = 0
-}
-
 // Value returns the estimated p-quantile (0 <= p <= 1) of the observed
 // multiset: the representative value of the bucket holding the order
 // statistic at rank floor(p·(count-1)). The estimate is within relative
@@ -217,8 +183,7 @@ func (q *Quantile) Values(ps ...float64) []float64 {
 
 // AppendTo renders the sketch deterministically: alpha, count, and every
 // occupied bucket in ascending key order. Two sketches over the same
-// multiset — regardless of observation order, merge shape, or worker
-// count — render byte-identically.
+// multiset — regardless of observation order — render byte-identically.
 func (q *Quantile) AppendTo(b *strings.Builder) {
 	fmt.Fprintf(b, "quantile alpha=%g count=%d buckets=%d\n", q.alpha, q.count, q.Buckets())
 	for _, k := range sortedKeysDesc(q.neg) {

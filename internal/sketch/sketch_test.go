@@ -3,7 +3,6 @@ package sketch_test
 import (
 	"math"
 	"sort"
-	"sync"
 	"testing"
 
 	"tcast/internal/rng"
@@ -89,97 +88,10 @@ func TestQuantileRankError(t *testing.T) {
 	}
 }
 
-// TestQuantileMergeAlgebra verifies Merge is exactly associative and
-// commutative: any merge tree over the same parts yields byte-identical
-// summaries.
-func TestQuantileMergeAlgebra(t *testing.T) {
-	inputs := adversarialInputs(3000)
-	parts := make([]*sketch.Quantile, 0, len(inputs))
-	names := make([]string, 0, len(inputs))
-	for name := range inputs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		q := sketch.NewQuantile(0.01)
-		for _, v := range inputs[name] {
-			q.Observe(v)
-		}
-		parts = append(parts, q)
-	}
-
-	mergeAll := func(order []int, tree bool) string {
-		if tree {
-			// ((a+b)+(c+d)) shape.
-			left := sketch.NewQuantile(0.01)
-			left.Merge(parts[order[0]])
-			left.Merge(parts[order[1]])
-			right := sketch.NewQuantile(0.01)
-			right.Merge(parts[order[2]])
-			right.Merge(parts[order[3]])
-			left.Merge(right)
-			return left.String()
-		}
-		acc := sketch.NewQuantile(0.01)
-		for _, i := range order {
-			acc.Merge(parts[i])
-		}
-		return acc.String()
-	}
-
-	want := mergeAll([]int{0, 1, 2, 3}, false)
-	for _, order := range [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
-		if got := mergeAll(order, false); got != want {
-			t.Errorf("commutativity: order %v summary differs\n got: %q\nwant: %q", order, got, want)
-		}
-	}
-	if got := mergeAll([]int{0, 1, 2, 3}, true); got != want {
-		t.Errorf("associativity: tree merge summary differs\n got: %q\nwant: %q", got, want)
-	}
-}
-
-// TestQuantileWorkerIndependence mimics the experiment harness: trial i
-// lands on worker i%W; each worker observes into a private sketch, and
-// the per-worker sketches merge in worker order. The rendered summary
-// must be byte-identical for every worker count.
-func TestQuantileWorkerIndependence(t *testing.T) {
-	sample := adversarialInputs(5000)["heavy"]
-	render := func(workers int) string {
-		shards := make([]*sketch.Quantile, workers)
-		moms := make([]sketch.Moments, workers)
-		for w := range shards {
-			shards[w] = sketch.NewQuantile(0.01)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(sample); i += workers {
-					shards[w].Observe(sample[i])
-					moms[w].Observe(sample[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := sketch.NewQuantile(0.01)
-		for _, s := range shards {
-			total.Merge(s)
-		}
-		return total.String()
-	}
-	want := render(1)
-	for _, workers := range []int{2, 3, 4, 8} {
-		if got := render(workers); got != want {
-			t.Errorf("workers=%d: summary differs from serial\n got: %q\nwant: %q", workers, got, want)
-		}
-	}
-}
-
 func TestQuantileEdgeCases(t *testing.T) {
 	q := sketch.NewQuantile(0)
-	if q.Alpha() != sketch.DefaultAlpha {
-		t.Fatalf("default alpha = %v, want %v", q.Alpha(), sketch.DefaultAlpha)
+	if got, want := q.String(), sketch.NewQuantile(sketch.DefaultAlpha).String(); got != want {
+		t.Fatalf("alpha 0 sketch renders %q, want the default alpha's %q", got, want)
 	}
 	q.Observe(math.NaN())
 	if q.Count() != 0 {
@@ -204,17 +116,13 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if got := q.Buckets(); got != 3 {
 		t.Errorf("buckets %d, want 3", got)
 	}
-	q.Reset()
-	if q.Count() != 0 || q.Buckets() != 0 {
-		t.Fatalf("reset left count=%d buckets=%d", q.Count(), q.Buckets())
-	}
 
 	defer func() {
 		if recover() == nil {
 			t.Errorf("empty-sketch quantile did not panic")
 		}
 	}()
-	q.Value(0.5)
+	sketch.NewQuantile(0).Value(0.5)
 }
 
 // TestQuantileConstantFootprint pins the tentpole claim: bucket count is
@@ -231,45 +139,24 @@ func TestQuantileConstantFootprint(t *testing.T) {
 	}
 }
 
-func TestMomentsMergeMatchesSerial(t *testing.T) {
+// TestMomentsMatchRunning cross-checks the streaming moments against
+// stats.Running, the repo's exact path.
+func TestMomentsMatchRunning(t *testing.T) {
 	sample := adversarialInputs(4000)["heavy"]
-	var serial sketch.Moments
+	var m sketch.Moments
+	var run stats.Running
 	for _, v := range sample {
-		serial.Observe(v)
-	}
-	var a, b, c sketch.Moments
-	for i, v := range sample {
-		switch i % 3 {
-		case 0:
-			a.Observe(v)
-		case 1:
-			b.Observe(v)
-		default:
-			c.Observe(v)
-		}
-	}
-	merged := a
-	merged.Merge(b)
-	merged.Merge(c)
-	if merged.N != serial.N || merged.Min != serial.Min || merged.Max != serial.Max {
-		t.Fatalf("merge n/min/max mismatch: %+v vs %+v", merged, serial)
+		m.Observe(v)
+		run.Observe(v)
 	}
 	relClose := func(got, want float64) bool {
 		return math.Abs(got-want) <= 1e-9*math.Max(math.Abs(want), 1)
 	}
-	if !relClose(merged.Mean(), serial.Mean()) {
-		t.Errorf("merged mean %v vs serial %v", merged.Mean(), serial.Mean())
+	if m.N != uint64(run.N()) || m.Min != run.Min() || m.Max != run.Max() {
+		t.Fatalf("n/min/max mismatch: %+v vs %v", m, &run)
 	}
-	if !relClose(merged.Variance(), serial.Variance()) {
-		t.Errorf("merged variance %v vs serial %v", merged.Variance(), serial.Variance())
-	}
-	// Cross-check variance against stats.Running, the repo's exact path.
-	var run stats.Running
-	for _, v := range sample {
-		run.Observe(v)
-	}
-	if !relClose(serial.Variance(), run.Variance()) {
-		t.Errorf("moments variance %v vs stats.Running %v", serial.Variance(), run.Variance())
+	if !relClose(m.Mean(), run.Mean()) || !relClose(m.Variance(), run.Variance()) {
+		t.Errorf("mean/variance %v/%v vs stats.Running %v/%v", m.Mean(), m.Variance(), run.Mean(), run.Variance())
 	}
 }
 
@@ -277,16 +164,6 @@ func TestMomentsEmptyAndReset(t *testing.T) {
 	var m sketch.Moments
 	if m.Mean() != 0 || m.Variance() != 0 || m.Stddev() != 0 {
 		t.Fatalf("empty moments not zeroed: %+v", m)
-	}
-	var other sketch.Moments
-	other.Observe(3)
-	m.Merge(other)
-	if m.N != 1 || m.Min != 3 || m.Max != 3 {
-		t.Fatalf("merge into empty: %+v", m)
-	}
-	m.Reset()
-	if m.N != 0 || m.Sum != 0 {
-		t.Fatalf("reset: %+v", m)
 	}
 }
 
@@ -312,27 +189,12 @@ func TestReservoirDeterministicTopK(t *testing.T) {
 		t.Errorf("offer order changed reservoir contents\n asc: %q\ndesc: %q", a, d)
 	}
 
-	// Merge of shards equals the single reservoir over the union.
-	shardA := sketch.NewReservoir(8)
-	shardB := sketch.NewReservoir(8)
-	for i, ex := range offers {
-		if i%2 == 0 {
-			shardA.Offer(ex)
-		} else {
-			shardB.Offer(ex)
-		}
-	}
-	shardA.Merge(shardB)
-	if got, want := shardA.String(), fill(asc); got != want {
-		t.Errorf("merged shards differ from union\n got: %q\nwant: %q", got, want)
-	}
-
 	// Re-offering a key updates in place without growing.
 	r := sketch.NewReservoir(4)
 	r.Offer(sketch.Exemplar{Key: 1, Weight: 2, Value: 10})
 	r.Offer(sketch.Exemplar{Key: 1, Weight: 2, Value: 20})
-	if r.Len() != 1 {
-		t.Fatalf("duplicate key grew reservoir to %d", r.Len())
+	if n := len(r.Exemplars()); n != 1 {
+		t.Fatalf("duplicate key grew reservoir to %d", n)
 	}
 	if got := r.Exemplars()[0].Value; got != 20 {
 		t.Errorf("re-offer kept stale value %v", got)

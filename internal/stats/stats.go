@@ -96,30 +96,6 @@ func (r *Running) CI95() float64 {
 	}
 }
 
-// Merge folds other into r, as if r had observed all of other's samples.
-// Min/Max are merged exactly; moments use the parallel-variance formula.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	n1, n2 := float64(r.n), float64(other.n)
-	delta := other.mean - r.mean
-	total := n1 + n2
-	r.m2 += other.m2 + delta*delta*n1*n2/total
-	r.mean += delta * n2 / total
-	r.n += other.n
-}
-
 // String summarizes the accumulator.
 func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f ±%.3f sd=%.3f min=%.3f max=%.3f",
@@ -148,7 +124,7 @@ func sortedCopy(sample []float64) []float64 {
 //
 // Each call copies and sorts the sample: O(n log n) per quantile. For
 // several quantiles of one sample use Quantiles (one sort), and for
-// large or streaming samples use SeriesSummary (no sort at all).
+// large or streaming samples use internal/sketch (no sort at all).
 func Quantile(sample []float64, q float64) float64 {
 	return quantileSorted(sortedCopy(sample), q)
 }
@@ -211,28 +187,6 @@ func (s *Series) YAt(x float64) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("stats: series %q has no point at x=%v", s.Name, x)
-}
-
-// MaxY returns the point with the largest Y (first on ties). It returns an
-// error for an empty series.
-func (s *Series) MaxY() (Point, error) {
-	if len(s.Points) == 0 {
-		return Point{}, fmt.Errorf("stats: series %q is empty", s.Name)
-	}
-	best := s.Points[0]
-	for _, p := range s.Points[1:] {
-		if p.Y > best.Y {
-			best = p
-		}
-	}
-	return best, nil
-}
-
-// Sorted returns a copy of the series with points ordered by X.
-func (s *Series) Sorted() *Series {
-	out := &Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
-	sort.Slice(out.Points, func(i, j int) bool { return out.Points[i].X < out.Points[j].X })
-	return out
 }
 
 // Table is a collection of series sharing an X axis: the data behind one

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"tcast/internal/rng"
 )
@@ -56,74 +55,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesSequential(t *testing.T) {
-	src := rng.New(2)
-	var all, a, b Running
-	for i := 0; i < 1000; i++ {
-		x := src.Normal(10, 3)
-		all.Observe(x)
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Fatalf("merged mean = %v, want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Fatalf("merged variance = %v, want %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max wrong")
-	}
-}
-
-func TestMergeEmptyCases(t *testing.T) {
-	var a, b Running
-	a.Observe(1)
-	a.Observe(3)
-	before := a
-	a.Merge(&b) // merging empty changes nothing
-	if a != before {
-		t.Fatal("merging empty accumulator changed state")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatal("merge into empty accumulator wrong")
-	}
-}
-
-func TestQuickMergeAssociative(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		var seq Running
-		parts := make([]*Running, 4)
-		for i := range parts {
-			parts[i] = &Running{}
-		}
-		for i := 0; i < 400; i++ {
-			x := src.Float64()*100 - 50
-			seq.Observe(x)
-			parts[i%4].Observe(x)
-		}
-		var merged Running
-		for _, p := range parts {
-			merged.Merge(p)
-		}
-		return almostEqual(merged.Mean(), seq.Mean(), 1e-8) &&
-			almostEqual(merged.Variance(), seq.Variance(), 1e-8) &&
-			merged.N() == seq.N()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	sample := []float64{5, 1, 3, 2, 4} // unsorted on purpose
 	cases := map[float64]float64{0: 1, 0.25: 2, 0.5: 3, 0.75: 4, 1: 5}
@@ -172,36 +103,6 @@ func TestSeriesYAt(t *testing.T) {
 	}
 	if _, err := s.YAt(3); err == nil {
 		t.Fatal("YAt(3) succeeded on missing point")
-	}
-}
-
-func TestSeriesMaxY(t *testing.T) {
-	s := &Series{Name: "curve"}
-	if _, err := s.MaxY(); err == nil {
-		t.Fatal("MaxY on empty series did not error")
-	}
-	s.Append(Point{X: 1, Y: 10})
-	s.Append(Point{X: 5, Y: 42})
-	s.Append(Point{X: 9, Y: 7})
-	p, err := s.MaxY()
-	if err != nil || p.X != 5 || p.Y != 42 {
-		t.Fatalf("MaxY = %+v, %v", p, err)
-	}
-}
-
-func TestSeriesSorted(t *testing.T) {
-	s := &Series{Name: "c"}
-	s.Append(Point{X: 3})
-	s.Append(Point{X: 1})
-	s.Append(Point{X: 2})
-	sorted := s.Sorted()
-	for i, want := range []float64{1, 2, 3} {
-		if sorted.Points[i].X != want {
-			t.Fatalf("Sorted[%d].X = %v, want %v", i, sorted.Points[i].X, want)
-		}
-	}
-	if s.Points[0].X != 3 {
-		t.Fatal("Sorted mutated the original")
 	}
 }
 
@@ -317,4 +218,56 @@ func TestQuantilesPanicOnBadInput(t *testing.T) {
 	}
 	assertPanics("empty sample", func() { Quantiles(nil, 0.5) })
 	assertPanics("q out of range", func() { Quantiles([]float64{1}, 1.5) })
+}
+
+// TestQuantilesSingleSort is the regression test for the quantile cost
+// model: Quantiles must sort exactly once regardless of how many
+// quantiles it returns, while three Quantile calls pay three sorts.
+func TestQuantilesSingleSort(t *testing.T) {
+	sample := make([]float64, 1000)
+	r := rng.New(11)
+	for i := range sample {
+		sample[i] = float64(r.Intn(1 << 20))
+	}
+
+	before := sampleSorts.Load()
+	multi := Quantiles(sample, 0.5, 0.9, 0.99)
+	if got := sampleSorts.Load() - before; got != 1 {
+		t.Fatalf("Quantiles(3 qs) performed %d sorts, want 1", got)
+	}
+
+	before = sampleSorts.Load()
+	single := []float64{Quantile(sample, 0.5), Quantile(sample, 0.9), Quantile(sample, 0.99)}
+	if got := sampleSorts.Load() - before; got != 3 {
+		t.Fatalf("3×Quantile performed %d sorts, want 3", got)
+	}
+	for i := range multi {
+		if multi[i] != single[i] {
+			t.Fatalf("Quantiles[%d]=%v != Quantile=%v", i, multi[i], single[i])
+		}
+	}
+}
+
+// TestQuantilesAllocations pins the allocation budget: one sorted copy
+// plus one result slice for Quantiles, versus a fresh copy per Quantile
+// call.
+func TestQuantilesAllocations(t *testing.T) {
+	sample := make([]float64, 512)
+	for i := range sample {
+		sample[i] = float64((i * 7919) % 997)
+	}
+	multi := testing.AllocsPerRun(50, func() {
+		Quantiles(sample, 0.5, 0.9, 0.99)
+	})
+	if multi > 2 {
+		t.Errorf("Quantiles allocates %v per run, want <= 2 (copy + result)", multi)
+	}
+	per := testing.AllocsPerRun(50, func() {
+		Quantile(sample, 0.5)
+		Quantile(sample, 0.9)
+		Quantile(sample, 0.99)
+	})
+	if per < 3 {
+		t.Errorf("3×Quantile allocates %v per run; the copy-per-call cost model changed, update the docs", per)
+	}
 }

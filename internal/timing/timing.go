@@ -31,8 +31,6 @@ const (
 	TurnaroundSymbols = 12
 	// BackoffSymbols is aUnitBackoffPeriod.
 	BackoffSymbols = 20
-	// CCASymbols is the CCA detection window (8 symbols).
-	CCASymbols = 8
 )
 
 // Turnaround is the RX/TX (or TX/RX) switching time.

@@ -31,8 +31,9 @@ type header struct {
 const schemaName = "tcast-trace"
 
 // spanRecord is one encoded span. Parent is the preorder ID of the parent
-// span, -1 for roots; preorder guarantees parent < id, which Decode
-// enforces.
+// span, -1 for roots. In preorder a span's parent is the previous span or
+// one of its ancestors, which Decode enforces, so a decoded file
+// re-encodes with the same span ids.
 type spanRecord struct {
 	ID     int    `json:"id"`
 	Parent int    `json:"parent"`
@@ -123,6 +124,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	}
 	t := &Trace{Meta: h.Meta}
 	var spans []*Span
+	// open holds the ids of the previous span and its ancestors, root
+	// first: the only spans a preorder successor may name as parent.
+	var open []int
 	line := 1
 	for sc.Scan() {
 		line++
@@ -141,16 +145,20 @@ func Decode(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		sp := &Span{Kind: kind, Name: rec.Name, Start: rec.Start, End: rec.End, Attrs: rec.Attrs}
+		for len(open) > 0 && open[len(open)-1] != rec.Parent {
+			open = open[:len(open)-1]
+		}
 		switch {
 		case rec.Parent == -1:
 			t.Roots = append(t.Roots, sp)
-		case rec.Parent >= 0 && rec.Parent < len(spans):
+		case len(open) > 0:
 			parent := spans[rec.Parent]
 			parent.Children = append(parent.Children, sp)
 		default:
-			return nil, fmt.Errorf("trace: line %d: parent %d of span %d not yet seen", line, rec.Parent, rec.ID)
+			return nil, fmt.Errorf("trace: line %d: parent %d of span %d is not the previous span or one of its ancestors", line, rec.Parent, rec.ID)
 		}
 		spans = append(spans, sp)
+		open = append(open, rec.ID)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -91,6 +91,12 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		"unknown kind":   header + "\n" + `{"id":0,"parent":-1,"kind":"warp","name":"x","start":0,"end":1}`,
 		"unseen parent":  header + "\n" + `{"id":0,"parent":7,"kind":"poll","name":"x","start":0,"end":1}`,
 		"id out of step": header + "\n" + `{"id":3,"parent":-1,"kind":"poll","name":"x","start":0,"end":1}`,
+		// Span 2 names span 0 as parent after span 1 closed it: its
+		// re-encoding would renumber the spans 0, 2, 1.
+		"parent out of preorder": header + "\n" +
+			`{"id":0,"parent":-1,"kind":"poll","name":"a","start":0,"end":1}` + "\n" +
+			`{"id":1,"parent":-1,"kind":"poll","name":"b","start":0,"end":1}` + "\n" +
+			`{"id":2,"parent":0,"kind":"poll","name":"c","start":0,"end":1}`,
 	} {
 		if _, err := trace.Decode(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -151,4 +157,40 @@ func TestDiffLengthMismatch(t *testing.T) {
 	if d.Identical || !strings.Contains(d.Detail, "ends after") {
 		t.Fatalf("length mismatch missed: %+v", d)
 	}
+}
+
+// FuzzTraceDecode: Decode never panics, and whatever it accepts
+// re-encodes to bytes that decode and re-encode identically.
+func FuzzTraceDecode(f *testing.F) {
+	for i := uint64(0); i < 4; i++ {
+		enc, err := trace.EncodeBytes(randomTrace(rng.New(i)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte(`{"schema":"tcast-trace","version":1,"unit":"slot"}` + "\n" +
+		`{"id":0,"parent":-1,"kind":"poll","name":"a","start":0,"end":1}` + "\n" +
+		`{"id":1,"parent":0,"kind":"poll","name":"b","start":0,"end":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc1, err := trace.EncodeBytes(tr)
+		if err != nil {
+			t.Fatalf("encode of a decoded trace: %v", err)
+		}
+		back, err := trace.Decode(bytes.NewReader(enc1))
+		if err != nil {
+			t.Fatalf("decode of a re-encoded trace: %v\n%s", err, enc1)
+		}
+		enc2, err := trace.EncodeBytes(back)
+		if err != nil {
+			t.Fatalf("second encode: %v", err)
+		}
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatalf("re-encoding not stable:\n%s\nvs\n%s", enc1, enc2)
+		}
+	})
 }
