@@ -1,6 +1,10 @@
 package binning
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"tcast/internal/rng"
+)
 
 // Streamer yields a random equal-sized partition one bin at a time, so a
 // round over a million-candidate field never materializes the full
@@ -103,19 +107,9 @@ func newFeistel(m int, key uint64) feistel {
 	f.mask = (1 << h) - 1
 	x := key
 	for i := range f.keys {
-		f.keys[i] = splitMix64(&x)
+		f.keys[i] = rng.SplitMix64(&x)
 	}
 	return f
-}
-
-// splitMix64 mirrors rng's seeding finalizer; duplicated here (it is
-// three lines) so binning does not reach into rng internals.
-func splitMix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // round is the keyed mixing function F(r, i); only its low h bits are

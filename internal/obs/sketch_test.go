@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,5 +163,69 @@ func TestPlaneBuildsSketch(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/slo", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"sessions": 1`) {
 		t.Fatalf("/slo: %d\n%s", rec.Code, rec.Body.String())
+	}
+}
+
+func TestReservoirDeterministicTopK(t *testing.T) {
+	offers := make([]exemplar, 100)
+	for i := range offers {
+		offers[i] = exemplar{key: uint64(i), weight: float64(1 + i%10), slots: float64(i), label: "t"}
+	}
+	fill := func(order []int) []exemplar {
+		var r reservoir
+		for _, i := range order {
+			r.offer(offers[i])
+		}
+		return r.items
+	}
+	asc := make([]int, len(offers))
+	desc := make([]int, len(offers))
+	for i := range asc {
+		asc[i] = i
+		desc[i] = len(offers) - 1 - i
+	}
+	a, d := fill(asc), fill(desc)
+	if len(a) != sketchExemplars || !slices.Equal(a, d) {
+		t.Errorf("offer order changed reservoir contents\n asc: %v\ndesc: %v", a, d)
+	}
+	for i := 1; i < len(a); i++ {
+		if !a[i-1].before(&a[i]) {
+			t.Errorf("items %d and %d out of priority order", i-1, i)
+		}
+	}
+
+	// Re-offering a (key, weight) updates in place without growing.
+	var r reservoir
+	r.offer(exemplar{key: 1, weight: 2, slots: 10})
+	r.offer(exemplar{key: 1, weight: 2, slots: 20})
+	if n := len(r.items); n != 1 {
+		t.Fatalf("duplicate key grew reservoir to %d", n)
+	}
+	if got := r.items[0].slots; got != 20 {
+		t.Errorf("re-offer kept stale value %v", got)
+	}
+}
+
+func TestReservoirWeightBias(t *testing.T) {
+	// With many light items and a few very heavy ones, the heavy keys
+	// should dominate the retained set.
+	var r reservoir
+	heavy := map[uint64]bool{}
+	for i := uint64(0); i < 1000; i++ {
+		w := 1.0
+		if i%100 == 0 {
+			w = 1e6
+			heavy[i] = true
+		}
+		r.offer(exemplar{key: i, weight: w})
+	}
+	kept := 0
+	for _, ex := range r.items {
+		if heavy[ex.key] {
+			kept++
+		}
+	}
+	if kept < sketchExemplars-1 {
+		t.Errorf("only %d/%d heavy exemplars retained", kept, sketchExemplars)
 	}
 }

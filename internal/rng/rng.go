@@ -28,9 +28,9 @@ type Source struct {
 	hasSpare bool
 }
 
-// splitMix64 advances *x and returns the next SplitMix64 output.
-// It is used only for seeding and stream derivation.
-func splitMix64(x *uint64) uint64 {
+// SplitMix64 advances *x and returns the next SplitMix64 output. It
+// seeds and derives streams here, and keys binning's Feistel rounds.
+func SplitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
 	z := *x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -38,12 +38,28 @@ func splitMix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// Hash64 is the SplitMix64 finalizer over one 64-bit word: a bijection
+// with full avalanche, so consecutive identities (poll 0, 1, 2, ...)
+// spread uniformly over the 64-bit space. The trace sampler and the obs
+// exemplar reservoir key on it, consuming no stream.
+func Hash64(x uint64) uint64 { return SplitMix64(&x) }
+
+// HashString folds a string into a 64-bit key by iterating Hash64 over
+// its bytes (FNV-style combine, SplitMix finalize per word).
+func HashString(s string) uint64 {
+	h := uint64(len(s))
+	for i := 0; i < len(s); i++ {
+		h = Hash64(h ^ uint64(s[i]))
+	}
+	return h
+}
+
 // New returns a Source seeded from seed. Two Sources created with the same
 // seed produce identical streams.
 func New(seed uint64) *Source {
 	var s Source
 	x := seed
-	s.key = splitMix64(&x)
+	s.key = SplitMix64(&x)
 	s.st.seed(&x)
 	// xoshiro256** must not start from the all-zero state; SplitMix64 of any
 	// seed cannot produce four zero words, but guard anyway.
@@ -72,7 +88,7 @@ func (r *Source) Split(label uint64) *Source {
 // shared parent are safe.
 func (r *Source) SplitInto(label uint64, dst *Source) {
 	x := r.key ^ (label * 0xd1342543de82ef95)
-	dst.key = splitMix64(&x)
+	dst.key = SplitMix64(&x)
 	dst.st.seed(&x)
 	if dst.st.zero() {
 		dst.st.s0 = 1

@@ -289,3 +289,20 @@ func BenchmarkNormFloat64(b *testing.B) {
 		_ = r.NormFloat64()
 	}
 }
+
+func TestHash64Avalanche(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := uint64(0); i < 4096; i++ {
+		h := Hash64(i)
+		if seen[h] {
+			t.Fatalf("collision at %d", i)
+		}
+		seen[h] = true
+	}
+	if HashString("a") == HashString("b") {
+		t.Fatalf("string hash collision")
+	}
+	if HashString("") == HashString("a") {
+		t.Fatalf("empty string hash equals non-empty")
+	}
+}

@@ -27,10 +27,10 @@ type Stream struct {
 
 // seed fills the state with the next four SplitMix64 outputs of *x.
 func (s *Stream) seed(x *uint64) {
-	s.s0 = splitMix64(x)
-	s.s1 = splitMix64(x)
-	s.s2 = splitMix64(x)
-	s.s3 = splitMix64(x)
+	s.s0 = SplitMix64(x)
+	s.s1 = SplitMix64(x)
+	s.s2 = SplitMix64(x)
+	s.s3 = SplitMix64(x)
 }
 
 // zero reports the all-zero state, from which xoshiro256** never leaves.

@@ -124,7 +124,7 @@ func sortedCopy(sample []float64) []float64 {
 //
 // Each call copies and sorts the sample: O(n log n) per quantile. For
 // several quantiles of one sample use Quantiles (one sort), and for
-// large or streaming samples use internal/sketch (no sort at all).
+// large or streaming samples use metrics.Summary (no sort at all).
 func Quantile(sample []float64, q float64) float64 {
 	return quantileSorted(sortedCopy(sample), q)
 }

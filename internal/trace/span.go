@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"tcast/internal/query"
+	"tcast/internal/rng"
 )
 
 // This file is the span model itself. A span is a named interval of
@@ -323,7 +324,7 @@ func (s *SpanQuerier) StartSession(name string, attrs ...Attr) {
 	s.session.SetAttr(attrs...)
 	s.polls, s.nodes = 0, 0
 	if s.sampleEvery > 1 {
-		s.sessionKey = hash64(s.sampleKey ^ hashString(name))
+		s.sessionKey = rng.Hash64(s.sampleKey ^ rng.HashString(name))
 	}
 }
 

@@ -62,7 +62,6 @@ var allowed = map[string]string{
 	"faults.Medium.Counts":                "accessor: packet-level fault counts",
 	"kplus.Channel.Queries":               "accessor: the channel's own poll count",
 	"metrics.InstrumentedQuerier.Session": "accessor: per-session tallies before Finish",
-	"metrics.Summary.Count":               "accessor: observation count",
 	"obs.Bus.Seq":                         "accessor: sequence numbers claimed by publishes",
 	"obs.FlightRecorder.Snapshot":         "accessor: the ring's contents",
 	"obs.SLO.Healthy":                     "accessor: whether any SLO rule is failing",
