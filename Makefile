@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFormsAgree -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzSerialDecode -fuzztime=30s ./internal/serial/
+	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=30s ./internal/serve/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

@@ -10,65 +10,12 @@ import (
 	"time"
 )
 
-// queryRequest is the POST /query body. Numeric knobs are pointers so an
-// absent field takes the pool default while explicit zeroes (x=0: no
-// positives) survive.
-type queryRequest struct {
-	Client  string  `json:"client,omitempty"`
-	N       *int    `json:"n,omitempty"`
-	T       *int    `json:"t,omitempty"`
-	X       *int    `json:"x,omitempty"`
-	Alg     string  `json:"alg,omitempty"`
-	Model   string  `json:"model,omitempty"`
-	Seed    *uint64 `json:"seed,omitempty"`
-	Trial   *int    `json:"trial,omitempty"`
-	Field   *int    `json:"field,omitempty"`
-	Faults  string  `json:"faults,omitempty"`
-	Retries int     `json:"retries,omitempty"`
-	Backoff int     `json:"backoff,omitempty"`
-	Audit   bool    `json:"audit,omitempty"`
-}
-
-// spec lowers the wire request onto a Spec, filling absent numerics from
-// the pool defaults (string/bool defaults are resolveSpec's job).
-func (r *queryRequest) spec(d Spec) Spec {
-	sp := Spec{
-		Alg:     r.Alg,
-		Model:   r.Model,
-		Field:   -1,
-		Faults:  r.Faults,
-		Retries: r.Retries,
-		Backoff: r.Backoff,
-		Audit:   r.Audit,
-	}
-	sp.N, sp.T, sp.X = d.N, d.T, d.X
-	if r.N != nil {
-		sp.N = *r.N
-	}
-	if r.T != nil {
-		sp.T = *r.T
-	}
-	if r.X != nil {
-		sp.X = *r.X
-	}
-	if r.Seed != nil {
-		sp.Seed = *r.Seed
-	}
-	if r.Trial != nil {
-		sp.Trial = *r.Trial
-	}
-	if r.Field != nil {
-		sp.Field = *r.Field
-	}
-	return sp
-}
-
 // clientID names the submitting client for per-client admission: the
 // request body's client field, else the X-Tcast-Client header, else the
 // remote host.
-func clientID(req *queryRequest, r *http.Request) string {
-	if req.Client != "" {
-		return req.Client
+func clientID(client string, r *http.Request) string {
+	if client != "" {
+		return client
 	}
 	if h := r.Header.Get("X-Tcast-Client"); h != "" {
 		return h
@@ -127,14 +74,22 @@ type FieldStatus struct {
 //	GET  /fields            per-field clock/occupancy stats
 func Register(mux *http.ServeMux, p *Pool) {
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		var req queryRequest
+		// The body decodes over the pool's N/T/X and the round-robin
+		// field, so an absent field keeps its default while an explicit
+		// zero (x=0: no positives) survives. String and bool defaults
+		// are resolveSpec's job.
+		d := p.cfg.Defaults
+		req := struct {
+			Client string `json:"client"`
+			Spec
+		}{Spec: Spec{N: d.N, T: d.T, X: d.X, Field: -1}}
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 			return
 		}
-		s, err := p.Submit(req.spec(p.cfg.Defaults), clientID(&req, r))
+		s, err := p.Submit(req.Spec, clientID(req.Client, r))
 		if err != nil {
 			writeError(w, err)
 			return

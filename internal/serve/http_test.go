@@ -157,3 +157,71 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 }
+
+// TestHTTPQueryDefaults: the body decodes over the pool's defaults, so an
+// absent field takes the default, an explicit zero survives, and an
+// unknown field is still rejected.
+func TestHTTPQueryDefaults(t *testing.T) {
+	p := NewPool(Config{Defaults: Spec{N: 64, T: 8, X: 12, Alg: "2tbins", Model: "1+"}})
+	defer drain(t, p)
+	mux := http.NewServeMux()
+	Register(mux, p)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	code, st, _ := postQuery(t, ts, "/query?wait=1", `{"t":4,"seed":3}`)
+	if code != http.StatusOK {
+		t.Fatalf("absent fields: status %d", code)
+	}
+	if sp := st.Spec; sp.N != 64 || sp.T != 4 || sp.X != 12 || sp.Seed != 3 || sp.Field != 0 {
+		t.Fatalf("absent fields: spec %+v, want n=64 t=4 x=12 seed=3 field=0", sp)
+	}
+
+	code, st, _ = postQuery(t, ts, "/query?wait=1", `{"x":0}`)
+	if code != http.StatusOK {
+		t.Fatalf("explicit x=0: status %d", code)
+	}
+	if st.Spec.X != 0 || st.Result == nil || !st.Result.Correct {
+		t.Fatalf("explicit x=0: %+v", st)
+	}
+
+	if code, _, _ := postQuery(t, ts, "/query", `{"x":1,"positives":3}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d", code)
+	}
+}
+
+// FuzzQueryRequest: no request body makes POST /query panic, and every
+// answer is a 2xx, 400, 429 or 503. The pool is held and never opened,
+// so admitted sessions park without running and no body can make the
+// process simulate; at most two are admitted before the rest shed.
+func FuzzQueryRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"x":0}`,
+		`{"n":128,"t":16,"x":20,"seed":7,"audit":true}`,
+		`{"client":"c","alg":"abns","model":"2+","field":-1,"trial":3}`,
+		`{"faults":"loss=0.1","retries":2,"backoff":1}`,
+		`{"n":-1,"t":1e9,"x":"a"}`,
+		`{"unknown":1}`,
+		`{"x":1}{"x":2}`,
+		`null`,
+		`{not json`,
+	} {
+		f.Add(seed)
+	}
+	p := NewPool(Config{Fields: 2, MaxActive: 1, MaxQueue: 1, MaxN: 4096, Hold: true})
+	mux := http.NewServeMux()
+	Register(mux, p)
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(body)))
+		switch code := rec.Code; {
+		case code >= 200 && code < 300,
+			code == http.StatusBadRequest,
+			code == http.StatusTooManyRequests,
+			code == http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("body %q: status %d", body, code)
+		}
+	})
+}
