@@ -97,9 +97,13 @@ func NewSession(med radio.Channel, initiatorID int, participants []*Participant,
 	}, nil
 }
 
-// Traits implements query.Querier.
+// Traits implements query.Querier. The medium decodes a vote only when
+// exactly one copy survives, so on a lossless medium a decode proves the
+// bin held one positive. On a lossy one, loss can thin several voters to
+// one surviving copy, and the decode proves only "at least one": the 2+
+// session then declares the capture effect.
 func (s *Session) Traits() query.Traits {
-	return query.Traits{Model: s.model, CaptureEffect: s.model == query.TwoPlus}
+	return query.Traits{Model: s.model, CaptureEffect: s.model == query.TwoPlus && !s.med.Lossless()}
 }
 
 // Slots returns the total radio slots consumed so far: the session's

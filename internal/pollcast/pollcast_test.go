@@ -166,13 +166,60 @@ func TestTraits(t *testing.T) {
 		t.Fatalf("pollcast 1+ traits: %+v", tr)
 	}
 	p2 := newSession(t, radio.Config{}, 12, Pollcast, query.TwoPlus, makeParts(4))
-	if tr := p2.Traits(); tr.Model != query.TwoPlus || !tr.CaptureEffect {
-		t.Fatalf("pollcast 2+ traits: %+v", tr)
+	if tr := p2.Traits(); tr.Model != query.TwoPlus || tr.CaptureEffect {
+		t.Fatalf("lossless pollcast 2+ traits: %+v", tr)
 	}
 	b := newSession(t, radio.Config{}, 13, Backcast, query.OnePlus, makeParts(4))
 	if tr := b.Traits(); tr.Model != query.OnePlus {
 		t.Fatalf("backcast traits: %+v", tr)
 	}
+}
+
+// TestPollcastTwoPlusLosslessDecodeExcludesBin: on a lossless medium a
+// decoded vote proves its bin held one positive, so the ledger drops the
+// rest of the bin with the decoded node.
+func TestPollcastTwoPlusLosslessDecodeExcludesBin(t *testing.T) {
+	s := newSession(t, radio.Config{}, 14, Pollcast, query.TwoPlus, makeParts(8, 2))
+	k := query.NewKnowledge(8, 2)
+	bin := []int{0, 1, 2, 3}
+	r := s.Query(bin)
+	if r.Kind != query.Decoded || r.DecodedID != 2 {
+		t.Fatalf("lone voter: %+v", r)
+	}
+	k.Apply(bin, r, s.Traits())
+	if k.Confirmed != 1 || k.Candidates.Len() != 4 {
+		t.Fatalf("confirmed %d, candidates %d; want 1 and 4 (the bin excluded)", k.Confirmed, k.Candidates.Len())
+	}
+	for _, id := range bin {
+		if k.Candidates.Contains(id) {
+			t.Errorf("node %d of the decoded bin is still a candidate", id)
+		}
+	}
+}
+
+// TestPollcastTwoPlusLossyKeepsCapture: on a lossy medium loss can thin
+// two voters to one surviving copy, which the medium decodes; the 2+
+// session keeps the capture trait so a decode excludes nobody else.
+func TestPollcastTwoPlusLossyKeepsCapture(t *testing.T) {
+	s := newSession(t, radio.Config{MissProb: 0.5}, 15, Pollcast, query.TwoPlus, makeParts(8, 1, 2))
+	if tr := s.Traits(); tr.Model != query.TwoPlus || !tr.CaptureEffect {
+		t.Fatalf("lossy pollcast 2+ traits: %+v", tr)
+	}
+	for i := 0; i < 200; i++ {
+		r := s.Query([]int{1, 2})
+		if r.Kind != query.Decoded {
+			continue
+		}
+		// One of the two voters was lost: the decode hides the other.
+		k := query.NewKnowledge(8, 2)
+		k.Apply([]int{1, 2}, r, s.Traits())
+		other := 3 - r.DecodedID
+		if !k.Candidates.Contains(other) {
+			t.Fatalf("decode of %d excluded positive %d", r.DecodedID, other)
+		}
+		return
+	}
+	t.Fatal("no lone surviving vote in 200 lossy polls")
 }
 
 func TestPrimitiveString(t *testing.T) {
