@@ -392,9 +392,6 @@ func (a *Auditor) resolveMetrics(m *metrics.Registry) {
 	}
 }
 
-// TrueX returns the ground-truth positive count over {0..n-1}.
-func (a *Auditor) TrueX() int { return a.trueX }
-
 // Lossless reports whether the bound invariants are being checked.
 func (a *Auditor) Lossless() bool { return a.lossless }
 

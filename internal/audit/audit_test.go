@@ -85,8 +85,8 @@ func TestAuditorGradesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aud.TrueX() != 3 {
-		t.Fatalf("TrueX = %d, want 3", aud.TrueX())
+	if aud.trueX != 3 {
+		t.Fatalf("TrueX = %d, want 3", aud.trueX)
 	}
 	if aud.Lossless() {
 		t.Fatal("scripted substrate reported lossless")

@@ -99,8 +99,8 @@ func TestTrueCountFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aud.TrueX() != 42 {
-		t.Fatalf("TrueX = %d, want 42", aud.TrueX())
+	if aud.trueX != 42 {
+		t.Fatalf("TrueX = %d, want 42", aud.trueX)
 	}
 	// The scripted substrate has no Positives method: the scan path.
 	sc := scriptedSession()
@@ -108,7 +108,7 @@ func TestTrueCountFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aud2.TrueX() != 3 {
-		t.Fatalf("scan TrueX = %d, want 3", aud2.TrueX())
+	if aud2.trueX != 3 {
+		t.Fatalf("scan TrueX = %d, want 3", aud2.trueX)
 	}
 }

@@ -266,10 +266,6 @@ func (c *Channel) ResetRandom(n, x int, cfg Config, r *rng.Source) {
 	c.stats = TxStats{}
 }
 
-// PositiveSet returns the channel's ground-truth positive set. The set is
-// owned by the channel; callers must not mutate it.
-func (c *Channel) PositiveSet() *idset.Dense { return c.positives }
-
 // Traits implements query.Querier.
 func (c *Channel) Traits() query.Traits {
 	return query.Traits{Model: c.cfg.Model, CaptureEffect: c.cfg.CaptureEffectPresent}

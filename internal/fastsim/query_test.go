@@ -82,7 +82,7 @@ func TestResetRandomMatchesRandomPositives(t *testing.T) {
 		x := int(seed % 20)
 		fresh, set := RandomPositives(n, x, cfg, rng.New(seed))
 		pooled.ResetRandom(n, x, cfg, rng.New(seed))
-		if got := pooled.PositiveSet(); got.Cap() != set.Cap() || !slices.Equal(got.Members(), set.Members()) {
+		if got := pooled.positives; got.Cap() != set.Cap() || !slices.Equal(got.Members(), set.Members()) {
 			t.Fatalf("seed %d: pooled positives differ from fresh", seed)
 		}
 		if pooled.Stats() != (TxStats{}) {

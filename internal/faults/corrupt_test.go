@@ -48,7 +48,7 @@ func TestCorruptDecodeForgesID(t *testing.T) {
 	if resp.DecodedID < 0 || resp.DecodedID >= n {
 		t.Fatalf("forged ID %d outside population [0,%d)", resp.DecodedID, n)
 	}
-	if c := j.Counts().Corrupted; c != 1 {
+	if c := j.counts.Corrupted; c != 1 {
 		t.Fatalf("Counts().Corrupted = %d, want 1", c)
 	}
 	if desc := j.Describe(0); !strings.Contains(desc, "decode corrupted") {
@@ -62,7 +62,7 @@ func TestCorruptDecodeLeavesNonDecodesAlone(t *testing.T) {
 		if resp := j.Query([]int{0}); resp.Kind != kind {
 			t.Fatalf("%v response changed to %v", kind, resp.Kind)
 		}
-		if c := j.Counts().Corrupted; c != 0 {
+		if c := j.counts.Corrupted; c != 0 {
 			t.Fatalf("Counts().Corrupted = %d, want 0", c)
 		}
 	}

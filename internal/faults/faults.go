@@ -445,9 +445,6 @@ func (j *Injector) TraceAttrs() []trace.Attr {
 	}
 }
 
-// Counts returns the aggregate fault activity so far.
-func (j *Injector) Counts() Counts { return j.counts }
-
 // Events returns the per-poll fault log: one entry per poll that a fault
 // touched, in poll order. Its ID lists stay valid until the next Reset.
 // Events builds a new slice on every call; a caller that only walks the

@@ -54,7 +54,7 @@ func TestInactiveInjectorTransparent(t *testing.T) {
 	if ev := j.Events(); len(ev) != 0 {
 		t.Fatalf("inactive injector logged events: %v", ev)
 	}
-	if got := j.Counts(); got.Polls != 4 || got.Lost != 0 || got.Silenced != 0 {
+	if got := j.counts; got.Polls != 4 || got.Lost != 0 || got.Silenced != 0 {
 		t.Fatalf("Counts = %+v, want 4 untouched polls", got)
 	}
 }
@@ -188,7 +188,7 @@ func TestChurnSilencesCrashedNodes(t *testing.T) {
 	if resp.Kind != query.Active {
 		t.Fatalf("Kind = %v, want the substrate's Active", resp.Kind)
 	}
-	c := j.Counts()
+	c := j.counts
 	if c.Crashes != 4 || c.Silenced != 4 {
 		t.Fatalf("Counts = %+v, want 4 crashes silencing 4 members", c)
 	}
@@ -210,7 +210,7 @@ func TestBurstDefaultsMissBadToOne(t *testing.T) {
 	if got := inner.bins[0]; len(got) != 0 {
 		t.Fatalf("inner polled with %v, want empty bin (all replies burst-lost)", got)
 	}
-	if c := j.Counts(); c.Lost != 3 {
+	if c := j.counts; c.Lost != 3 {
 		t.Fatalf("Counts.Lost = %d, want 3", c.Lost)
 	}
 }
@@ -227,7 +227,7 @@ func TestSkewForcesSilence(t *testing.T) {
 	if got := inner.bins[0]; !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("inner polled with %v, want [0 1]", got)
 	}
-	if c := j.Counts(); c.Skewed != 1 {
+	if c := j.counts; c.Skewed != 1 {
 		t.Fatalf("Counts.Skewed = %d, want 1", c.Skewed)
 	}
 }

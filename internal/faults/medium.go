@@ -107,9 +107,6 @@ func (m *Medium) Elapsed() time.Duration { return m.inner.Elapsed() }
 // active fault process.
 func (m *Medium) Lossless() bool { return m.inner.Lossless() && !m.cfg.Active() }
 
-// Counts returns the aggregate fault activity so far.
-func (m *Medium) Counts() Counts { return m.counts }
-
 // TraceAttrs forwards the inner medium's annotations, appending the fault
 // tallies when the config is active (an inactive wrapper contributes
 // nothing, keeping zero-rate traces byte-identical).

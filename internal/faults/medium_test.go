@@ -75,7 +75,7 @@ func TestMediumChurnSilencesTransmitter(t *testing.T) {
 	}
 	// Silenced stays zero here: a crashed node's radio is off, so it never
 	// hears the poll and never even attempts the vote it would have lost.
-	if c := med.Counts(); c.Crashes != n {
+	if c := med.counts; c.Crashes != n {
 		t.Fatalf("Counts = %+v, want %d crashes", c, n)
 	}
 }
@@ -91,7 +91,7 @@ func TestMediumBurstDropsLossyFrames(t *testing.T) {
 	if resps[0].Kind != query.Empty {
 		t.Fatalf("Kind = %v, want Empty (all replies burst-lost)", resps[0].Kind)
 	}
-	if c := med.Counts(); c.Lost == 0 {
+	if c := med.counts; c.Lost == 0 {
 		t.Fatalf("Counts = %+v, want lost frames", c)
 	}
 }
@@ -109,7 +109,7 @@ func TestMediumSkewBlindsOnlyInitiator(t *testing.T) {
 	if resps[0].Kind != query.Empty {
 		t.Fatalf("Kind = %v, want Empty (initiator's window skewed)", resps[0].Kind)
 	}
-	if c := med.Counts(); c.Skewed == 0 {
+	if c := med.counts; c.Skewed == 0 {
 		t.Fatalf("Counts = %+v, want skewed observations", c)
 	}
 }

@@ -346,8 +346,8 @@ func TestInjectorMatchesBernoulliOracle(t *testing.T) {
 				if !reflect.DeepEqual(pooled.Events(), ref.events) {
 					t.Fatalf("%s: Events = %+v, oracle %+v", label, pooled.Events(), ref.events)
 				}
-				if pooled.Counts() != ref.counts {
-					t.Fatalf("%s: Counts = %+v, oracle %+v", label, pooled.Counts(), ref.counts)
+				if pooled.counts != ref.counts {
+					t.Fatalf("%s: Counts = %+v, oracle %+v", label, pooled.counts, ref.counts)
 				}
 				for p := -1; p <= polls; p++ {
 					if g, w := pooled.Describe(p), ref.describe(p); g != w {
@@ -401,8 +401,8 @@ func TestMediumMatchesBernoulliOracle(t *testing.T) {
 					got.EndSlot()
 					want.inner.EndSlot()
 				}
-				if got.Counts() != want.counts {
-					t.Fatalf("%s: Counts = %+v, oracle %+v", label, got.Counts(), want.counts)
+				if got.counts != want.counts {
+					t.Fatalf("%s: Counts = %+v, oracle %+v", label, got.counts, want.counts)
 				}
 				if !reflect.DeepEqual(got.TraceAttrs(), want.traceAttrs()) {
 					t.Fatalf("%s: TraceAttrs = %v, oracle %v", label, got.TraceAttrs(), want.traceAttrs())

@@ -65,9 +65,6 @@ func RandomChannel(k, n, x int, r *rng.Source) *Channel {
 // K implements Querier.
 func (c *Channel) K() int { return c.k }
 
-// Queries returns the number of queries issued.
-func (c *Channel) Queries() int { return c.queries }
-
 // Query implements Querier.
 func (c *Channel) Query(bin []int) Response {
 	c.queries++

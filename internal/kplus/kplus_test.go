@@ -17,8 +17,8 @@ func TestChannelExactBelowK(t *testing.T) {
 	if resp.Saturated || resp.Count != 0 {
 		t.Fatalf("empty bin: %+v", resp)
 	}
-	if ch.Queries() != 2 {
-		t.Fatalf("queries = %d", ch.Queries())
+	if ch.queries != 2 {
+		t.Fatalf("queries = %d", ch.queries)
 	}
 }
 

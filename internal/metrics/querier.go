@@ -143,12 +143,6 @@ func (iq *InstrumentedQuerier) TraceRound(round int) {
 	}
 }
 
-// Session returns the kind partition and node-poll total of the polls seen
-// since construction (or the last Finish).
-func (iq *InstrumentedQuerier) Session() (query.KindCounts, int) {
-	return iq.kinds, iq.sessNodes
-}
-
 // Finish records the session's totals — polls (= RCD slots) and node-poll
 // pairs (the listener-energy proxy) — into the session histograms and
 // resets the session tallies so the wrapper can be reused.

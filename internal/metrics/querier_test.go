@@ -114,12 +114,12 @@ func TestRecordMatchesQueryInstruments(t *testing.T) {
 	iq := NewInstrumentedQuerier(nil, m)
 	iq.Record(query.Empty, 3)
 	iq.Record(query.Active, 5)
-	kinds, nodes := iq.Session()
+	kinds, nodes := iq.kinds, iq.sessNodes
 	if kinds.Empty != 1 || kinds.Active != 1 || kinds.Total() != 2 || nodes != 8 {
 		t.Fatalf("session = %+v nodes=%d", kinds, nodes)
 	}
 	iq.Finish()
-	kinds, nodes = iq.Session()
+	kinds, nodes = iq.kinds, iq.sessNodes
 	if kinds.Total() != 0 || nodes != 0 {
 		t.Fatal("Finish did not reset the session tallies")
 	}

@@ -84,14 +84,6 @@ func (b *Bus) Publish(e Event) {
 	}
 }
 
-// Seq returns the number of events published so far.
-func (b *Bus) Seq() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.seq.Load()
-}
-
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(Event)
 

@@ -22,7 +22,7 @@ func failingSLO(t *testing.T) *SLO {
 	s := NewSLO(rules, window, nil)
 	s.OnEvent(Event{Kind: KindSessionVerdict, Correct: false})
 	s.OnEvent(Event{Kind: KindSessionVerdict, Correct: false})
-	if s.Healthy() {
+	if s.Report().Healthy {
 		t.Fatal("fixture engine should be failing")
 	}
 	return s

@@ -39,7 +39,7 @@ func TestBusPublishSubscribe(t *testing.T) {
 	b := NewBus()
 	// No subscribers: no sequence numbers claimed.
 	b.Publish(Event{Kind: KindPoll})
-	if got := b.Seq(); got != 0 {
+	if got := b.seq.Load(); got != 0 {
 		t.Fatalf("seq with no sinks = %d, want 0", got)
 	}
 	var c collect
@@ -65,9 +65,6 @@ func TestBusNilSafe(t *testing.T) {
 	b.Publish(Event{Kind: KindPoll}) // must not panic
 	b.Subscribe(SinkFunc(func(Event) {}))
 	b.Unsubscribe(nil)
-	if b.Seq() != 0 {
-		t.Fatal("nil bus claims sequence numbers")
-	}
 	PublishSessionStart(nil, "s", 0)
 	PublishDecision(nil, "s", 0, true, true, 1, 1)
 	PublishChainEvents(nil, "s", 0, nil)
@@ -114,8 +111,8 @@ func TestBusConcurrentPublish(t *testing.T) {
 	if got := len(c.all()); got != workers*per {
 		t.Fatalf("delivered %d events, want %d", got, workers*per)
 	}
-	if b.Seq() != workers*per {
-		t.Fatalf("seq = %d, want %d", b.Seq(), workers*per)
+	if got := b.seq.Load(); got != workers*per {
+		t.Fatalf("seq = %d, want %d", got, workers*per)
 	}
 }
 
@@ -186,7 +183,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		f.OnEvent(Event{Kind: KindPoll, Seq: uint64(i + 1), Poll: i, Trial: -1, CausalPoll: -1})
 	}
-	snap := f.Snapshot()
+	snap := f.snapshotLocked()
 	if len(snap) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(snap))
 	}
@@ -242,7 +239,7 @@ func TestFlightRecorderDumpCap(t *testing.T) {
 		t.Fatalf("wrote %d dumps, want cap %d", got, DefaultMaxDumps)
 	}
 	// Recording continues past the cap.
-	if len(f.Snapshot()) != 8 {
+	if len(f.snapshotLocked()) != 8 {
 		t.Fatal("ring stopped recording after dump cap")
 	}
 }
@@ -360,11 +357,11 @@ func TestSLOWindowAndTransitions(t *testing.T) {
 	}
 	verdict(true)
 	verdict(false)
-	if !s.Healthy() {
+	if !s.Report().Healthy {
 		t.Fatal("1/2 wrong within a 0.5 budget should pass")
 	}
 	verdict(false)
-	if s.Healthy() {
+	if s.Report().Healthy {
 		t.Fatal("2/3 wrong over a 0.5 budget should fail")
 	}
 	// The pass→fail transition publishes a KindSLO event and an anomaly.
@@ -387,7 +384,7 @@ func TestSLOWindowAndTransitions(t *testing.T) {
 	verdict(true)
 	verdict(true)
 	verdict(true) // window now holds f,t,t,t -> 1/4 violating
-	if !s.Healthy() {
+	if !s.Report().Healthy {
 		t.Fatalf("window should have recovered: %+v", s.Report())
 	}
 	rep := s.Report()
@@ -562,7 +559,7 @@ func TestConfigBuild(t *testing.T) {
 	}
 	p.Bus().Publish(Event{Kind: KindSessionVerdict, Trial: -1, Poll: -1, Correct: false, CausalPoll: -1})
 	p.Bus().Publish(Event{Kind: KindSessionVerdict, Trial: -1, Poll: -1, Correct: false, CausalPoll: -1})
-	if p.SLO().Healthy() {
+	if p.SLO().Report().Healthy {
 		t.Fatal("slo should be failing")
 	}
 	// The registry sink counted the published events per kind.

@@ -83,13 +83,6 @@ func (f *FlightRecorder) snapshotLocked() []Event {
 	return out
 }
 
-// Snapshot returns the recorded events, oldest first.
-func (f *FlightRecorder) Snapshot() []Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.snapshotLocked()
-}
-
 // dump writes the ring to the next FLIGHT_<n>.jsonl; callers hold f.mu.
 func (f *FlightRecorder) dump(trigger Event) error {
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {

@@ -299,15 +299,3 @@ func (s *SLO) Report() Report {
 	}
 	return rep
 }
-
-// Healthy reports whether every rule currently passes.
-func (s *SLO) Healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.failing {
-		if f {
-			return false
-		}
-	}
-	return true
-}

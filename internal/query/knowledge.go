@@ -82,10 +82,6 @@ func (k *Knowledge) StartRound() {
 	k.roundLB = 0
 }
 
-// RoundLowerBound returns the guaranteed positive count among the bins
-// queried so far in the current round, excluding Confirmed nodes.
-func (k *Knowledge) RoundLowerBound() int { return k.roundLB }
-
 // LowerBound returns the total guaranteed positive count: confirmed
 // positives plus the current round's bin evidence.
 func (k *Knowledge) LowerBound() int { return k.Confirmed + k.roundLB }

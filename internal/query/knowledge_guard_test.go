@@ -54,8 +54,8 @@ func TestApplyCorruptDecodeOfEliminatedNode(t *testing.T) {
 	if got := k.UpperBound(); got > ub {
 		t.Errorf("UpperBound grew across corrupt decode: %d -> %d", ub, got)
 	}
-	if k.RoundLowerBound() != 1 {
-		t.Errorf("RoundLowerBound = %d, want 1 (counted like Active)", k.RoundLowerBound())
+	if k.roundLB != 1 {
+		t.Errorf("RoundLowerBound = %d, want 1 (counted like Active)", k.roundLB)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestQuickResetMatchesNewKnowledge(t *testing.T) {
 		k.Reset(n2, thr)
 		fresh := NewKnowledge(n2, thr)
 		if k.Confirmed != fresh.Confirmed || k.Threshold != fresh.Threshold ||
-			k.RoundLowerBound() != fresh.RoundLowerBound() {
+			k.roundLB != fresh.roundLB {
 			return false
 		}
 		return k.Candidates.Equal(fresh.Candidates)

@@ -26,7 +26,7 @@ func equalKnowledge(t *testing.T, k *Knowledge, n, threshold int) {
 	t.Helper()
 	fresh := NewKnowledge(n, threshold)
 	if k.Confirmed != fresh.Confirmed || k.Threshold != fresh.Threshold ||
-		k.RoundLowerBound() != fresh.RoundLowerBound() {
+		k.roundLB != fresh.roundLB {
 		t.Fatalf("reset ledger scalars diverge: %+v vs fresh %+v", k, fresh)
 	}
 	if k.UpperBound() != fresh.UpperBound() || k.LowerBound() != fresh.LowerBound() {

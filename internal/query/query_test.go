@@ -99,7 +99,7 @@ func TestApplyEmptyRemovesBin(t *testing.T) {
 			t.Fatalf("node %d not removed", id)
 		}
 	}
-	if k.RoundLowerBound() != 0 {
+	if k.roundLB != 0 {
 		t.Fatal("empty bin raised the lower bound")
 	}
 }
@@ -108,7 +108,7 @@ func TestApplyActiveRaisesLowerBound(t *testing.T) {
 	k := NewKnowledge(10, 2)
 	k.StartRound()
 	k.Apply([]int{0, 1}, Response{Kind: Active}, Traits{Model: OnePlus})
-	if k.RoundLowerBound() != 1 || k.Candidates.Len() != 10 {
+	if k.roundLB != 1 || k.Candidates.Len() != 10 {
 		t.Fatal("active bin handling wrong")
 	}
 	k.Apply([]int{2, 3}, Response{Kind: Active}, Traits{Model: OnePlus})
@@ -122,8 +122,8 @@ func TestApplyCollisionCountsTwo(t *testing.T) {
 	k := NewKnowledge(10, 2)
 	k.StartRound()
 	k.Apply([]int{0, 1, 2}, Response{Kind: Collision}, Traits{Model: TwoPlus, CaptureEffect: true})
-	if k.RoundLowerBound() != 2 {
-		t.Fatalf("lower bound = %d, want 2", k.RoundLowerBound())
+	if k.roundLB != 2 {
+		t.Fatalf("lower bound = %d, want 2", k.roundLB)
 	}
 	ans, decided := k.Decision()
 	if !decided || !ans {
@@ -146,7 +146,7 @@ func TestApplyDecodedWithCapture(t *testing.T) {
 	if !k.Candidates.Contains(4) || !k.Candidates.Contains(6) {
 		t.Fatal("capture-effect decode wrongly excluded bin mates")
 	}
-	if k.RoundLowerBound() != 0 {
+	if k.roundLB != 0 {
 		t.Fatal("decode must move evidence into Confirmed, not the round bound")
 	}
 	if k.LowerBound() != 1 {

@@ -131,14 +131,8 @@ func (r *Retry) Slots() int {
 	return r.attempts + slots
 }
 
-// Attempts returns the polls issued downstream, first attempts included.
-func (r *Retry) Attempts() int { return r.attempts }
-
 // Retries returns the attempts beyond each poll's first.
 func (r *Retry) Retries() int { return r.retries }
-
-// BackoffSlots returns the idle slots spent waiting before retries.
-func (r *Retry) BackoffSlots() int { return r.backoff }
 
 // Exhausted returns the polls that stayed silent after the full retry
 // budget — the ones the policy could not recover.

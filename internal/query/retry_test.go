@@ -47,9 +47,9 @@ func TestRetryRepollsOnSilence(t *testing.T) {
 	if inner.polls != 3 {
 		t.Fatalf("inner polled %d times, want 3", inner.polls)
 	}
-	if r.Attempts() != 3 || r.Retries() != 2 || r.BackoffSlots() != 2 {
+	if r.attempts != 3 || r.Retries() != 2 || r.backoff != 2 {
 		t.Fatalf("attempts/retries/backoff = %d/%d/%d, want 3/2/2",
-			r.Attempts(), r.Retries(), r.BackoffSlots())
+			r.attempts, r.Retries(), r.backoff)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestRetryStopsOnFirstAnswer(t *testing.T) {
 	inner := &scriptedQ{script: []Kind{Active}}
 	r := WithRetry(inner, RetryPolicy{MaxRetries: 5, Backoff: 2}).(*Retry)
 	r.Query(nil)
-	if inner.polls != 1 || r.BackoffSlots() != 0 {
-		t.Fatalf("polls/backoff = %d/%d, want 1/0 (no silence, no retries)", inner.polls, r.BackoffSlots())
+	if inner.polls != 1 || r.backoff != 0 {
+		t.Fatalf("polls/backoff = %d/%d, want 1/0 (no silence, no retries)", inner.polls, r.backoff)
 	}
 }
 

@@ -65,8 +65,8 @@ func TestGraftRebasesClock(t *testing.T) {
 		emitTrial(b.Fork(i), i) // each trial spans 3 slots
 	}
 	b.Graft()
-	if b.Now() != 12 {
-		t.Fatalf("clock after graft = %d, want 12", b.Now())
+	if b.now != 12 {
+		t.Fatalf("clock after graft = %d, want 12", b.now)
 	}
 	tr := b.Trace()
 	if len(tr.Roots) != 4 {
@@ -139,7 +139,7 @@ func TestDropForks(t *testing.T) {
 	if n := b.PendingForks(); n != 0 {
 		t.Fatalf("pending after drop = %d, want 0", n)
 	}
-	if b.Now() != 0 || len(b.Trace().Roots) != 0 {
+	if b.now != 0 || len(b.Trace().Roots) != 0 {
 		t.Fatal("dropped forks leaked into the trace")
 	}
 }

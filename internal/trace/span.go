@@ -191,9 +191,6 @@ type Builder struct {
 // NewBuilder returns a builder with the virtual clock at zero.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Now returns the current virtual time in slots.
-func (b *Builder) Now() int64 { return b.now }
-
 // Advance moves the virtual clock forward by d slots. Negative d panics:
 // virtual time never rewinds.
 func (b *Builder) Advance(d int64) {

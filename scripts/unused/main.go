@@ -53,22 +53,9 @@ var allowed = map[string]string{
 	"serve.Field.Parked":             "test seam: tests fix the arrival order on a held field",
 	"fastsim.Config.FalseActiveProb": "pinned: its span attribute is part of the golden trace bytes",
 	// Accessors that tests read to check behaviour that stays.
-	"faults.Injector.Counts":              "accessor: injected fault counts",
-	"query.Knowledge.RoundLowerBound":     "accessor: the round's lower bound",
-	"query.Retry.Attempts":                "accessor: polls the retry layer issued",
-	"audit.Auditor.TrueX":                 "accessor: the true positive count, scanned or read from Positives",
-	"fastsim.Channel.PositiveSet":         "accessor: pooled and fresh channels draw the same positives",
-	"faults.Injector.Events":              "accessor: the event log the Bernoulli oracle is checked against",
-	"faults.Medium.Counts":                "accessor: packet-level fault counts",
-	"kplus.Channel.Queries":               "accessor: the channel's own poll count",
-	"metrics.InstrumentedQuerier.Session": "accessor: per-session tallies before Finish",
-	"obs.Bus.Seq":                         "accessor: sequence numbers claimed by publishes",
-	"obs.FlightRecorder.Snapshot":         "accessor: the ring's contents",
-	"obs.SLO.Healthy":                     "accessor: whether any SLO rule is failing",
-	"query.Retry.BackoffSlots":            "accessor: backoff slots the retry layer charged",
-	"trace.Builder.Now":                   "accessor: the virtual clock after a graft",
-	"trace.Builder.PendingForks":          "accessor: forks not yet grafted",
-	"trace.Trace.NumSpans":                "accessor: span count of a built trace",
+	"faults.Injector.Events":     "accessor: the event log the Bernoulli oracle is checked against",
+	"trace.Builder.PendingForks": "accessor: forks not yet grafted",
+	"trace.Trace.NumSpans":       "accessor: span count of a built trace",
 }
 
 // modules maps each module's import path to its directory. The root
