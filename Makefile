@@ -16,9 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Static analysis: vet always; staticcheck when installed (CI installs it,
-# see .github/workflows/ci.yml).
+# Static analysis: gofmt and vet always; staticcheck when installed (CI
+# installs it, see .github/workflows/ci.yml).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

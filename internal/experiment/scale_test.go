@@ -6,9 +6,9 @@ import (
 
 func TestScaleSweepTrialsClamp(t *testing.T) {
 	cases := []struct{ runs, n, want int }{
-		{1000, 100, 1000},      // capped at runs
-		{1000, 1_000, 200},     // budget / n
-		{1000, 10_000_000, 1},  // floor of one trial
+		{1000, 100, 1000},     // capped at runs
+		{1000, 1_000, 200},    // budget / n
+		{1000, 10_000_000, 1}, // floor of one trial
 		{3, 100, 3},
 		{3, 1_000_000, 1},
 	}
