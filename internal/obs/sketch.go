@@ -46,7 +46,8 @@ type SketchSink struct {
 
 // NewSketchSink returns an empty sink. With a registry, its cost
 // summaries are the registry's obs_session_polls/obs_session_slots, so
-// /metrics dumps show the same observations.
+// /metrics dumps show the same observations; sinks built on one registry
+// share them.
 func NewSketchSink(reg *metrics.Registry) *SketchSink {
 	if reg == nil {
 		return &SketchSink{polls: metrics.NewSummary(), slots: metrics.NewSummary()}
