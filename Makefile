@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzSerialDecode -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzCSMAMatchesSlotLoop -fuzztime=30s ./internal/baseline/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

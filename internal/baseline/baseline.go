@@ -9,6 +9,9 @@
 package baseline
 
 import (
+	"math/bits"
+	"slices"
+
 	"tcast/internal/idset"
 	"tcast/internal/rng"
 )
@@ -59,12 +62,25 @@ type CSMA struct {
 	Drop func(slot int) bool
 }
 
-// cwMin and cwMax bound CSMA's contention window.
+// cwMin and cwMax bound CSMA's contention window. cwMax is a power of two
+// and bounds every backoff counter, so the calendar wheel in Run needs
+// exactly cwMax buckets.
 const cwMin, cwMax = 4, 128
 
 // Run simulates one session: n participants of which x reply, threshold
 // t. Which nodes are positive does not matter to contention, only how
 // many.
+//
+// Stations are the indices 0..x-1 of the backlog. A station's backoff
+// counter counts down only on idle slots, so on the idle-slot clock
+// (the number of idle slots so far) it transmits at a fixed time: the
+// clock when it drew, plus the draw. Counters stay below cwMax, so a
+// calendar wheel of cwMax buckets, indexed by that time modulo cwMax,
+// holds every pending station, and the bucket under the current clock
+// is the set transmitting this slot. Runs of idle slots are crossed in
+// one step, capped by the guard. A busy slot costs O(transmitters);
+// colliding stations redraw in backlog (index) order, drawing exactly
+// what a slot-by-slot simulation draws.
 func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 	if t <= 0 {
 		return Result{Decision: true}
@@ -73,17 +89,29 @@ func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 		return Result{Decision: false}
 	}
 
-	// Per-backlogged-node contention state.
-	type station struct {
-		cw      int
-		counter int
+	// Flat per-station state: cw is the contention window, next links a
+	// station to the next one in its bucket (-1 ends a bucket), tx holds
+	// one slot's transmitters.
+	flat := make([]int32, 3*x)
+	cw, next, tx := flat[:x], flat[x:2*x], flat[2*x:2*x:3*x]
+	var head [cwMax]int32
+	for b := range head {
+		head[b] = -1
 	}
-	backlog := make([]*station, 0, x)
-	for i := 0; i < x; i++ {
-		backlog = append(backlog, &station{cw: cwMin, counter: r.Intn(cwMin)})
+	var occupied [cwMax / 64]uint64 // bit b set iff bucket b is non-empty
+	push := func(i int32, b int) {
+		next[i] = head[b]
+		head[b] = i
+		occupied[b/64] |= 1 << (b % 64)
+	}
+	for i := int32(0); i < int32(x); i++ {
+		cw[i] = cwMin
+		push(i, r.Intn(cwMin))
 	}
 
 	var res Result
+	backlog := x
+	idle := 0 // the idle-slot clock
 	idleRun := 0
 	for {
 		if res.Delivered >= t {
@@ -97,7 +125,7 @@ func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 			// loss-free channel, so this is the same rule — but it also
 			// terminates when dropped replies make Delivered fall short
 			// of x forever.
-			if len(backlog) == 0 {
+			if backlog == 0 {
 				res.Decision = false
 				return res
 			}
@@ -108,49 +136,63 @@ func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
 			return res
 		}
 
-		res.Slots++
-		// Stations whose counter expired transmit this slot.
-		transmit := backlog[:0:0]
-		for _, s := range backlog {
-			if s.counter == 0 {
-				transmit = append(transmit, s)
+		b := idle % cwMax
+		if head[b] < 0 {
+			// Idle slots until the next bucket fires, or until the
+			// guard runs out, whichever comes first.
+			gap := cwMax // no station left: only the guard ends the run
+			if backlog > 0 {
+				gap = nextOccupied(occupied, b)
 			}
+			if c.GuardSlots > 0 && c.GuardSlots-idleRun < gap {
+				gap = c.GuardSlots - idleRun
+			}
+			res.Slots += gap
+			idle += gap
+			idleRun += gap
+			continue
 		}
-		switch len(transmit) {
-		case 0:
-			idleRun++
-			for _, s := range backlog {
-				s.counter--
-			}
-		case 1:
-			idleRun = 0
+
+		res.Slots++
+		idleRun = 0
+		tx = tx[:0]
+		for i := head[b]; i >= 0; i = next[i] {
+			tx = append(tx, i)
+		}
+		head[b] = -1
+		occupied[b/64] &^= 1 << (b % 64)
+		if len(tx) == 1 {
 			if c.Drop == nil || !c.Drop(res.Slots) {
 				res.Delivered++
 			} else {
 				res.Dropped++
 			}
-			// Remove the successful station from the backlog: with no
-			// collision sensed it believes it delivered, even when Drop
-			// lost the frame.
-			kept := backlog[:0]
-			for _, s := range backlog {
-				if s != transmit[0] {
-					kept = append(kept, s)
-				}
-			}
-			backlog = kept
-		default:
-			idleRun = 0
-			res.Collisions++
-			for _, s := range transmit {
-				s.cw *= 2
-				if s.cw > cwMax {
-					s.cw = cwMax
-				}
-				s.counter = r.Intn(s.cw)
-			}
+			// With no collision sensed the station believes it
+			// delivered and leaves the backlog, even when Drop lost the
+			// frame.
+			backlog--
+			continue
+		}
+		res.Collisions++
+		slices.Sort(tx) // a bucket lists its stations newest first
+		for _, i := range tx {
+			cw[i] = min(2*cw[i], cwMax)
+			push(i, (idle+r.Intn(int(cw[i])))%cwMax)
 		}
 	}
+}
+
+// nextOccupied returns the distance from bucket b, which is empty, to the
+// next non-empty bucket of the wheel, wrapping past cwMax-1. At least one
+// bucket must be non-empty.
+func nextOccupied(occupied [cwMax / 64]uint64, b int) int {
+	for d := 0; d < cwMax; d += 64 - (b+d)%64 {
+		w := occupied[(b+d)/64%len(occupied)] >> ((b + d) % 64)
+		if w != 0 {
+			return d + bits.TrailingZeros64(w)
+		}
+	}
+	panic("baseline: no occupied bucket")
 }
 
 // Sequential is the collision-free baseline: the initiator broadcasts a

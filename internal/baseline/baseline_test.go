@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,180 @@ func TestQuickCSMAIdealAlwaysCorrect(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slotLoopCSMA is the reference CSMA session: the slot-by-slot
+// simulation the calendar wheel replaced. Every slot scans the whole
+// backlog, idle slots decrement every counter, and colliding stations
+// redraw in backlog order.
+func slotLoopCSMA(c CSMA, n, t, x int, r *rng.Source) Result {
+	if t <= 0 {
+		return Result{Decision: true}
+	}
+	if t > n {
+		return Result{Decision: false}
+	}
+	type station struct {
+		cw      int
+		counter int
+	}
+	backlog := make([]*station, 0, x)
+	for i := 0; i < x; i++ {
+		backlog = append(backlog, &station{cw: cwMin, counter: r.Intn(cwMin)})
+	}
+	var res Result
+	idleRun := 0
+	for {
+		if res.Delivered >= t {
+			res.Decision = true
+			return res
+		}
+		if c.GuardSlots == 0 {
+			if len(backlog) == 0 {
+				return res
+			}
+		} else if idleRun >= c.GuardSlots {
+			return res
+		}
+		res.Slots++
+		var transmit []*station
+		for _, s := range backlog {
+			if s.counter == 0 {
+				transmit = append(transmit, s)
+			}
+		}
+		switch len(transmit) {
+		case 0:
+			idleRun++
+			for _, s := range backlog {
+				s.counter--
+			}
+		case 1:
+			idleRun = 0
+			if c.Drop == nil || !c.Drop(res.Slots) {
+				res.Delivered++
+			} else {
+				res.Dropped++
+			}
+			kept := backlog[:0]
+			for _, s := range backlog {
+				if s != transmit[0] {
+					kept = append(kept, s)
+				}
+			}
+			backlog = kept
+		default:
+			idleRun = 0
+			res.Collisions++
+			for _, s := range transmit {
+				s.cw = min(2*s.cw, cwMax)
+				s.counter = r.Intn(s.cw)
+			}
+		}
+	}
+}
+
+// seededDrop returns a Drop hook that loses each reply with probability
+// p from its own stream, and records the slot numbers it was asked about.
+func seededDrop(seed uint64, p float64, asked *[]int) func(int) bool {
+	r := rng.New(seed)
+	return func(slot int) bool {
+		*asked = append(*asked, slot)
+		return r.Bernoulli(p)
+	}
+}
+
+// checkCSMAMatchesSlotLoop runs the wheel and the reference loop from the
+// same seed and reports the first difference: a Result field, the slots
+// Drop was consulted on, or the stream position afterwards.
+func checkCSMAMatchesSlotLoop(seed uint64, n, th, x, guard int, dropP float64) string {
+	var askedWheel, askedRef []int
+	wheel, ref := CSMA{GuardSlots: guard}, CSMA{GuardSlots: guard}
+	if dropP > 0 {
+		wheel.Drop = seededDrop(seed^0x5eed, dropP, &askedWheel)
+		ref.Drop = seededDrop(seed^0x5eed, dropP, &askedRef)
+	}
+	rw, rr := rng.New(seed), rng.New(seed)
+	got := wheel.Run(n, th, x, rw)
+	want := slotLoopCSMA(ref, n, th, x, rr)
+	if got.Decision != want.Decision || got.Slots != want.Slots ||
+		got.Delivered != want.Delivered || got.Collisions != want.Collisions ||
+		got.Dropped != want.Dropped || got.Order != nil {
+		return fmt.Sprintf("result %+v, want %+v", got, want)
+	}
+	if len(askedWheel) != len(askedRef) {
+		return fmt.Sprintf("Drop asked %d times, want %d", len(askedWheel), len(askedRef))
+	}
+	for i := range askedRef {
+		if askedWheel[i] != askedRef[i] {
+			return fmt.Sprintf("Drop call %d saw slot %d, want %d", i, askedWheel[i], askedRef[i])
+		}
+	}
+	if a, b := rw.Uint64(), rr.Uint64(); a != b {
+		return "stream position differs after the session"
+	}
+	return ""
+}
+
+// guards covers idealized termination, the tightest realistic guard,
+// ext-faults' 48 and guards beyond cwMax, where idle runs cross the
+// whole wheel.
+var guards = []int{0, 1, 2, 7, 48, 127, 128, 129, 256, 1000}
+
+func TestQuickCSMAMatchesSlotLoop(t *testing.T) {
+	f := func(seed uint64, nRaw, tRaw, xRaw, gSel, dSel uint8) bool {
+		n := int(nRaw%160) + 1
+		th := int(tRaw) % (n + 2)
+		x := int(xRaw) % (n + 1)
+		guard := guards[int(gSel)%len(guards)]
+		dropP := []float64{0, 0, 0.1, 0.5, 1}[dSel%5]
+		if dropP > 0 && guard == 0 && dSel%2 == 0 {
+			guard = 48 // ext-faults pairs Drop with guard 48
+		}
+		if diff := checkCSMAMatchesSlotLoop(seed, n, th, x, guard, dropP); diff != "" {
+			t.Logf("seed=%d n=%d t=%d x=%d guard=%d drop=%v: %s", seed, n, th, x, guard, dropP, diff)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func FuzzCSMAMatchesSlotLoop(f *testing.F) {
+	f.Add(uint64(1), 128, 16, 32, 0, uint8(0))
+	f.Add(uint64(2), 128, 16, 100, 48, uint8(30))
+	f.Add(uint64(3), 64, 64, 64, 1, uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, n, th, x, guard int, drop uint8) {
+		// Keep sessions small: the reference loop is O(backlog) a slot.
+		n = 1 + fold(n, 300)
+		th = fold(th, n+2)
+		x = fold(x, n+1)
+		guard = fold(guard, 600)
+		dropP := float64(drop) / 255
+		if diff := checkCSMAMatchesSlotLoop(seed, n, th, x, guard, dropP); diff != "" {
+			t.Fatalf("n=%d t=%d x=%d guard=%d drop=%v: %s", n, th, x, guard, dropP, diff)
+		}
+	})
+}
+
+// fold maps any int onto [0, m).
+func fold(v, m int) int { return int(uint(v) % uint(m)) }
+
+// A session allocates its flat station arrays once; nothing per slot or
+// per station, so the count does not grow with the backlog.
+func TestCSMAAllocsFlatInX(t *testing.T) {
+	allocs := func(x int) float64 {
+		r := rng.New(1)
+		return testing.AllocsPerRun(50, func() {
+			CSMA{}.Run(128, 128, x, r)
+		})
+	}
+	small, large := allocs(4), allocs(128)
+	if large > small {
+		t.Fatalf("CSMA.Run allocations grow with x: %v at x=4, %v at x=128", small, large)
 	}
 }
 

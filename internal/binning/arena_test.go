@@ -1,6 +1,7 @@
 package binning
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -83,17 +84,68 @@ func TestArenaPartitionDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestAppendProbabilisticBinMatchesProbabilisticBin(t *testing.T) {
-	members := seq(64)
-	want := ProbabilisticBin(members, 0.3, rng.New(11))
-	buf := make([]int, 0, 64)
-	got := AppendProbabilisticBin(buf[:0], members, 0.3, rng.New(11))
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("element %d: %d vs %d", i, got[i], want[i])
+// bernoulliBin is the reference probabilistic bin: one r.Bernoulli(q)
+// per member, in member order — the draw loop AppendProbabilisticBin's
+// threshold kernel must reproduce exactly.
+func bernoulliBin(dst, members []int, q float64, r *rng.Source) []int {
+	for _, id := range members {
+		if r.Bernoulli(q) {
+			dst = append(dst, id)
 		}
 	}
+	return dst
+}
+
+// The threshold kernel must pick the same members as the Bernoulli loop
+// and leave the stream where the loop leaves it, for every q the callers
+// use (2^-j, 2/t, 1/b) and for the no-draw edges q <= 0 and q >= 1.
+func TestQuickAppendProbabilisticBinMatchesBernoulliLoop(t *testing.T) {
+	buf := make([]int, 0, 8)
+	f := func(seed uint64, nRaw uint8, qSel uint16) bool {
+		n := int(nRaw)
+		var q float64
+		switch qSel % 5 {
+		case 0:
+			q = math.Ldexp(1, -int(qSel/5%12)) // 2^-j, including j = 0
+		case 1:
+			q = 2 / float64(qSel/5%200+1) // 2/t, above 1 for t = 1
+		case 2:
+			q = float64(qSel) / 65535 // anywhere in [0, 1]
+		case 3:
+			q = -float64(qSel) / 100 // never joins, draws nothing
+		default:
+			q = 1 + float64(qSel)/100 // always joins, draws nothing
+		}
+		members := seq(n)
+		ref, got := rng.New(seed), rng.New(seed)
+		want := bernoulliBin([]int{-1}, members, q, ref)
+		buf = append(buf[:0], -1) // appends after an existing prefix
+		buf = AppendProbabilisticBin(buf, members, q, got)
+		if len(buf) != len(want) {
+			t.Logf("q=%v n=%d: %d members, want %d", q, n, len(buf)-1, len(want)-1)
+			return false
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				return false
+			}
+		}
+		if a, b := ref.Uint64(), got.Uint64(); a != b {
+			t.Logf("q=%v n=%d: stream diverged after the bin", q, n)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAppendProbabilisticBinNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendProbabilisticBin(q = NaN) did not panic")
+		}
+	}()
+	AppendProbabilisticBin(nil, seq(4), math.NaN(), rng.New(1))
 }

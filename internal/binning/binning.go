@@ -95,19 +95,28 @@ func chunkBounds(n, b, i int) (lo, hi int) {
 
 // ProbabilisticBin draws one sampling bin: each member joins independently
 // with probability q. This is the probe of Section V-D (q = 2/t) and the
-// repeated sample of Section VI (q = 1/b).
+// repeated sample of Section VI (q = 1/b). q must not be NaN (see
+// AppendProbabilisticBin).
 func ProbabilisticBin(members []int, q float64, r *rng.Source) []int {
 	return AppendProbabilisticBin(nil, members, q, r)
 }
 
 // AppendProbabilisticBin is ProbabilisticBin appending into dst (pass a
-// reused buffer sliced to length zero to draw the bin without allocating);
-// the Bernoulli draws are identical to ProbabilisticBin's.
+// reused buffer sliced to length zero to draw the bin without allocating).
+// It draws exactly what a loop of r.Bernoulli(q) over members draws —
+// nothing when q <= 0 or q >= 1, otherwise one Uint64 per member — but
+// decides each draw with one integer comparison against a precomputed
+// rng.Threshold on a detached stream. q must not be NaN: NewThreshold
+// panics on it, where Bernoulli(NaN) drew and rejected silently.
 func AppendProbabilisticBin(dst, members []int, q float64, r *rng.Source) []int {
+	th := rng.NewThreshold(q)
+	st := r.Detach()
 	for _, id := range members {
-		if r.Bernoulli(q) {
+		var hit bool
+		if hit, st = st.Hit(th); hit {
 			dst = append(dst, id)
 		}
 	}
+	r.Resume(st)
 	return dst
 }

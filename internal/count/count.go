@@ -120,15 +120,17 @@ func Estimate(q query.Querier, members []int, opts EstimateOptions, r *rng.Sourc
 	for (1 << maxLevel) < n {
 		maxLevel++
 	}
+	// One probe buffer serves every poll of the call: a Querier borrows
+	// its bin only for the duration of Query.
+	buf := make([]int, 0, n)
 	for j := 0; j <= maxLevel; j++ {
 		p := math.Pow(2, -float64(j))
 		empty := 0
 		for i := 0; i < repeats; i++ {
-			var probe []int
-			if j == 0 {
-				probe = members
-			} else {
-				probe = binning.ProbabilisticBin(members, p, r)
+			probe := members
+			if j > 0 {
+				buf = binning.AppendProbabilisticBin(buf[:0], members, p, r)
+				probe = buf
 			}
 			queries++
 			if q.Query(probe).Kind == query.Empty {

@@ -215,3 +215,23 @@ func BenchmarkEstimate(b *testing.B) {
 		Estimate(ch, m, EstimateOptions{Repeats: 16}, r.Split(2))
 	}
 }
+
+// Estimate draws every probe into one buffer, so a call allocates at most
+// that buffer however many levels and repeats it walks.
+func TestEstimateAllocatesOneProbeBuffer(t *testing.T) {
+	const n = 128
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	for _, x := range []int{0, 4, 40, n} {
+		ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), rng.New(uint64(x)))
+		r := rng.New(7)
+		allocs := testing.AllocsPerRun(20, func() {
+			Estimate(ch, members, EstimateOptions{Repeats: 16}, r)
+		})
+		if allocs > 1 {
+			t.Errorf("x=%d: %v allocations per Estimate, want at most 1", x, allocs)
+		}
+	}
+}

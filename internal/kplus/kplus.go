@@ -41,7 +41,6 @@ type Querier interface {
 type Channel struct {
 	positive map[int]bool
 	k        int
-	queries  int
 }
 
 // NewChannel builds a channel where the listed nodes are positive and the
@@ -67,7 +66,6 @@ func (c *Channel) K() int { return c.k }
 
 // Query implements Querier.
 func (c *Channel) Query(bin []int) Response {
-	c.queries++
 	count := 0
 	for _, id := range bin {
 		if c.positive[id] {

@@ -34,7 +34,6 @@ type request struct {
 	positive  bool
 	threshold int
 	bin       []int
-	resp      chan response
 }
 
 type response struct {
@@ -43,16 +42,21 @@ type response struct {
 }
 
 // Participant is one non-initiator mote. Its state lives in its own
-// goroutine; all access goes through the serial methods.
+// goroutine; all access goes through the serial methods. At most one
+// call may be in flight at a time, as on the real serial link: the lab
+// configures and reboots motes only while the initiator is idle, and the
+// initiator polls them one by one while the lab blocks on its query.
+// Every call therefore reuses the one reply channel made at boot.
 type Participant struct {
 	id    int
 	inbox chan request
+	reply chan response
 	done  chan struct{}
 }
 
 // NewParticipant boots a participant mote with the given radio ID.
 func NewParticipant(id int) *Participant {
-	p := &Participant{id: id, inbox: make(chan request), done: make(chan struct{})}
+	p := &Participant{id: id, inbox: make(chan request), reply: make(chan response, 1), done: make(chan struct{})}
 	go p.loop()
 	return p
 }
@@ -67,21 +71,20 @@ func (p *Participant) loop() {
 		switch req.op {
 		case opConfigure:
 			positive = req.positive
-			req.resp <- response{}
+			p.reply <- response{}
 		case opReboot:
 			positive = false
-			req.resp <- response{}
+			p.reply <- response{}
 		case opArmQuery:
 			armed := positive && contains(req.bin, p.id)
-			req.resp <- response{armed: armed}
+			p.reply <- response{armed: armed}
 		}
 	}
 }
 
 func (p *Participant) call(req request) response {
-	req.resp = make(chan response, 1)
 	p.inbox <- req
-	return <-req.resp
+	return <-p.reply
 }
 
 // Configure sets the mote's predicate value for the next run (serial
@@ -142,17 +145,19 @@ type QueryOutcome struct {
 
 // Initiator is the querying mote. Its firmware (the goroutine) owns the
 // radio medium and runs 2tBins over backcast on demand, matching the
-// deployed nesC implementation.
+// deployed nesC implementation. Like a Participant it serves at most one
+// serial call at a time, so every call reuses the one reply channel made
+// at boot.
 type Initiator struct {
 	id    int
 	inbox chan initReq
+	reply chan initResp
 	done  chan struct{}
 }
 
 type initReq struct {
 	op        opKind
 	threshold int
-	resp      chan initResp
 }
 
 type initResp struct {
@@ -164,7 +169,7 @@ type initResp struct {
 // owns med and r; participants are consulted over their radio-side
 // interface during queries.
 func NewInitiator(id int, med radio.Channel, participants []*Participant, r *rng.Source) *Initiator {
-	ini := &Initiator{id: id, inbox: make(chan initReq), done: make(chan struct{})}
+	ini := &Initiator{id: id, inbox: make(chan initReq), reply: make(chan initResp, 1), done: make(chan struct{})}
 	go ini.loop(med, participants, r)
 	return ini
 }
@@ -179,17 +184,17 @@ func (ini *Initiator) loop(med radio.Channel, participants []*Participant, r *rn
 		switch req.op {
 		case opConfigure:
 			threshold = req.threshold
-			req.resp <- initResp{}
+			ini.reply <- initResp{}
 		case opReboot:
 			threshold = -1
-			req.resp <- initResp{}
+			ini.reply <- initResp{}
 		case opQuery:
 			if threshold < 0 {
-				req.resp <- initResp{err: ErrNotConfigured}
+				ini.reply <- initResp{err: ErrNotConfigured}
 				continue
 			}
 			outcome, err := ini.runTCast(med, participants, threshold, r)
-			req.resp <- initResp{outcome: outcome, err: err}
+			ini.reply <- initResp{outcome: outcome, err: err}
 		}
 	}
 }
@@ -277,9 +282,8 @@ func (ini *Initiator) runTCast(med radio.Channel, participants []*Participant, t
 }
 
 func (ini *Initiator) call(req initReq) initResp {
-	req.resp = make(chan initResp, 1)
 	ini.inbox <- req
-	return <-req.resp
+	return <-ini.reply
 }
 
 // Configure sets the run's threshold (serial command).

@@ -14,7 +14,9 @@ package multihop
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tcast/internal/core"
 	"tcast/internal/pollcast"
@@ -121,9 +123,10 @@ type Summary struct {
 	TotalQueries   int
 }
 
-// Run executes the campaign with one goroutine per region. Region i's
-// randomness derives from (seed, i), so results are deterministic and
-// independent of scheduling.
+// Run executes the campaign on a fixed set of workers, one per available
+// CPU, that pull regions off a shared counter. Region i's randomness
+// derives from (seed, i), so results are deterministic and independent of
+// scheduling and of the worker count.
 func (c Campaign) Run(seed uint64) ([]RegionResult, Summary, error) {
 	f := c.Field
 	if len(c.Positives) != f.Regions() {
@@ -132,13 +135,18 @@ func (c Campaign) Run(seed uint64) ([]RegionResult, Summary, error) {
 	root := rng.New(seed)
 	results := make([]RegionResult, f.Regions())
 	errs := make([]error, f.Regions())
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < f.Regions(); i++ {
+	for w := min(runtime.GOMAXPROCS(0), f.Regions()); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.runRegion(i, root.Split(uint64(i)))
-		}(i)
+			st := regionPool.Get().(*regionState)
+			defer regionPool.Put(st)
+			for i := int(next.Add(1) - 1); i < f.Regions(); i = int(next.Add(1) - 1) {
+				results[i], errs[i] = c.runRegion(i, root, st)
+			}
+		}()
 	}
 	wg.Wait()
 	var sum Summary
@@ -159,30 +167,83 @@ func (c Campaign) Run(seed uint64) ([]RegionResult, Summary, error) {
 	return results, sum, nil
 }
 
-func (c Campaign) runRegion(i int, r *rng.Source) (RegionResult, error) {
+// regionState is the session state one worker reuses from region to
+// region, and through regionPool from campaign to campaign: the 2tBins
+// arena, the participants and the pollcast session over them, the
+// positive-draw buffers and the region's random streams. It is used by
+// one goroutine at a time.
+type regionState struct {
+	arena core.Arena
+	parts []pollcast.Participant
+	// sess holds one session per primitive over parts, so campaigns
+	// that alternate pollcast and backcast rebuild neither.
+	sess map[pollcast.Primitive]*pollcast.Session
+	// pos and idx are SampleInto's result and scratch buffers.
+	pos, idx []int
+	// region is root.Split(i); draw, medium and alg are its splits 1, 2
+	// and 3, which draw the positives, drive the radio and run 2tBins.
+	region, draw, medium, alg rng.Source
+}
+
+var regionPool = sync.Pool{New: func() any { return new(regionState) }}
+
+// initiatorID is every region's initiator address, outside the
+// participants' 0..n-1.
+const initiatorID = 1 << 16
+
+// session returns the state's session over n participants with primitive
+// prim, building the participants when n changes and the session when
+// the state has none for prim yet.
+func (st *regionState) session(n int, prim pollcast.Primitive) (*pollcast.Session, error) {
+	if len(st.parts) != n || st.sess == nil {
+		st.parts = make([]pollcast.Participant, n)
+		for id := range st.parts {
+			st.parts[id].ID = id
+		}
+		st.sess = make(map[pollcast.Primitive]*pollcast.Session)
+	}
+	if sess := st.sess[prim]; sess != nil {
+		return sess, nil
+	}
+	ptrs := make([]*pollcast.Participant, n)
+	for id := range st.parts {
+		ptrs[id] = &st.parts[id]
+	}
+	sess, err := pollcast.NewSession(nil, initiatorID, ptrs, prim, query.OnePlus)
+	if err != nil {
+		return nil, err
+	}
+	st.sess[prim] = sess
+	return sess, nil
+}
+
+func (c Campaign) runRegion(i int, root *rng.Source, st *regionState) (RegionResult, error) {
 	f := c.Field
 	n := f.NodesPerRegion
 	x := c.Positives[i]
 	if x < 0 || x > n {
 		return RegionResult{}, fmt.Errorf("x=%d outside [0,%d]", x, n)
 	}
-	parts := make([]*pollcast.Participant, n)
-	for id := range parts {
-		parts[id] = &pollcast.Participant{ID: id}
-	}
-	for _, id := range r.Split(1).Sample(n, x) {
-		parts[id].Positive = true
-	}
-	med := radio.NewMedium(radio.Config{
-		InterferenceProb: f.InterferenceAt(i, c.Coupling),
-		InterferenceJams: c.Jam,
-	}, r.Split(2))
-	const initiatorID = 1 << 16
-	sess, err := pollcast.NewSession(med, initiatorID, parts, c.Primitive, query.OnePlus)
+	sess, err := st.session(n, c.Primitive)
 	if err != nil {
 		return RegionResult{}, err
 	}
-	res, err := (core.TwoTBins{}).Run(sess, n, c.Threshold, r.Split(3))
+	root.SplitInto(uint64(i), &st.region)
+	st.region.SplitInto(1, &st.draw)
+	st.pos, st.idx = st.draw.SampleInto(n, x, st.pos, st.idx)
+	for id := range st.parts {
+		st.parts[id].Positive = false
+	}
+	for _, id := range st.pos {
+		st.parts[id].Positive = true
+	}
+	st.region.SplitInto(2, &st.medium)
+	sess.Reset(radio.NewMedium(radio.Config{
+		InterferenceProb: f.InterferenceAt(i, c.Coupling),
+		InterferenceJams: c.Jam,
+	}, &st.medium))
+	st.region.SplitInto(3, &st.alg)
+	res, err := (core.TwoTBins{}).RunIn(&st.arena, sess, n, c.Threshold, &st.alg)
 	if err != nil {
 		return RegionResult{}, err
 	}

@@ -2,10 +2,15 @@ package multihop
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"tcast/internal/core"
 	"tcast/internal/pollcast"
+	"tcast/internal/query"
+	"tcast/internal/radio"
+	"tcast/internal/rng"
 )
 
 func mustField(t *testing.T, w, h, nodes int, load float64) *Field {
@@ -160,6 +165,76 @@ func TestCampaignDeterministic(t *testing.T) {
 			t.Fatalf("region %d diverged", i)
 		}
 	}
+}
+
+// freshRegion is the reference region session: every piece built anew,
+// as before region state was pooled.
+func freshRegion(c Campaign, i int, seed uint64) RegionResult {
+	f := c.Field
+	n, x := f.NodesPerRegion, c.Positives[i]
+	r := rng.New(seed).Split(uint64(i))
+	parts := make([]*pollcast.Participant, n)
+	for id := range parts {
+		parts[id] = &pollcast.Participant{ID: id}
+	}
+	for _, id := range r.Split(1).Sample(n, x) {
+		parts[id].Positive = true
+	}
+	med := radio.NewMedium(radio.Config{
+		InterferenceProb: f.InterferenceAt(i, c.Coupling),
+		InterferenceJams: c.Jam,
+	}, r.Split(2))
+	sess, err := pollcast.NewSession(med, initiatorID, parts, c.Primitive, query.OnePlus)
+	if err != nil {
+		panic(err)
+	}
+	res, err := (core.TwoTBins{}).Run(sess, n, c.Threshold, r.Split(3))
+	if err != nil {
+		panic(err)
+	}
+	return RegionResult{Region: i, Truth: x >= c.Threshold, Decision: res.Decision, Queries: res.Queries}
+}
+
+// Pooled region state must not carry anything from one region or
+// campaign to the next: campaigns that alternate primitive, jamming,
+// region size and positive counts, run from several goroutines at once,
+// must each match the fresh reference region by region.
+func TestCampaignPooledStateMatchesFresh(t *testing.T) {
+	var campaigns []Campaign
+	for k, nodes := range []int{24, 9, 24, 16} {
+		f := mustField(t, 3, 2, nodes, 0.8)
+		positives := make([]int, f.Regions())
+		for i := range positives {
+			positives[i] = (i*5 + k) % (nodes + 1)
+		}
+		for _, prim := range []pollcast.Primitive{pollcast.Pollcast, pollcast.Backcast} {
+			for _, jam := range []bool{false, true} {
+				campaigns = append(campaigns, Campaign{Field: f, Primitive: prim, Coupling: 0.4,
+					Jam: jam, Threshold: 4, Positives: positives})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k, c := range campaigns {
+				seed := uint64(g*100 + k)
+				results, _, err := c.Run(seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, got := range results {
+					if want := freshRegion(c, i, seed); got != want {
+						t.Errorf("campaign %d seed %d region %d: %+v, want %+v", k, seed, i, got, want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCampaignValidation(t *testing.T) {

@@ -87,14 +87,19 @@ func NewSession(med radio.Channel, initiatorID int, participants []*Participant,
 		}
 		parts[p.ID] = p
 	}
-	return &Session{
-		med:         med,
-		initiatorID: initiatorID,
-		parts:       parts,
-		prim:        prim,
-		model:       model,
-		addr:        0x8000,
-	}, nil
+	s := &Session{initiatorID: initiatorID, parts: parts, prim: prim, model: model}
+	s.Reset(med)
+	return s, nil
+}
+
+// Reset rebinds the session to med and rewinds its poll sequence number,
+// ephemeral address and slot count, so it polls exactly as a new session
+// over the same participants, primitive and model would. Participants
+// are read live: a caller reusing a session may set their Positive flags
+// between runs.
+func (s *Session) Reset(med radio.Channel) {
+	s.med = med
+	s.seq, s.addr, s.slots = 0, 0x8000, 0
 }
 
 // Traits implements query.Querier. The medium decodes a vote only when

@@ -178,6 +178,11 @@ type Traits struct {
 // single Query call polls the nodes listed in bin and reports what the
 // initiator's radio observed. Implementations are not required to be safe
 // for concurrent use.
+//
+// bin is borrowed for the duration of the call only: the caller may
+// overwrite it as soon as Query returns, and an implementation copies
+// whatever part of it it keeps. Algorithms rely on this to draw every
+// poll's bin into one reused buffer (core's arena, count.Estimate).
 type Querier interface {
 	Query(bin []int) Response
 	Traits() Traits
