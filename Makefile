@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzRankedSelect -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzFormsAgree -fuzztime=30s ./internal/idset/
+	$(GO) test -fuzz=FuzzFilterRanks -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzSerialDecode -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=30s ./internal/serve/

@@ -125,6 +125,24 @@ func TestCSMAGuardTermination(t *testing.T) {
 	}
 }
 
+// TestCSMAGuardCanBeFooled pins the paper's claim that under CSMA "it is
+// impossible to tell whether x > t or x < t holds with certainty": with
+// x = 10 ≥ t = 8, a guard of 8 idle slots fires while stations are
+// still backed off after collisions, and the initiator answers "x < t".
+// On the same draw, idealized termination (GuardSlots 0) waits for the
+// t-th reply and answers true.
+func TestCSMAGuardCanBeFooled(t *testing.T) {
+	const n, th, x, seed = 64, 8, 10, 6
+	guarded := CSMA{GuardSlots: 8}.Run(n, th, x, rng.New(seed))
+	if guarded.Decision || guarded.Delivered >= th {
+		t.Fatalf("guard 8: %+v, want a false answer before %d deliveries", guarded, th)
+	}
+	ideal := CSMA{}.Run(n, th, x, rng.New(seed))
+	if !ideal.Decision || ideal.Slots <= guarded.Slots {
+		t.Fatalf("guard 0: %+v, want true after more than the guarded %d slots", ideal, guarded.Slots)
+	}
+}
+
 func TestCSMAGuardZeroPositivesCostsGuard(t *testing.T) {
 	r := rng.New(8)
 	res := CSMA{GuardSlots: 32}.Run(64, 8, 0, r)

@@ -114,12 +114,12 @@ type session struct {
 	ranked   idset.Ranked
 	binBuf   []int
 	// dropped marks the bins of a streamed round that a StreamedQuerier
-	// answered and the ledger deferred; droppedMembers is their total
-	// size, and decoded lists the round's other decodes. settle reads
-	// all three at round end.
+	// answered and the ledger deferred, and droppedMembers is their
+	// total size; settle reads both at round end. marks is settle's
+	// pooled one-bit-per-rank map, sized on first use.
 	dropped        idset.Dense
 	droppedMembers int
-	decoded        []int
+	marks          idset.Dense
 }
 
 // StreamedQuerier is a querier that answers a poll of a streamed bin
@@ -237,7 +237,6 @@ func (s *session) runRoundStreamed(b int) roundOutcome {
 	if sq != nil {
 		s.dropped.Reset(b)
 		s.droppedMembers = 0
-		s.decoded = s.decoded[:0]
 	}
 	for i := 0; i < b; i++ {
 		var resp query.Response
@@ -283,50 +282,30 @@ func (s *session) queryStreamed(sq StreamedQuerier, i int) (query.Response, bool
 	if size := s.stream.BinSize(i); s.k.ApplyDeferred(size, resp, s.q.Traits()) {
 		s.dropped.Add(i)
 		s.droppedMembers += size
-	} else if resp.Kind == query.Decoded {
-		s.decoded = append(s.decoded, resp.DecodedID)
 	}
 	_, decided := s.k.Decision()
 	return resp, decided
 }
 
-// settle applies an undecided streamed round's deferred removals,
-// decoding only the smaller side of the partition: it removes the
-// dropped bins' members, or — when the survivors are fewer and the
-// candidates are in dense form — rebuilds the candidates from the
-// surviving bins less this round's decodes. Either way the set is the
-// one per-poll removal would have left.
+// settle applies an undecided streamed round's deferred removals in
+// snapshot-rank space. It decodes only the smaller side of the
+// partition, the dropped bins or the survivors, marks those ranks, and
+// filters the candidates against the marks in one pass: it drops the
+// marked ranks, or keeps only them. The live set is the snapshot less
+// this round's decodes, so the result is the set per-poll removal would
+// have left.
 func (s *session) settle() {
-	c := s.k.Candidates
-	b := s.stream.Bins()
-	ids := s.binBuf[:0]
-	if 2*s.droppedMembers <= s.stream.Members() || c.IsSparse() {
-		// A sparse set takes every dropped bin in one batch, so it
-		// compacts once; a dense one takes them bin by bin, so the
-		// buffer stays one bin long.
-		for i := 0; i < b; i++ {
-			if s.dropped.Contains(i) {
-				ids = s.appendBinIDs(ids, i)
-				if !c.IsSparse() {
-					c.RemoveIDs(ids)
-					ids = ids[:0]
-				}
+	keep := 2*s.droppedMembers > s.stream.Members()
+	s.marks.Reset(s.stream.Members())
+	for i := 0; i < s.stream.Bins(); i++ {
+		if s.dropped.Contains(i) != keep {
+			s.binBuf = s.stream.AppendBin(i, s.binBuf[:0])
+			for _, rank := range s.binBuf {
+				s.marks.Add(rank)
 			}
 		}
-		c.RemoveIDs(ids)
-	} else {
-		c.Reset(c.Cap())
-		for i := 0; i < b; i++ {
-			if !s.dropped.Contains(i) {
-				ids = s.appendBinIDs(ids[:0], i)
-				for _, id := range ids {
-					c.Add(id)
-				}
-			}
-		}
-		c.RemoveIDs(s.decoded)
 	}
-	s.binBuf = ids
+	s.k.Candidates.FilterRanks(&s.ranked, &s.marks, keep)
 	s.k.Settled()
 }
 

@@ -125,11 +125,11 @@ func TestQueryStreamedMatchesQuery(t *testing.T) {
 			// Candidates: a random half of the field, so some positives
 			// are no longer candidates; then every bin count from one
 			// bin per candidate-ish to a single bin.
-			cands := idset.NewHybrid(n)
+			cands := idset.FullHybrid(n)
 			pick := rng.New(seed + 1)
 			for id := 0; id < n; id++ {
-				if pick.Intn(2) == 0 {
-					cands.Add(id)
+				if pick.Intn(2) != 0 {
+					cands.Remove(id)
 				}
 			}
 			rk.Snapshot(cands)

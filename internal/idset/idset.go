@@ -200,20 +200,6 @@ func (s *Sparse) Contains(id int) bool {
 	return i < len(s.ids) && s.ids[i] == id
 }
 
-// Add inserts id in sorted position. It panics out of range.
-func (s *Sparse) Add(id int) {
-	if id < 0 || id >= s.n {
-		panic("idset: element out of range")
-	}
-	i := s.search(id)
-	if i < len(s.ids) && s.ids[i] == id {
-		return
-	}
-	s.ids = append(s.ids, 0)
-	copy(s.ids[i+1:], s.ids[i:])
-	s.ids[i] = id
-}
-
 // Remove deletes id; absent ids are a no-op.
 func (s *Sparse) Remove(id int) {
 	i := s.search(id)
@@ -322,15 +308,6 @@ func (h *Hybrid) Contains(id int) bool {
 	return h.dense.Contains(id)
 }
 
-// Add inserts id. It panics out of range.
-func (h *Hybrid) Add(id int) {
-	if h.isSparse {
-		h.sparse.Add(id)
-		return
-	}
-	h.dense.Add(id)
-}
-
 // Remove deletes id; absent ids are a no-op.
 func (h *Hybrid) Remove(id int) {
 	if h.isSparse {
@@ -390,9 +367,6 @@ func (h *Hybrid) Compact() bool {
 	h.isSparse = true
 	return true
 }
-
-// IsSparse reports which form is live (observability and tests).
-func (h *Hybrid) IsSparse() bool { return h.isSparse }
 
 // Equal reports whether h and o contain exactly the same members over
 // the same universe, whatever forms they are in (a test-path helper, not

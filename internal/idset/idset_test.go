@@ -8,6 +8,36 @@ import (
 	"tcast/internal/rng"
 )
 
+// Program code only ever shrinks a set built by Fill and never asks
+// which form is live, so the growing side of the sparse and hybrid forms
+// and the form accessor are declared here, for the tests alone.
+
+// Add inserts id in sorted position. It panics out of range.
+func (s *Sparse) Add(id int) {
+	if id < 0 || id >= s.n {
+		panic("idset: element out of range")
+	}
+	i := s.search(id)
+	if i < len(s.ids) && s.ids[i] == id {
+		return
+	}
+	s.ids = append(s.ids, 0)
+	copy(s.ids[i+1:], s.ids[i:])
+	s.ids[i] = id
+}
+
+// Add inserts id. It panics out of range.
+func (h *Hybrid) Add(id int) {
+	if h.isSparse {
+		h.sparse.Add(id)
+		return
+	}
+	h.dense.Add(id)
+}
+
+// IsSparse reports which form is live.
+func (h *Hybrid) IsSparse() bool { return h.isSparse }
+
 // set is the contract both forms and the hybrid share. Members are
 // integers in [0, Cap()); enumeration is always ascending.
 type set interface {

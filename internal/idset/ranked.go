@@ -167,3 +167,89 @@ func select64(x uint64, r int) int {
 	before := int((sums << 8 >> place) & 0xff)
 	return int(place) + int(selectInByte[int((x>>place)&0xff)*8+r-before])
 }
+
+// FilterRanks settles a round decided in snapshot-rank space: rk is a
+// snapshot of h, h has only lost members since (every member of h is a
+// member of rk), and marks holds one bit per snapshot rank. It keeps
+// the members whose rank is marked when keep is true and drops them
+// when keep is false, in one pass over the snapshot. The dense form
+// deposits each snapshot word's run of mark bits onto that word's set
+// bits and masks the live word with the result; the sparse form merges
+// the live ids with the snapshot's. It panics if h and rk are in
+// different forms or marks is shorter than the snapshot.
+func (h *Hybrid) FilterRanks(rk *Ranked, marks *Dense, keep bool) {
+	if h.isSparse != rk.sparse || marks.n < rk.n {
+		panic("idset: FilterRanks against a foreign snapshot")
+	}
+	if h.isSparse {
+		kept, j := h.sparse.ids[:0], 0
+		for _, id := range h.sparse.ids {
+			for rk.ids[j] < id {
+				j++
+			}
+			if rk.ids[j] != id {
+				panic("idset: FilterRanks member missing from the snapshot")
+			}
+			if marks.Contains(j) == keep {
+				kept = append(kept, id)
+			}
+		}
+		h.sparse.ids = kept
+		return
+	}
+	live := h.dense.words
+	if len(live) != len(rk.words) {
+		panic("idset: FilterRanks against a foreign snapshot")
+	}
+	count := 0
+	for w, lw := range live {
+		if lw == 0 {
+			continue // so is the snapshot word, or its members all left
+		}
+		sw := rk.words[w]
+		c := int(rk.sums[w+1] - rk.sums[w])
+		mb := marks.run(int(rk.sums[w]), c)
+		var dep uint64 // the marked members of sw
+		switch {
+		case mb == 0:
+		case c == 64:
+			dep = mb
+		case mb == 1<<uint(c)-1:
+			dep = sw
+		default:
+			dep = deposit(mb, sw)
+		}
+		if !keep {
+			dep = ^dep
+		}
+		lw &= dep
+		live[w] = lw
+		count += bits.OnesCount64(lw)
+	}
+	h.dense.count = count
+}
+
+// run returns the c bits (0 < c ≤ 64) of d starting at bit r, low bit
+// first; bits past the universe read as zero.
+func (d *Dense) run(r, c int) uint64 {
+	w, off := r>>6, uint(r&63)
+	x := d.words[w] >> off
+	if off != 0 && w+1 < len(d.words) {
+		x |= d.words[w+1] << (64 - off)
+	}
+	if c < 64 {
+		x &= 1<<uint(c) - 1
+	}
+	return x
+}
+
+// deposit scatters the low bits of src, in order, onto the set bits of
+// mask, lowest first (the PDEP instruction).
+func deposit(src, mask uint64) uint64 {
+	var dst uint64
+	for ; mask != 0; mask &= mask - 1 {
+		dst |= mask & -mask & -(src & 1)
+		src >>= 1
+	}
+	return dst
+}

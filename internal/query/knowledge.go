@@ -102,11 +102,13 @@ func (k *Knowledge) Apply(bin []int, r Response, traits Traits) {
 // round polls it. A bin whose members all leave the candidate set — a
 // silent bin, or the rest of a no-capture decode's bin — is not removed
 // but counted, and UpperBound subtracts the count, so every Decision is
-// the one Apply would give. It reports whether the bin dropped out; the
-// caller removes the dropped bins' members from Candidates and calls
-// Settled before the next round. Until then the dropped members still
-// answer Contains, so a decode must name a member of its own bin, as a
-// lossless substrate's does.
+// the one Apply would give. It reports whether the bin dropped out. The
+// caller removes the dropped bins' members from Candidates before the
+// next round, all at once at round end (core filters the candidates by
+// their snapshot rank, idset.Hybrid.FilterRanks), and then calls
+// Settled. Until then the dropped members still answer Contains, so a
+// decode must name a member of its own bin, as a lossless substrate's
+// does.
 func (k *Knowledge) ApplyDeferred(size int, r Response, traits Traits) (dropped bool) {
 	if !k.fold(size, r, traits) {
 		return false
@@ -119,7 +121,8 @@ func (k *Knowledge) ApplyDeferred(size int, r Response, traits Traits) (dropped 
 }
 
 // Settled records that the caller has removed every member of the bins
-// ApplyDeferred dropped from Candidates.
+// ApplyDeferred dropped from Candidates, so UpperBound stops subtracting
+// them; StartRound panics until it is called.
 func (k *Knowledge) Settled() { k.pending = 0 }
 
 // fold applies r's evidence to the ledger except for removing a dropped

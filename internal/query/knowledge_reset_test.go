@@ -69,7 +69,7 @@ func TestResetFromSparseForm(t *testing.T) {
 	}
 	for _, next := range []int{n, 256, n * 4} {
 		k.Reset(next, 5)
-		if k.Candidates.IsSparse() {
+		if k.Candidates.Compact() {
 			t.Fatalf("reset to n=%d left sparse form", next)
 		}
 		equalKnowledge(t, k, next, 5)
