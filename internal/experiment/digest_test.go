@@ -16,6 +16,7 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/faults"
+	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/stats"
@@ -42,8 +43,8 @@ var digestRetry = query.RetryPolicy{MaxRetries: 2, Backoff: 1}
 // digestFile is testdata/digests.json. Figs holds one digest per
 // registered experiment; Faulted the fig1/fig5 tables and audit statistics
 // under the fault spec; Observed fully observed runs of fig1, tab-acc and
-// ext-faults: the table, the encoded span trace, the audit statistics and
-// the sorted bus events.
+// ext-faults: the table, the encoded span trace, the audit statistics,
+// the sorted bus events and the per-poll metrics series.
 type digestFile struct {
 	Seed     uint64            `json:"seed"`
 	Runs     int               `json:"runs"`
@@ -102,7 +103,7 @@ func computeDigests(t *testing.T) digestFile {
 	}
 
 	for _, id := range []string{"fig1", "tab-acc", "ext-faults"} {
-		col, tb, bus := &audit.Collector{}, trace.NewBuilder(), obs.NewBus()
+		col, tb, bus, reg := &audit.Collector{}, trace.NewBuilder(), obs.NewBus(), metrics.New()
 		var (
 			mu     sync.Mutex
 			events []string
@@ -116,7 +117,7 @@ func computeDigests(t *testing.T) digestFile {
 			events = append(events, fmt.Sprintf("%+v", e))
 			mu.Unlock()
 		}))
-		tab := runDigest(t, id, Options{Runs: digestRuns, Seed: digestSeed, Trace: tb, Audit: col, Obs: bus})
+		tab := runDigest(t, id, Options{Runs: digestRuns, Seed: digestSeed, Trace: tb, Audit: col, Obs: bus, Metrics: reg})
 		f.Observed[id] = digestTable(id, tab)
 		var enc bytes.Buffer
 		if err := trace.Encode(&enc, tb.Trace()); err != nil {
@@ -126,8 +127,46 @@ func computeDigests(t *testing.T) digestFile {
 		f.Observed[id+"/audit"] = auditDigest(t, col)
 		sort.Strings(events)
 		f.Observed[id+"/events"] = sha([]byte(strings.Join(events, "\n")))
+		f.Observed[id+"/metrics"] = metricsDigest(t, reg)
 	}
 	return f
+}
+
+// metricsDigest digests the metrics and audit layers' series in reg. Their
+// observations are integer-valued, so counters and histogram sums come
+// out the same in any worker order; the sweep driver's wall-clock series
+// are left out.
+func metricsDigest(t *testing.T, reg *metrics.Registry) string {
+	t.Helper()
+	keep := map[string]bool{
+		metrics.MetricPolls: true, metrics.MetricNodesPolled: true, metrics.MetricSessions: true,
+		metrics.MetricBinSize: true, metrics.MetricSessionPolls: true, metrics.MetricSessionNodes: true,
+		audit.MetricAuditPolls: true, audit.MetricAuditSessions: true, audit.MetricAuditViolations: true,
+	}
+	kept := func(name string) bool {
+		base, _, _ := strings.Cut(name, "{")
+		return keep[base]
+	}
+	s := reg.Snapshot()
+	var only metrics.Snapshot
+	for _, c := range s.Counters {
+		if kept(c.Name) {
+			only.Counters = append(only.Counters, c)
+		}
+	}
+	for _, h := range s.Histograms {
+		if kept(h.Name) {
+			only.Histograms = append(only.Histograms, h)
+		}
+	}
+	if len(only.Counters) == 0 {
+		t.Fatal("metrics digest: no per-poll series recorded")
+	}
+	var b bytes.Buffer
+	if err := metrics.WriteText(&b, only); err != nil {
+		t.Fatal(err)
+	}
+	return sha(b.Bytes())
 }
 
 // auditDigest digests a collector's full statistics, every wrong-decision
