@@ -26,6 +26,27 @@ import (
 // the paper lists as future work, and the identification/estimation
 // primitives from the companion group-testing framework.
 
+// channels pools the extension tables' abstract channels. ResetRandom
+// draws exactly what fastsim.RandomPositives draws, so a pooled channel
+// answers and counts like a fresh one.
+var channels = sync.Pool{New: func() any { return new(pooledChannel) }}
+
+// pooledChannel is a channel with the stream it draws from.
+type pooledChannel struct {
+	fastsim.Channel
+	chr rng.Source
+}
+
+// randomChannel returns a pooled channel of defaultN nodes with x random
+// positives drawn from r.Split(1), as fastsim.RandomPositives would draw
+// them. Put it back in channels once the trial is done with it.
+func randomChannel(x int, r *rng.Source) *pooledChannel {
+	ch := channels.Get().(*pooledChannel)
+	r.SplitInto(1, &ch.chr)
+	ch.ResetRandom(defaultN, x, fastsim.DefaultConfig(), &ch.chr)
+	return ch
+}
+
 func init() {
 	register(Experiment{
 		ID:    "ext-energy",
@@ -42,7 +63,8 @@ func init() {
 			algReplies := func(alg core.Algorithm) func(x int) pointCost {
 				return func(x int) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
-						ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
+						ch := randomChannel(x, r)
+						defer channels.Put(ch)
 						if _, err := alg.Run(ch, defaultN, defaultT, r.Split(2)); err != nil {
 							return 0, err
 						}
@@ -104,7 +126,8 @@ func init() {
 			tcastMS := func(alg core.Algorithm) func(x int) pointCost {
 				return func(x int) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
-						ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
+						ch := randomChannel(x, r)
+						defer channels.Put(ch)
 						res, err := alg.Run(ch, defaultN, defaultT, r.Split(2))
 						if err != nil {
 							return 0, err
@@ -166,7 +189,8 @@ func init() {
 			auditors := sync.Pool{New: func() any { return new(audit.Auditor) }}
 			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
+					ch := randomChannel(x, r)
+					defer channels.Put(ch)
 					a := auditors.Get().(*audit.Auditor)
 					defer auditors.Put(a)
 					if err := a.Reset(ch, audit.Config{N: defaultN, T: defaultT}); err != nil {
@@ -346,12 +370,13 @@ func init() {
 			}
 			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch, truth := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
+					ch := randomChannel(x, r)
+					defer channels.Put(ch)
 					got, queries, err := count.Identify(ch, defaultN)
 					if err != nil {
 						return 0, err
 					}
-					if len(got) != truth.Len() {
+					if len(got) != ch.Positives() {
 						return 0, fmt.Errorf("identification missed positives at x=%d", x)
 					}
 					return float64(queries), nil
@@ -363,7 +388,8 @@ func init() {
 			tab.Add(ident)
 			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
+					ch := randomChannel(x, r)
+					defer channels.Put(ch)
 					members := make([]int, defaultN)
 					for i := range members {
 						members[i] = i
