@@ -1,7 +1,7 @@
 // Package audit is the ground-truth half of the observability stack: an
-// oracle-backed query.Querier middleware that grades every poll response
-// against the substrate's true positive set and checks the initiator's
-// Knowledge invariants as the session runs.
+// oracle-backed query.Observer that grades every poll response against
+// the substrate's true positive set and checks the initiator's Knowledge
+// invariants as the session runs.
 //
 // The metrics layer (PR 1) counts what happened and the trace layer (PR 2)
 // records when; neither can say whether a response was *sound*, because
@@ -13,10 +13,10 @@
 // poll, and account each node's channel occupancy in tx/rx/idle-listen
 // slots for observed-energy billing.
 //
-// Like the other two layers the auditor is a query.Wrapper: it composes
-// with metrics.InstrumentedQuerier and trace.SpanQuerier in any stacking
-// order, consumes no randomness, and never mutates bins or responses, so
-// an audited run is bit-identical to a bare one.
+// The auditor rides on the session's query.Tap beside the other
+// observers, or on its own embedded Tap when stacked by hand. It consumes
+// no randomness and never mutates bins or responses, so an audited run is
+// bit-identical to a bare one.
 package audit
 
 import (
@@ -260,11 +260,11 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Auditor is the ground-truth grading middleware. Not safe for concurrent
-// use; each session gets its own Auditor, like the other observability
-// layers.
+// Auditor is the ground-truth grading observer; its embedded Tap over the
+// querier Reset was given lets it stand in a chain by hand. Not safe for
+// concurrent use; each session gets its own Auditor.
 type Auditor struct {
-	q        query.Querier
+	query.Tap
 	truth    Truth
 	n, t     int
 	trueX    int
@@ -286,7 +286,7 @@ type Auditor struct {
 	mViolations [NumInvariants]*metrics.Counter
 }
 
-// New wraps q with a ground-truth auditor. The substrate at the root of
+// New returns a ground-truth auditor over q. The substrate at the root of
 // q's middleware chain must implement Truth. The Knowledge bound
 // invariants (LowerBound ≤ true x ≤ UpperBound) are only checked when
 // the substrate reports itself lossless (its Lossless method) and no
@@ -333,7 +333,7 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 			return lossless
 		})
 	}
-	a.q = q
+	a.Tap.Reset(q, a)
 	a.truth = truth
 	a.n, a.t = cfg.N, cfg.T
 	a.lossless = lossless
@@ -395,37 +395,17 @@ func (a *Auditor) resolveMetrics(m *metrics.Registry) {
 // Lossless reports whether the bound invariants are being checked.
 func (a *Auditor) Lossless() bool { return a.lossless }
 
-// Query implements query.Querier: forward the poll untouched, then grade
-// the response against ground truth and fold it into the shadow ledger.
-func (a *Auditor) Query(bin []int) query.Response {
-	resp := a.q.Query(bin)
-	a.grade(bin, resp)
-	return resp
-}
+// OnRound implements query.Observer: it resets the shadow ledger's
+// per-round lower bound, mirroring the session's own StartRound
+// (core.runRound fires the round hook before StartRound, with no polls in
+// between, so the two ledgers stay in lockstep).
+func (a *Auditor) OnRound(int) { a.shadow.StartRound() }
 
-// Traits implements query.Querier.
-func (a *Auditor) Traits() query.Traits { return a.q.Traits() }
-
-// Unwrap implements query.Wrapper, so the auditor composes with the
-// metrics and trace layers in any stacking order.
-func (a *Auditor) Unwrap() query.Querier { return a.q }
-
-// TraceRound forwards the algorithms' round-boundary hook and resets the
-// shadow ledger's per-round lower bound, mirroring the session's own
-// StartRound (core.runRound fires the hook before StartRound, with no
-// polls in between, so the two ledgers stay in lockstep).
-func (a *Auditor) TraceRound(round int) {
-	a.shadow.StartRound()
-	if rt, ok := a.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
-
-// grade classifies one response, checks the Knowledge invariants around a
-// shadow Apply, and accounts the poll's channel occupancy.
-func (a *Auditor) grade(bin []int, resp query.Response) {
+// OnPoll implements query.Observer: grade the response, check the
+// Knowledge invariants around a shadow Apply, account channel occupancy.
+func (a *Auditor) OnPoll(_ int, bin []int, resp query.Response) {
 	idx := len(a.polls)
-	traits := a.q.Traits()
+	traits := a.Traits()
 
 	for _, id := range bin {
 		if id < 0 || id >= a.n || !a.shadow.Candidates.Contains(id) {
@@ -482,7 +462,7 @@ func (a *Auditor) violate(poll int, inv Invariant, detail string) {
 }
 
 // Finish grades the finished session's decision and returns the Verdict.
-// Call it before trace.SpanQuerier.EndSession so the causal-poll
+// Call it before the span layer's EndSession so the causal-poll
 // attributes land on the closing session span.
 func (a *Auditor) Finish(decision bool) Verdict {
 	truth := a.trueX >= a.t
@@ -540,9 +520,9 @@ func attribute(decision, truth bool, polls []PollRecord) (Outcome, int) {
 	return OutcomeWrongAlgorithm, -1
 }
 
-// TraceAttrs implements trace.Annotator: session spans closing above the
-// auditor carry the grading summary, and — once Finish has run — the
-// verdict with its causal poll.
+// TraceAttrs implements trace.Annotator: session spans closing beside or
+// above the auditor carry the grading summary, and — once Finish has run
+// — the verdict with its causal poll.
 func (a *Auditor) TraceAttrs() []trace.Attr {
 	attrs := []trace.Attr{
 		trace.IntAttr("audit_true_x", a.trueX),

@@ -174,11 +174,12 @@ type roundOutcome struct {
 // question resolves (Algorithm 1 lines 11 and 14).
 func (s *session) runRound(b int) roundOutcome {
 	s.res.Rounds++
-	// Round boundary hook for structured tracing: queriers that implement
-	// trace.SpanQuerier's TraceRound (asserted anonymously so core does
-	// not depend on the trace package) learn where each re-binning round
-	// starts. The hook receives no channel data and consumes no
-	// randomness, so traced and bare runs are bit-identical.
+	// Round boundary hook: a querier with a TraceRound method — the
+	// observers' query.Tap and the middleware forwarding it down the
+	// chain (asserted anonymously, so core names no observer) — learns
+	// where each re-binning round starts. The hook receives no channel
+	// data and consumes no randomness, so observed and bare runs are
+	// bit-identical.
 	if rt, ok := s.q.(interface{ TraceRound(round int) }); ok {
 		rt.TraceRound(s.res.Rounds)
 	}

@@ -55,7 +55,7 @@ type Options struct {
 	// tables are bit-identical with and without it.
 	Trace *trace.Builder
 	// TraceSample, when > 1, records only 1-in-k poll leaf spans per
-	// session (trace.SpanQuerier.SetSampling, keyed by the trial index so
+	// session (trace.Observer.SetSampling, keyed by the trial index so
 	// identical runs sample identical spans for any worker count). Round
 	// and session spans, the virtual clock, and the session poll/node
 	// counters stay exact; sampled traces Analyze with counts scaled by
@@ -63,7 +63,7 @@ type Options struct {
 	// byte-identical to the pre-sampling format.
 	TraceSample int
 	// Audit, when non-nil, grades every session against the substrate's
-	// ground truth: each trial's querier chain gains an audit.Auditor and
+	// ground truth: each trial's query.Tap gains an audit.Auditor and
 	// its verdict (decision outcome, poll soundness classes, invariant
 	// violations, causal poll for wrong decisions) is folded into the
 	// collector. Trials run at full worker parallelism: verdicts are
@@ -90,14 +90,14 @@ type Options struct {
 	Retry query.RetryPolicy
 	// Obs, when non-nil, streams structured events onto the bus: one
 	// session-start and one verdict event per trial, one poll event per
-	// group poll (obs.Publisher, stacked outermost so every layer below
-	// is already applied), injected-fault and retry-exhaustion events
+	// group poll (obs.Publisher, the last observer on the trial's
+	// query.Tap, so every layer before it has already seen the poll), injected-fault and retry-exhaustion events
 	// drained from the chain, and anomaly events for invariant
 	// violations and wrong verdicts. Trials publish from worker
 	// goroutines, so the live stream is scheduling-ordered — sinks that
 	// need determinism key on the session label and trial index carried
-	// by every event. Publishing consumes no randomness and the wrapper
-	// is interposed only when the bus is non-nil, so published runs stay
+	// by every event. Publishing consumes no randomness and the observer
+	// is installed only when the bus is non-nil, so published runs stay
 	// byte-identical to bare ones and the bare hot path allocation-free.
 	Obs *obs.Bus
 }

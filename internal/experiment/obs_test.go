@@ -16,9 +16,10 @@ import (
 // TestObsPlaneByteIdentical pins the observability plane's determinism
 // contract: a run publishing every session, poll and verdict onto a live
 // event bus produces byte-identical artifacts — rendered tables, encoded
-// traces, audit dumps — to a bare run. The plane consumes no randomness
-// and interposes nothing on the pooled hot path, so watching a run must
-// never change it. CI runs this under the race detector.
+// traces, audit dumps — to a bare run. The publisher is one more read-only
+// observer on the session's query.Tap and consumes no randomness, so
+// watching a run must never change it. CI runs this under the race
+// detector.
 func TestObsPlaneByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment sweep")

@@ -5,8 +5,8 @@
 // The paper's entire evaluation is a cost model — queries issued, slots
 // consumed, node-poll energy — so the serving stack's metrics are the same
 // numbers the figures plot. Algorithms never talk to this package
-// directly: the InstrumentedQuerier middleware (querier.go) observes every
-// group poll through the query.Querier interface, and the experiment
+// directly: the metrics Observer (querier.go) watches every group poll
+// from a query.Tap above the substrate, and the experiment
 // harness records per-point throughput and wall-clock timings. Exposition
 // (text dump, Prometheus text format, HTTP handler) lives in expose.go;
 // pprof helpers in profile.go.

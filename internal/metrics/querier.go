@@ -16,7 +16,7 @@ var (
 	TimeBuckets = ExponentialBuckets(1e-4, 2, 25)
 )
 
-// Metric names recorded by InstrumentedQuerier, in the paper's cost-model
+// Metric names recorded by Observer, in the paper's cost-model
 // vocabulary: a poll is one group query (the paper's query/slot cost unit),
 // and a node-poll pair is one participant kept listening for one poll (the
 // paper's listener-energy proxy).
@@ -39,21 +39,12 @@ const (
 	MetricSessionNodes = "tcast_session_nodes_polled"
 )
 
-// InstrumentedQuerier is middleware over query.Querier (mirroring
-// trace.SpanQuerier) that records every group poll into a Registry: per-poll
-// response kinds and bin sizes as they happen, and per-session
-// query/slot/energy totals when Finish is called. It works on any
-// substrate — fastsim channel, packet radio, or emulated mote — because it
-// only sees the Querier interface.
-//
-// The wrapper consumes no randomness and never alters bins or responses,
-// so an instrumented run is bit-identical to an uninstrumented one.
-// Metric handles are resolved at construction (and by Reset when the
-// registry changes); the per-poll path is pure atomic updates and safe to
-// use from concurrently running sessions (each session holds its own
-// InstrumentedQuerier, like trace.SpanQuerier).
-type InstrumentedQuerier struct {
-	q     query.Querier
+// Observer is the metrics layer's query.Observer: it records every group
+// poll into a Registry — per-poll response kinds and bin sizes as they
+// happen, and per-session query/slot/energy totals when Finish is called.
+// The per-poll path is pure atomic updates, safe to use from concurrently
+// running sessions (each session holds its own Observer).
+type Observer struct {
 	m     *Registry // the registry the handles below were resolved in
 	polls [query.NumKinds]*Counter
 	nodes *Counter
@@ -62,109 +53,63 @@ type InstrumentedQuerier struct {
 	sessionPolls *Histogram
 	sessionNodes *Histogram
 	sessions     *Counter
-
-	kinds     query.KindCounts
-	sessNodes int
 }
 
-// NewInstrumentedQuerier wraps q, recording into m (which must be
-// non-nil; Wrap is the nil-safe path). A nil q is allowed for out-of-band
-// recording via Record — e.g. replaying a mote trace — but such a wrapper
-// must not be used as a Querier.
-func NewInstrumentedQuerier(q query.Querier, m *Registry) *InstrumentedQuerier {
-	iq := new(InstrumentedQuerier)
-	iq.Reset(q, m)
-	return iq
-}
-
-// Reset re-targets iq at q recording into m (non-nil), with empty session
-// tallies. The metric handles are resolved only when m is not the
-// registry iq last resolved them in, so a pooled wrapper re-targeted
-// session after session against one registry pays no name lookups.
-func (iq *InstrumentedQuerier) Reset(q query.Querier, m *Registry) {
-	iq.q = q
-	iq.kinds = query.KindCounts{}
-	iq.sessNodes = 0
-	if iq.m == m {
+// Reset points o at m (non-nil). The metric handles are resolved only
+// when m is not the registry o last resolved them in, so a pooled
+// observer pays no name lookups session after session.
+func (o *Observer) Reset(m *Registry) {
+	if o.m == m {
 		return
 	}
-	iq.m = m
-	iq.nodes = m.Counter(MetricNodesPolled)
-	iq.sessions = m.Counter(MetricSessions)
-	iq.binSize = m.Histogram(MetricBinSize, BinSizeBuckets)
-	iq.sessionPolls = m.Histogram(MetricSessionPolls, SessionBuckets)
-	iq.sessionNodes = m.Histogram(MetricSessionNodes, SessionBuckets)
+	o.m = m
+	o.nodes = m.Counter(MetricNodesPolled)
+	o.sessions = m.Counter(MetricSessions)
+	o.binSize = m.Histogram(MetricBinSize, BinSizeBuckets)
+	o.sessionPolls = m.Histogram(MetricSessionPolls, SessionBuckets)
+	o.sessionNodes = m.Histogram(MetricSessionNodes, SessionBuckets)
 	for k := query.Kind(0); int(k) < query.NumKinds; k++ {
-		iq.polls[k] = m.Counter(MetricPolls, "kind", k.String())
+		o.polls[k] = m.Counter(MetricPolls, "kind", k.String())
 	}
 }
 
-// Wrap returns q instrumented against m, or q unchanged when m is nil —
-// the hook the experiment harness uses so uninstrumented runs pay nothing.
+// Wrap returns q under a Tap recording into m, or q unchanged when m is
+// nil, so uninstrumented hand-built stacks pay nothing.
 func Wrap(q query.Querier, m *Registry) query.Querier {
 	if m == nil {
 		return q
 	}
-	return NewInstrumentedQuerier(q, m)
+	o := new(Observer)
+	o.Reset(m)
+	return query.NewTap(q, o)
 }
 
-// Query implements query.Querier.
-func (iq *InstrumentedQuerier) Query(bin []int) query.Response {
-	resp := iq.q.Query(bin)
-	iq.Record(resp.Kind, len(bin))
-	return resp
+// OnPoll implements query.Observer.
+func (o *Observer) OnPoll(_ int, bin []int, resp query.Response) {
+	o.polls[resp.Kind].Inc()
+	o.nodes.Add(int64(len(bin)))
+	o.binSize.Observe(float64(len(bin)))
 }
 
-// Record tallies one poll outcome observed out-of-band — a trace replayed
-// from a substrate that does not expose its querier, like the emulated
-// mote testbed — using the exact same instruments as Query.
-func (iq *InstrumentedQuerier) Record(kind query.Kind, binSize int) {
-	iq.polls[kind].Inc()
-	iq.nodes.Add(int64(binSize))
-	iq.binSize.Observe(float64(binSize))
-	iq.kinds.Observe(kind)
-	iq.sessNodes += binSize
+// OnRound implements query.Observer; rounds are not metered.
+func (o *Observer) OnRound(int) {}
+
+// Finish records one session's totals — polls (= RCD slots) and node-poll
+// pairs (the listener-energy proxy) — into the session histograms.
+func (o *Observer) Finish(polls, nodes int) {
+	o.sessions.Inc()
+	o.sessionPolls.Observe(float64(polls))
+	o.sessionNodes.Observe(float64(nodes))
 }
 
-// Traits implements query.Querier.
-func (iq *InstrumentedQuerier) Traits() query.Traits { return iq.q.Traits() }
-
-// Unwrap implements query.Wrapper, so the instrumented querier composes
-// with other middleware (the trace span recorder) in either stacking
-// order: chain-walking helpers find each layer wherever it sits.
-func (iq *InstrumentedQuerier) Unwrap() query.Querier { return iq.q }
-
-// TraceRound forwards the algorithms' round-boundary hook to the wrapped
-// querier. Without this, stacking the metrics layer outside a trace span
-// recorder would swallow round spans.
-func (iq *InstrumentedQuerier) TraceRound(round int) {
-	if rt, ok := iq.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
-
-// Finish records the session's totals — polls (= RCD slots) and node-poll
-// pairs (the listener-energy proxy) — into the session histograms and
-// resets the session tallies so the wrapper can be reused.
-func (iq *InstrumentedQuerier) Finish() {
-	iq.sessions.Inc()
-	iq.sessionPolls.Observe(float64(iq.kinds.Total()))
-	iq.sessionNodes.Observe(float64(iq.sessNodes))
-	iq.kinds = query.KindCounts{}
-	iq.sessNodes = 0
-}
-
-// FinishSession ends the session on the first InstrumentedQuerier found
-// in q's middleware chain and is a no-op when there is none — the
-// counterpart of Wrap. Walking the chain (rather than type-asserting q
-// itself) means callers may stack further middleware, such as the trace
-// span recorder, outside the instrumented querier without losing their
-// session totals.
+// FinishSession finishes the first metrics Observer on a Tap in q's
+// chain with that Tap's totals, and is a no-op when there is none — the
+// counterpart of Wrap, wherever further layers stacked it.
 func FinishSession(q query.Querier) {
-	query.Walk(q, func(l query.Querier) bool {
-		iq, ok := l.(*InstrumentedQuerier)
+	query.Layers(q, func(l any, t *query.Tap) bool {
+		mo, ok := l.(*Observer)
 		if ok {
-			iq.Finish()
+			mo.Finish(t.Polls(), t.Nodes())
 		}
 		return !ok
 	})

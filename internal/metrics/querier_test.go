@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -8,6 +9,13 @@ import (
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
+
+// instrument puts q under a Tap with a metrics observer recording into m.
+func instrument(q query.Querier, m *Registry) (*query.Tap, *Observer) {
+	o := new(Observer)
+	o.Reset(m)
+	return query.NewTap(q, o), o
+}
 
 // kindValue finds the counter value for one kind label in a snapshot.
 func kindValue(t *testing.T, s Snapshot, kind string) int64 {
@@ -24,7 +32,7 @@ func kindValue(t *testing.T, s Snapshot, kind string) int64 {
 func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 	m := New()
 	ch, _ := fastsim.RandomPositives(64, 10, fastsim.TwoPlusConfig(), rng.New(3))
-	iq := NewInstrumentedQuerier(ch, m)
+	iq, _ := instrument(ch, m)
 	members := make([]int, 64)
 	for i := range members {
 		members[i] = i
@@ -37,7 +45,7 @@ func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 		iq.Query(members[lo:hi])
 		polls++
 	}
-	iq.Finish()
+	FinishSession(iq)
 
 	s := m.Snapshot()
 	var perKind int64
@@ -65,11 +73,11 @@ func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 // perturb the query stream: the same algorithm run against the same seed
 // sees identical responses with and without instrumentation.
 func TestInstrumentedQuerierTransparent(t *testing.T) {
-	run := func(instrument bool) []query.Response {
+	run := func(on bool) []query.Response {
 		ch, _ := fastsim.RandomPositives(32, 7, fastsim.TwoPlusConfig(), rng.New(11))
 		var q query.Querier = ch
-		if instrument {
-			q = NewInstrumentedQuerier(ch, New())
+		if on {
+			q, _ = instrument(ch, New())
 		}
 		members := make([]int, 32)
 		for i := range members {
@@ -96,7 +104,7 @@ func TestWrapNilRegistry(t *testing.T) {
 	}
 	m := New()
 	w := Wrap(ch, m)
-	if _, ok := w.(*InstrumentedQuerier); !ok {
+	if _, ok := w.(*query.Tap); !ok {
 		t.Fatalf("Wrap returned %T", w)
 	}
 	// FinishSession must be a no-op on unwrapped queriers and record on
@@ -109,22 +117,33 @@ func TestWrapNilRegistry(t *testing.T) {
 	}
 }
 
-func TestRecordMatchesQueryInstruments(t *testing.T) {
-	m := New()
-	iq := NewInstrumentedQuerier(nil, m)
-	iq.Record(query.Empty, 3)
-	iq.Record(query.Active, 5)
-	kinds, nodes := iq.kinds, iq.sessNodes
-	if kinds.Empty != 1 || kinds.Active != 1 || kinds.Total() != 2 || nodes != 8 {
-		t.Fatalf("session = %+v nodes=%d", kinds, nodes)
+// TestOnPollReplayMatchesQuery: polls replayed straight into an observer's
+// OnPoll — as the mote lab replays its initiator's record — land in the
+// same instruments as the same polls answered through a Tap.
+func TestOnPollReplayMatchesQuery(t *testing.T) {
+	live, replayed := New(), New()
+	ch, _ := fastsim.RandomPositives(32, 6, fastsim.TwoPlusConfig(), rng.New(4))
+	tap, o := instrument(ch, live)
+	var ro Observer
+	ro.Reset(replayed)
+	for i := 0; i+3 <= 32; i += 3 {
+		bin := []int{i, i + 1, i + 2}
+		ro.OnPoll(i/3, bin, tap.Query(bin))
 	}
-	iq.Finish()
-	kinds, nodes = iq.kinds, iq.sessNodes
-	if kinds.Total() != 0 || nodes != 0 {
-		t.Fatal("Finish did not reset the session tallies")
+	o.Finish(tap.Polls(), tap.Nodes())
+	ro.Finish(tap.Polls(), tap.Nodes())
+	var a, b bytes.Buffer
+	if err := WriteText(&a, live.Snapshot()); err != nil {
+		t.Fatal(err)
 	}
-	if m.Counter(MetricNodesPolled).Value() != 8 {
-		t.Fatalf("nodes polled = %d", m.Counter(MetricNodesPolled).Value())
+	if err := WriteText(&b, replayed.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("replayed instruments differ:\nlive:\n%s\nreplayed:\n%s", a.String(), b.String())
+	}
+	if got := replayed.Counter(MetricNodesPolled).Value(); got != 30 {
+		t.Fatalf("nodes polled = %d, want 30", got)
 	}
 }
 
@@ -141,12 +160,12 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			ch, _ := fastsim.RandomPositives(64, 12, fastsim.DefaultConfig(), rng.New(uint64(s)))
-			iq := NewInstrumentedQuerier(ch, m)
+			iq, _ := instrument(ch, m)
 			bin := []int{1, 2, 3}
 			for i := 0; i < pollsPer; i++ {
 				iq.Query(bin)
 			}
-			iq.Finish()
+			FinishSession(iq)
 		}(s)
 	}
 	wg.Wait()
@@ -166,24 +185,26 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestInstrumentedQuerierReset: a wrapper re-targeted with Reset records
-// a fresh session into whichever registry it is given, with no tallies
-// carried over, the same as a freshly built one.
+// TestInstrumentedQuerierReset: a Tap and observer re-targeted with Reset
+// record a fresh session into whichever registry they are given, with no
+// tallies carried over, the same as freshly built ones.
 func TestInstrumentedQuerierReset(t *testing.T) {
 	a, b := New(), New()
 	ch, _ := fastsim.RandomPositives(16, 4, fastsim.DefaultConfig(), rng.New(1))
-	iq := NewInstrumentedQuerier(ch, a)
+	iq, o := instrument(ch, a)
 	iq.Query([]int{0, 1, 2})
 	iq.Query([]int{3})
-	iq.Reset(ch, a) // unfinished tallies are dropped
+	iq.Reset(ch, o) // unfinished tallies are dropped
 	iq.Query([]int{4, 5})
-	iq.Finish()
-	iq.Reset(ch, b)
+	FinishSession(iq)
+	iq.Reset(ch, o)
+	o.Reset(b)
 	iq.Query([]int{6})
-	iq.Finish()
-	iq.Reset(ch, a)
+	FinishSession(iq)
+	iq.Reset(ch, o)
+	o.Reset(a)
 	iq.Query([]int{7})
-	iq.Finish()
+	FinishSession(iq)
 
 	for _, c := range []struct {
 		m                   *Registry

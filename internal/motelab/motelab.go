@@ -202,6 +202,14 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		return Stats{}, fmt.Errorf("motelab: x=%d out of range [0,%d]", x, len(l.parts))
 	}
 	stats := newStats()
+	var (
+		tap       query.Tap
+		rp        replay
+		mo        metrics.Observer
+		so        trace.Observer
+		pub       obs.Publisher
+		observers []query.Observer
+	)
 	for rep := 0; rep < repeats; rep++ {
 		r := l.root.Split(uint64(threshold)<<40 | uint64(x)<<20 | uint64(rep))
 
@@ -227,85 +235,58 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 			return Stats{}, err
 		}
 
+		// Replay the initiator's poll record through a Tap, so the metrics,
+		// span and bus observers see the run as they see a live session.
+		label := fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", core.TwoTBins{}.Name(), threshold, x, rep)
+		observers = observers[:0]
 		if m := l.cfg.Metrics; m != nil {
-			iq := metrics.NewInstrumentedQuerier(nil, m)
-			for _, rec := range outcome.Trace {
-				kind := query.Active
-				if rec.Empty {
-					kind = query.Empty
-				}
-				iq.Record(kind, len(rec.Bin))
-			}
-			iq.Finish()
+			mo.Reset(m)
+			observers = append(observers, &mo)
 		}
-		if b := l.cfg.Trace; b != nil {
-			// Replay the initiator's poll record as spans. Backcast
-			// charges 3 RCD slots per group query (bind, poll, HACK).
+		b := l.cfg.Trace
+		if b != nil {
+			observers = append(observers, &so)
+		}
+		bus := l.cfg.Obs
+		if bus != nil {
+			pub = obs.Publisher{Bus: bus, Session: label, Trial: rep}
+			observers = append(observers, &pub)
+			obs.PublishSessionStart(bus, label, rep)
+		}
+		rp = replay{log: outcome.Trace}
+		tap.Reset(&rp, observers...)
+		if b != nil {
 			b.Begin(trace.KindTrial, "rep "+strconv.Itoa(rep))
-			sess := b.Begin(trace.KindSession, core.TwoTBins{}.Name())
-			sess.SetAttr(
-				trace.StringAttr("substrate", "motelab"),
-				trace.StringAttr("primitive", "backcast"),
-				trace.IntAttr("n", len(l.parts)),
-				trace.IntAttr("t", threshold),
-				trace.IntAttr("x", x),
-			)
-			nodes := 0
-			for i, rec := range outcome.Trace {
-				sp := b.Begin(trace.KindPoll, "poll "+strconv.Itoa(i))
-				b.Advance(3)
-				kind := query.Active
-				if rec.Empty {
-					kind = query.Empty
-				}
-				sp.SetAttr(
-					trace.IntAttr("bin_size", len(rec.Bin)),
-					trace.StringAttr("kind", kind.String()),
-				)
-				b.End()
-				nodes += len(rec.Bin)
-			}
-			sess.SetAttr(
-				trace.IntAttr("polls", len(outcome.Trace)),
-				trace.IntAttr("nodes_polled", nodes),
-				trace.BoolAttr("decision", outcome.Decision),
-				trace.IntAttr("queries", outcome.Queries),
-			)
-			b.End() // session
+			so.Reset(&tap, b)
+			so.StartSession(core.TwoTBins{}.Name(),
+				trace.StringAttr("substrate", "motelab"), trace.StringAttr("primitive", "backcast"),
+				trace.IntAttr("n", len(l.parts)), trace.IntAttr("t", threshold), trace.IntAttr("x", x))
+		}
+		for _, rec := range outcome.Trace {
+			tap.Query(rec.Bin)
+		}
+		if b != nil {
+			so.EndSession(trace.BoolAttr("decision", outcome.Decision), trace.IntAttr("queries", outcome.Queries))
 			b.End() // trial
 		}
-		if l.cfg.Audit != nil || l.cfg.Obs != nil {
+		if l.cfg.Metrics != nil {
+			mo.Finish(tap.Polls(), tap.Nodes())
+		}
+		if l.cfg.Audit != nil || bus != nil {
 			// Grade the run from the initiator's poll record. Backcast
 			// responses are binary (Empty/Active), so the 1+ traits apply
 			// regardless of the firmware's radio.
 			polls := make([]audit.ReplayPoll, len(outcome.Trace))
 			for i, rec := range outcome.Trace {
-				kind := query.Active
-				if rec.Empty {
-					kind = query.Empty
-				}
-				polls[i] = audit.ReplayPoll{Bin: rec.Bin, Resp: query.Response{Kind: kind}}
+				polls[i] = audit.ReplayPoll{Bin: rec.Bin, Resp: rp.response(i)}
 			}
 			truth := audit.TruthFunc(func(id int) bool { return positive[id] })
-			label := fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", core.TwoTBins{}.Name(), threshold, x, rep)
 			v := audit.GradeReplay(threshold, x, truth,
 				query.Traits{Model: query.OnePlus}, polls, outcome.Decision)
 			if c := l.cfg.Audit; c != nil {
 				c.Add(label, v)
 			}
-			if bus := l.cfg.Obs; bus != nil {
-				obs.PublishSessionStart(bus, label, rep)
-				for i, p := range polls {
-					bus.Publish(obs.Event{
-						Kind: obs.KindPoll, Session: label, Trial: rep,
-						Poll: i, Bin: len(p.Bin), Outcome: p.Resp.Kind.String(),
-						CausalPoll: -1,
-					})
-				}
-				// Backcast charges 3 RCD slots per group query; there is no
-				// querier chain to walk on the replay path.
-				obs.PublishVerdict(bus, label, rep, v, int64(3*len(polls)), nil)
-			}
+			obs.PublishVerdict(bus, label, rep, v, int64(rp.Slots()), &tap)
 		}
 
 		stats.Trials++
@@ -377,3 +358,28 @@ func (l *Lab) RunPaperProtocol(repeats int) (map[int]map[int]float64, Stats, err
 	}
 	return curves, agg, nil
 }
+
+// replay answers a Tap's polls from the initiator's poll record, in
+// order: binary backcast responses at 3 RCD slots per group query (bind,
+// poll, HACK).
+type replay struct {
+	log   []mote.QueryRecord
+	polls int
+}
+
+func (r *replay) Query([]int) query.Response {
+	r.polls++
+	return r.response(r.polls - 1)
+}
+
+// response is what the initiator heard on poll i.
+func (r *replay) response(i int) query.Response {
+	if r.log[i].Empty {
+		return query.Response{Kind: query.Empty}
+	}
+	return query.Response{Kind: query.Active}
+}
+
+func (r *replay) Traits() query.Traits { return query.Traits{Model: query.OnePlus} }
+
+func (r *replay) Slots() int { return 3 * r.polls }

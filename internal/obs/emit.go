@@ -123,21 +123,16 @@ func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 	}
 }
 
-// ChainSlots walks q outermost-first for a virtual-time slot meter — the
-// same discovery the trace span recorder does, so verdict events price
-// sessions identically to spans. Substrates without a meter (the
-// abstract fastsim channel) cost one slot per poll; fallbackPolls covers
-// them.
+// ChainSlots prices a finished session by q's slot meter
+// (query.SlotMeter) — the one the span recorder advances virtual time
+// by, so verdict events price sessions identically to spans. Substrates
+// without a meter (the abstract fastsim channel) cost one slot per poll;
+// fallbackPolls covers them.
 func ChainSlots(q query.Querier, fallbackPolls int) int64 {
-	slots := int64(fallbackPolls)
-	query.Walk(q, func(l query.Querier) bool {
-		sc, ok := l.(interface{ Slots() int })
-		if ok {
-			slots = int64(sc.Slots())
-		}
-		return !ok
-	})
-	return slots
+	if m := query.SlotMeter(q); m != nil {
+		return int64(m.Slots())
+	}
+	return int64(fallbackPolls)
 }
 
 // chainLayers finds the outermost retry layer and fault injector in q's

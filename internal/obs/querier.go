@@ -2,57 +2,35 @@ package obs
 
 import "tcast/internal/query"
 
-// Publisher is the query.Querier middleware that streams one KindPoll
-// event per group poll onto the bus. It sits outermost in a trial's chain
-// (above the trace span recorder), forwards everything untouched, and
-// consumes no randomness, so published runs stay byte-identical to bare
-// ones. Interpose it only when a bus is configured — the experiment
-// harness and cmds skip it entirely otherwise, keeping the pooled hot
-// path allocation-free.
+// Publisher is the query.Observer that streams one KindPoll event per
+// group poll onto Bus, labelled with Session and Trial. It is the last
+// observer on a session's Tap and consumes no randomness, so published
+// runs stay byte-identical to bare ones. A session without a bus installs
+// none, keeping the pooled hot path allocation-free.
 type Publisher struct {
-	q       query.Querier
-	bus     *Bus
-	session string
-	trial   int
-	poll    int
+	Bus     *Bus
+	Session string
+	Trial   int
 }
 
-// NewPublisher wraps q, labeling every event with the session name and
-// trial index. Like the other observability layers, one Publisher serves
-// one session.
-func NewPublisher(q query.Querier, bus *Bus, session string, trial int) *Publisher {
-	return &Publisher{q: q, bus: bus, session: session, trial: trial}
+// NewPublisher returns q under a Tap publishing to bus, for one session.
+func NewPublisher(q query.Querier, bus *Bus, session string, trial int) *query.Tap {
+	return query.NewTap(q, &Publisher{Bus: bus, Session: session, Trial: trial})
 }
 
-// Query implements query.Querier: forward the poll, then publish its
-// outcome.
-func (p *Publisher) Query(bin []int) query.Response {
-	resp := p.q.Query(bin)
-	p.bus.Publish(Event{
+// OnPoll implements query.Observer: publish the poll's outcome.
+func (p *Publisher) OnPoll(poll int, bin []int, resp query.Response) {
+	p.Bus.Publish(Event{
 		Kind:    KindPoll,
-		Session: p.session,
-		Trial:   p.trial,
-		Poll:    p.poll,
+		Session: p.Session,
+		Trial:   p.Trial,
+		Poll:    poll,
 		Bin:     len(bin),
 		Outcome: resp.Kind.String(),
 
 		CausalPoll: -1,
 	})
-	p.poll++
-	return resp
 }
 
-// Traits implements query.Querier.
-func (p *Publisher) Traits() query.Traits { return p.q.Traits() }
-
-// Unwrap implements query.Wrapper, so chain-walking helpers (audit truth
-// discovery, metrics.FinishSession, the emit helpers below) see through
-// the publisher.
-func (p *Publisher) Unwrap() query.Querier { return p.q }
-
-// TraceRound forwards the algorithms' round-boundary hook down the chain.
-func (p *Publisher) TraceRound(round int) {
-	if rt, ok := p.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
+// OnRound implements query.Observer; round boundaries are not published.
+func (p *Publisher) OnRound(int) {}

@@ -188,12 +188,13 @@ type Querier interface {
 	Traits() Traits
 }
 
-// Wrapper is implemented by querier middleware (trace recorders, metric
-// instrumenters) that delegates to an underlying Querier. It lets
-// stacked middleware be walked without knowing the stacking order, so
-// layers compose in either order: helpers that need a specific layer
-// (metrics.FinishSession, the trace span recorder's substrate annotation)
-// search the chain instead of type-asserting the outermost querier.
+// Wrapper is implemented by querier middleware that delegates to an
+// underlying Querier: the layers that change answers or their cost (the
+// fault injector, Retry, the serving medium) and the read-only Tap the
+// observers ride on. It lets the chain be walked without knowing the
+// stacking order: helpers that need a specific layer (audit's ground
+// truth, the slot meter, the fault a causal poll joins) search the chain
+// instead of type-asserting the outermost querier.
 type Wrapper interface {
 	Unwrap() Querier
 }

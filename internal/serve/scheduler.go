@@ -199,15 +199,10 @@ type mediumQuerier struct {
 // reset re-targets m at inner for r's session, discovering the slot
 // meter.
 func (m *mediumQuerier) reset(inner query.Querier, r *run) {
-	*m = mediumQuerier{inner: inner, r: r}
-	query.Walk(inner, func(l query.Querier) bool {
-		sc, ok := l.(interface{ Slots() int })
-		if ok {
-			m.meter = sc
-			m.last = sc.Slots()
-		}
-		return !ok
-	})
+	*m = mediumQuerier{inner: inner, r: r, meter: query.SlotMeter(inner)}
+	if m.meter != nil {
+		m.last = m.meter.Slots()
+	}
 }
 
 // Query implements query.Querier: park, wait for the grant, transmit.

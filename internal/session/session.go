@@ -16,9 +16,10 @@
 // stream: the substrate from Split(1), the fault injector from Split(9)
 // and the algorithm from Split(2) — Split(3) when a caller-built substrate
 // draws from Split(1) and Split(2) itself. The layers stack in one order,
-// substrate first:
+// substrate first, with the observers on one query.Tap, installed only
+// when one is configured:
 //
-//	substrate → faults → [medium] → retry → metrics → audit → trace → obs
+//	substrate → faults → [medium] → retry → tap(metrics, audit, trace, obs)
 //
 // None of the layers above the injector consumes randomness, so a session
 // decides and costs the same with any of them on or off.
@@ -196,13 +197,15 @@ type Session struct {
 	chr, fr, algr rng.Source
 	sub           rng.Source
 	inj           faults.Injector
-	iq            metrics.InstrumentedQuerier
+	tap           query.Tap
+	mo            metrics.Observer
 	auditor       *audit.Auditor
 	verdict       audit.Verdict
 	graded        bool
 	attributed    bool
 	fb            *trace.Builder
-	sq            *trace.SpanQuerier
+	so            trace.Observer
+	pub           obs.Publisher
 
 	res core.Result
 	err error
@@ -215,7 +218,9 @@ type Session struct {
 func (s *Session) Reset(sp Spec, r *rng.Source) error {
 	s.spec, s.label, s.q = sp, sp.Label, nil
 	s.graded, s.attributed = false, false
-	s.fb, s.sq = nil, nil
+	if s.fb != nil {
+		s.fb, s.so = nil, trace.Observer{}
+	}
 	s.res, s.err = core.Result{}, errNotRun
 	alg := sp.Algorithm
 	if alg == nil {
@@ -257,9 +262,11 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 		q = sp.Medium(q)
 	}
 	q = query.WithRetry(q, sp.Retry)
+	var observers [4]query.Observer
+	n := 0
 	if sp.Metrics != nil {
-		s.iq.Reset(q, sp.Metrics)
-		q = &s.iq
+		s.mo.Reset(sp.Metrics)
+		observers[n], n = &s.mo, n+1
 	}
 	if sp.Audit != nil {
 		acfg := audit.Config{N: sp.N, T: sp.T, Metrics: sp.Metrics}
@@ -269,7 +276,18 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 		if err := s.auditor.Reset(q, acfg); err != nil {
 			return err
 		}
-		q = s.auditor
+		observers[n], n = s.auditor, n+1
+	}
+	if sp.Trace != nil {
+		observers[n], n = &s.so, n+1
+	}
+	if sp.Obs != nil {
+		s.pub = obs.Publisher{Bus: sp.Obs, Session: sp.Label, Trial: sp.Trial}
+		observers[n], n = &s.pub, n+1
+	}
+	if n > 0 {
+		s.tap.Reset(q, observers[:n]...)
+		q = &s.tap
 	}
 	if b := sp.Trace; b != nil {
 		// Keep only the fork: a pooled session must not pin the caller's
@@ -277,27 +295,20 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 		s.spec.Trace = nil
 		s.fb = b.Fork(sp.Trial)
 		s.fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(sp.Trial))
-		s.sq = trace.NewSpanQuerier(q, s.fb)
-		s.sq.SetSampling(sp.TraceSample, uint64(sp.Trial))
-		s.sq.StartSession(alg.Name(),
+		s.so.Reset(&s.tap, s.fb)
+		s.so.SetSampling(sp.TraceSample, uint64(sp.Trial))
+		s.so.StartSession(alg.Name(),
 			trace.IntAttr("n", sp.N), trace.IntAttr("t", sp.T), trace.IntAttr("x", sp.X))
-		q = s.sq
-	}
-	if sp.Obs != nil {
-		// Outermost, so the published poll stream counts exactly the
-		// algorithm-visible polls every layer below has already seen.
-		q = obs.NewPublisher(q, sp.Obs, sp.Label, sp.Trial)
 	}
 	s.q = q
 	r.SplitInto(stream, &s.algr)
 	return nil
 }
 
-// Run executes the algorithm, grades the decision and closes the spans.
-// Teardown order: the audit verdict first (so it annotates the closing
-// session span), then the session span, then the metrics totals. A
-// session that errors before deciding is voided in the collector and its
-// span records the error.
+// Run executes the algorithm and finishes the observers: the audit
+// verdict first (so it annotates the closing session span), then the
+// session span, then the metrics totals. A session that errors before
+// deciding is voided in the collector and its span records the error.
 func (s *Session) Run() (core.Result, error) {
 	sp := &s.spec
 	obs.PublishSessionStart(sp.Obs, sp.Label, sp.Trial)
@@ -315,21 +326,23 @@ func (s *Session) Run() (core.Result, error) {
 		}
 		s.Record(sp.Audit)
 	}
-	if s.sq != nil {
+	if s.fb != nil {
 		if s.err == nil {
-			s.sq.EndSession(
+			s.so.EndSession(
 				trace.BoolAttr("decision", s.res.Decision),
 				trace.IntAttr("queries", s.res.Queries),
 				trace.IntAttr("rounds", s.res.Rounds))
 		} else {
-			s.sq.EndSession(trace.StringAttr("error", s.err.Error()))
+			s.so.EndSession(trace.StringAttr("error", s.err.Error()))
 		}
 		s.fb.End() // trial span
 	}
 	if s.err != nil {
 		return s.res, s.err
 	}
-	metrics.FinishSession(s.q)
+	if sp.Metrics != nil {
+		s.mo.Finish(s.tap.Polls(), s.tap.Nodes())
+	}
 	return s.res, nil
 }
 

@@ -1,6 +1,11 @@
 package session
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,9 +14,11 @@ import (
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
 	"tcast/internal/idset"
+	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/trace"
 )
 
 // handBuilt runs trial i of seed the way the harnesses built sessions by
@@ -66,6 +73,186 @@ func TestMatchesHandBuiltStack(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("%s trial %d faulted=%v: session %+v, hand-built %+v", alg, i, faulted, got, want)
+				}
+			}
+		}
+	}
+}
+
+// layerOutputs is everything a batch of observed trials leaves behind.
+type layerOutputs struct {
+	results []core.Result
+	reg     *metrics.Registry
+	col     *audit.Collector
+	tb      *trace.Builder
+	bus     *obs.Bus
+	events  []string
+}
+
+// newLayerOutputs configures the observers whose bits are set in mask:
+// 1 metrics, 2 audit, 4 trace, 8 obs.
+func newLayerOutputs(mask int) *layerOutputs {
+	o := &layerOutputs{}
+	if mask&1 != 0 {
+		o.reg = metrics.New()
+	}
+	if mask&2 != 0 {
+		o.col = &audit.Collector{}
+	}
+	if mask&4 != 0 {
+		o.tb = trace.NewBuilder()
+	}
+	if mask&8 != 0 {
+		o.bus = obs.NewBus()
+		o.bus.Subscribe(obs.SinkFunc(func(e obs.Event) {
+			e.Seq = 0
+			o.events = append(o.events, fmt.Sprintf("%+v", e))
+		}))
+	}
+	return o
+}
+
+// dump renders the outputs for comparison: the results, the metrics
+// text dump, the collector's statistics, the encoded trace and the sorted
+// bus events.
+func (o *layerOutputs) dump(t *testing.T) []string {
+	t.Helper()
+	out := []string{fmt.Sprint(o.results)}
+	if o.reg != nil {
+		var b bytes.Buffer
+		if err := metrics.WriteText(&b, o.reg.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b.String())
+	}
+	if o.col != nil {
+		o.col.Flush()
+		data, err := json.Marshal(o.col.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(data))
+	}
+	if o.tb != nil {
+		o.tb.Graft()
+		data, err := trace.EncodeBytes(o.tb.Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(data))
+	}
+	if o.bus != nil {
+		sort.Strings(o.events)
+		out = append(out, strings.Join(o.events, "\n"))
+	}
+	return out
+}
+
+// handBuiltLayers runs trial i the way the benchmark stacks the layers:
+// each observability layer by its own constructor, nested metrics, audit,
+// trace, obs from the substrate up, finished in the session's teardown
+// order.
+func handBuiltLayers(t *testing.T, o *layerOutputs, fcfg *faults.Config, retry query.RetryPolicy, sample, n, tt, x, i int, label string, r *rng.Source) core.Result {
+	t.Helper()
+	ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(1))
+	var q query.Querier = ch
+	if fcfg != nil {
+		q = faults.New(q, *fcfg, n, r.Split(9))
+	}
+	q = query.WithRetry(q, retry)
+	q = metrics.Wrap(q, o.reg)
+	var aud *audit.Auditor
+	if o.col != nil {
+		var err error
+		if aud, err = audit.New(q, audit.Config{N: n, T: tt, Metrics: o.reg}); err != nil {
+			t.Fatal(err)
+		}
+		q = aud
+	}
+	var fb *trace.Builder
+	var sq *trace.SpanQuerier
+	if o.tb != nil {
+		fb = o.tb.Fork(i)
+		fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(i))
+		sq = trace.NewSpanQuerier(q, fb)
+		sq.SetSampling(sample, uint64(i))
+		sq.StartSession("2tBins", trace.IntAttr("n", n), trace.IntAttr("t", tt), trace.IntAttr("x", x))
+		q = sq
+	}
+	if o.bus != nil {
+		q = obs.NewPublisher(q, o.bus, label, i)
+		obs.PublishSessionStart(o.bus, label, i)
+	}
+	res, err := core.TwoTBins{}.Run(q, n, tt, r.Split(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aud != nil {
+		v := aud.Finish(res.Decision)
+		o.col.AddAt(i, label, v)
+		if o.bus != nil {
+			obs.PublishChainEvents(o.bus, label, i, q)
+			obs.PublishVerdict(o.bus, label, i, v, obs.ChainSlots(q, v.Polls), q)
+		}
+	}
+	if sq != nil {
+		sq.EndSession(trace.BoolAttr("decision", res.Decision),
+			trace.IntAttr("queries", res.Queries), trace.IntAttr("rounds", res.Rounds))
+		fb.End()
+	}
+	metrics.FinishSession(q)
+	if o.bus != nil && aud == nil {
+		obs.PublishChainEvents(o.bus, label, i, q)
+		obs.PublishDecision(o.bus, label, i, res.Decision, x >= tt, res.Queries, obs.ChainSlots(q, res.Queries))
+	}
+	return res
+}
+
+// TestTapMatchesHandBuiltLayers: for every subset of {metrics, audit,
+// trace, obs}, with faults off and on, a Session — one Tap carrying the
+// configured observers — leaves exactly what the nested per-layer
+// constructors leave: the same results, metrics dump, audit statistics,
+// encoded trace bytes and bus events. CI runs it under the race detector.
+func TestTapMatchesHandBuiltLayers(t *testing.T) {
+	fcfg, err := faults.ParseSpec("burst=6,frac=0.3,churn=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, tt, trials = 64, 8, 6
+	var s Session // reused across every case
+	for mask := 0; mask < 16; mask++ {
+		for _, faulted := range []bool{false, true} {
+			var fc *faults.Config
+			var retry query.RetryPolicy
+			sample := 1
+			if faulted {
+				fc, retry, sample = &fcfg, query.RetryPolicy{MaxRetries: 2, Backoff: 1}, 2
+			}
+			hand, tap := newLayerOutputs(mask), newLayerOutputs(mask)
+			for i := 0; i < trials; i++ {
+				x := 4 + 2*i
+				label := fmt.Sprintf("2tBins/x=%d/trial=%d", x, i)
+				hand.results = append(hand.results,
+					handBuiltLayers(t, hand, fc, retry, sample, n, tt, x, i, label, rng.New(7).Split(uint64(i))))
+				sp := Spec{
+					N: n, T: tt, X: x, Collision: fastsim.DefaultConfig(), Alg: "2tbins",
+					Label: label, Trial: i, Faults: fc, Retry: retry,
+					Metrics: tap.reg, Audit: tap.col, Trace: tap.tb, TraceSample: sample, Obs: tap.bus,
+				}
+				if err := s.Reset(sp, rng.New(7).Split(uint64(i))); err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Publish()
+				tap.results = append(tap.results, res)
+			}
+			want, got := hand.dump(t), tap.dump(t)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Errorf("layers %04b faulted=%v: output %d differs\nhand-built:\n%.600s\nsession:\n%.600s", mask, faulted, k, want[k], got[k])
 				}
 			}
 		}

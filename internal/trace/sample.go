@@ -32,18 +32,18 @@ const AttrSampleRate = "sample_rate"
 // the trial index; callers sharing a builder across sessions get
 // per-session decorrelation from the session-name hash mixed in at
 // StartSession.
-func (s *SpanQuerier) SetSampling(k int, key uint64) {
+func (o *Observer) SetSampling(k int, key uint64) {
 	if k < 0 {
 		k = 0
 	}
-	s.sampleEvery = k
-	s.sampleKey = key
+	o.sampleEvery = k
+	o.sampleKey = key
 }
 
-// sampled decides whether the current poll's leaf span is recorded.
-func (s *SpanQuerier) sampled() bool {
-	if s.sampleEvery <= 1 {
+// sampled decides whether poll's leaf span is recorded.
+func (o *Observer) sampled(poll int) bool {
+	if o.sampleEvery <= 1 {
 		return true
 	}
-	return rng.Hash64(s.sessionKey^uint64(s.polls))%uint64(s.sampleEvery) == 0
+	return rng.Hash64(o.sessionKey^uint64(poll))%uint64(o.sampleEvery) == 0
 }

@@ -1,11 +1,11 @@
 // Package trace renders threshold-query sessions as hierarchical spans of
-// virtual time. The SpanQuerier middleware wraps any query.Querier, turns
-// every group poll into a leaf span and listens for the algorithms' round
-// boundaries; a Builder holds the span tree, forks it per trial and grafts
-// the forks back in trial order. Traces encode to JSONL, diff span by
-// span and summarize per phase. Because the span layer is middleware over
-// the Querier interface, it works identically on the abstract channel,
-// the packet radio and the mote testbed.
+// virtual time. The span Observer rides on a query.Tap over any querier,
+// turns every group poll into a leaf span and listens for the algorithms'
+// round boundaries; a Builder holds the span tree, forks it per trial and
+// grafts the forks back in trial order. Traces encode to JSONL, diff span
+// by span and summarize per phase. Because the span layer only watches the
+// poll stream, it works identically on the abstract channel, the packet
+// radio and the mote testbed.
 package trace
 
 import (
@@ -26,8 +26,8 @@ import (
 //	experiment → series → point → trial → session → round → poll
 //
 // Spans are produced by a Builder (the virtual clock plus an open-span
-// stack) and the SpanQuerier middleware, which turns every group poll
-// into a leaf span and listens for the algorithms' round boundaries.
+// stack) and the span Observer, which turns every group poll into a leaf
+// span and listens for the algorithms' round boundaries.
 
 // SpanKind classifies a span's level in the hierarchy.
 type SpanKind int
@@ -245,49 +245,29 @@ func (b *Builder) Trace() *Trace {
 // Annotator lets a layer contribute span attributes it alone knows —
 // the collision model and capture configuration on the abstract channel,
 // the primitive, slot and air-time ledgers at packet level, injected
-// faults, poll grades and verdicts from the audit middleware.
-// SpanQuerier collects attributes from every Annotator in the querier
-// middleware chain when a session span closes (so an auditor stacked
-// below the span layer annotates the session with its verdict).
+// faults, poll grades and verdicts from the auditor. EndSession collects
+// them from the query.Layers of the chain from its own Tap down, so an
+// auditor beside or below it annotates the verdict.
 type Annotator interface {
 	TraceAttrs() []Attr
 }
 
-// roundTracer is the hook the core algorithms call (via an anonymous
-// interface assertion, so core does not import trace) at every re-binning
-// round boundary.
-type roundTracer interface {
-	TraceRound(round int)
-}
-
-// slotCounter is implemented by substrates that meter their own slot cost
-// (pollcast.Session charges 2 slots per pollcast query, 3 per backcast
-// query); SpanQuerier advances virtual time by the metered delta instead
-// of the default one slot per poll.
-type slotCounter interface {
-	Slots() int
-}
-
-// SpanQuerier is middleware over query.Querier that renders a session as
-// spans: StartSession opens the session span, every Query emits a poll
-// leaf and advances the virtual clock by the poll's slot cost, the
-// algorithms' round boundaries (TraceRound) open round spans, and
-// EndSession closes everything, folding in the result and every
-// substrate Annotator in the chain below.
-//
-// It consumes no randomness and never alters bins or responses, so a
-// traced run is bit-identical to a bare one. Not safe for
-// concurrent use.
-type SpanQuerier struct {
-	q query.Querier
-	b *Builder
+// Observer is the span layer's query.Observer: StartSession opens the
+// session span, every poll emits a leaf span and advances the virtual
+// clock by its slot cost, round boundaries open round spans, and
+// EndSession closes everything, folding in the Tap's totals, the result
+// and the Annotators. It consumes no randomness, so a traced run is
+// bit-identical to a bare one. Not safe for concurrent use.
+type Observer struct {
+	tap *query.Tap
+	b   *Builder
 
 	session *Span
 	round   *Span
-	polls   int
-	nodes   int
 
-	slots     slotCounter
+	// slots is the Tap's query.SlotMeter (pollcast charges 2 slots per
+	// query, backcast 3); without one a poll advances one slot.
+	slots     interface{ Slots() int }
 	lastSlots int
 
 	// Head-rate poll sampling (see SetSampling): record one poll leaf in
@@ -298,110 +278,101 @@ type SpanQuerier struct {
 	sessionKey  uint64
 }
 
-// NewSpanQuerier wraps q, emitting spans into b.
+// Reset binds o to the Tap t that calls it, emitting spans into b, with
+// sampling off. t's totals are the session's, so one binding serves one
+// session.
+func (o *Observer) Reset(t *query.Tap, b *Builder) {
+	*o = Observer{tap: t, b: b, slots: query.SlotMeter(t)}
+	if o.slots != nil {
+		o.lastSlots = o.slots.Slots()
+	}
+}
+
+// SpanQuerier is the span layer stacked by hand as a querier: a Tap whose
+// one observer is the span Observer.
+type SpanQuerier struct {
+	query.Tap
+	Observer
+}
+
+// NewSpanQuerier wraps q, emitting spans into b, for one session.
 func NewSpanQuerier(q query.Querier, b *Builder) *SpanQuerier {
-	sq := &SpanQuerier{q: q, b: b}
-	// Bind the outermost slot meter so virtual time tracks the chain's own
-	// cost accounting when it has one.
-	query.Walk(q, func(l query.Querier) bool {
-		sc, ok := l.(slotCounter)
-		if ok {
-			sq.slots = sc
-			sq.lastSlots = sc.Slots()
-		}
-		return !ok
-	})
-	return sq
+	s := new(SpanQuerier)
+	s.Tap.Reset(q, &s.Observer)
+	s.Observer.Reset(&s.Tap, b)
+	return s
 }
 
 // StartSession opens the session span. name is typically the algorithm
 // name; extra attributes (n, t, x...) may be attached immediately.
-func (s *SpanQuerier) StartSession(name string, attrs ...Attr) {
-	s.session = s.b.Begin(KindSession, name)
-	s.session.SetAttr(attrs...)
-	s.polls, s.nodes = 0, 0
-	if s.sampleEvery > 1 {
-		s.sessionKey = rng.Hash64(s.sampleKey ^ rng.HashString(name))
+func (o *Observer) StartSession(name string, attrs ...Attr) {
+	o.session = o.b.Begin(KindSession, name)
+	o.session.SetAttr(attrs...)
+	if o.sampleEvery > 1 {
+		o.sessionKey = rng.Hash64(o.sampleKey ^ rng.HashString(name))
 	}
 }
 
-// TraceRound implements the algorithms' round hook: it closes the open
-// round span, if any, and opens the next one.
-func (s *SpanQuerier) TraceRound(round int) {
-	if s.round != nil {
-		s.b.End()
+// OnRound implements query.Observer: it closes the open round span, if
+// any, and opens the next one.
+func (o *Observer) OnRound(round int) {
+	if o.round != nil {
+		o.b.End()
 	}
-	s.round = s.b.Begin(KindRound, "round "+strconv.Itoa(round))
-	// Forward to any further tracer below (a stacked middleware chain may
-	// carry its own hook).
-	if rt, ok := s.q.(roundTracer); ok {
-		rt.TraceRound(round)
-	}
+	o.round = o.b.Begin(KindRound, "round "+strconv.Itoa(round))
 }
 
-// Query implements query.Querier: forward the poll, then emit its leaf
-// span and advance the virtual clock by its slot cost. Under sampling
-// (SetSampling) unsampled polls still advance the clock and the session
-// counters — only the leaf span is elided — so round/session widths and
-// the session's polls/nodes_polled attributes stay exact.
-func (s *SpanQuerier) Query(bin []int) query.Response {
-	resp := s.q.Query(bin)
+// OnPoll implements query.Observer: it emits the poll's leaf span and
+// advances the virtual clock by its slot cost. An unsampled poll
+// (SetSampling) still advances the clock, so span widths stay exact.
+func (o *Observer) OnPoll(poll int, bin []int, resp query.Response) {
 	adv := int64(1)
-	if s.slots != nil {
-		now := s.slots.Slots()
-		adv = int64(now - s.lastSlots)
-		s.lastSlots = now
+	if o.slots != nil {
+		now := o.slots.Slots()
+		adv = int64(now - o.lastSlots)
+		o.lastSlots = now
 	}
-	if s.sampled() {
-		sp := s.b.Begin(KindPoll, "poll "+strconv.Itoa(s.polls))
-		s.b.Advance(adv)
-		sp.SetAttr(
-			IntAttr("bin_size", len(bin)),
-			StringAttr("kind", resp.Kind.String()),
-		)
-		if resp.Kind == query.Decoded {
-			sp.SetAttr(IntAttr("decoded_id", resp.DecodedID))
-		}
-		if s.sampleEvery > 1 {
-			sp.SetAttr(IntAttr(AttrSampleRate, s.sampleEvery))
-		}
-		s.b.End()
-	} else {
-		s.b.Advance(adv)
-	}
-	s.polls++
-	s.nodes += len(bin)
-	return resp
-}
-
-// Traits implements query.Querier.
-func (s *SpanQuerier) Traits() query.Traits { return s.q.Traits() }
-
-// Unwrap implements query.Wrapper.
-func (s *SpanQuerier) Unwrap() query.Querier { return s.q }
-
-// EndSession closes the open round and session spans, annotating the
-// session with the poll/energy totals, the given result attributes, and
-// every substrate Annotator found below in the middleware chain.
-func (s *SpanQuerier) EndSession(attrs ...Attr) {
-	if s.session == nil {
+	if !o.sampled(poll) {
+		o.b.Advance(adv)
 		return
 	}
-	if s.round != nil {
-		s.b.End()
-		s.round = nil
-	}
-	s.session.SetAttr(
-		IntAttr("polls", s.polls),
-		IntAttr("nodes_polled", s.nodes),
+	sp := o.b.Begin(KindPoll, "poll "+strconv.Itoa(poll))
+	o.b.Advance(adv)
+	sp.SetAttr(
+		IntAttr("bin_size", len(bin)),
+		StringAttr("kind", resp.Kind.String()),
 	)
-	s.session.SetAttr(attrs...)
-	query.Walk(s.q, func(l query.Querier) bool {
+	if resp.Kind == query.Decoded {
+		sp.SetAttr(IntAttr("decoded_id", resp.DecodedID))
+	}
+	if o.sampleEvery > 1 {
+		sp.SetAttr(IntAttr(AttrSampleRate, o.sampleEvery))
+	}
+	o.b.End()
+}
+
+// EndSession closes the open round and session spans, annotating the
+// session with the Tap's poll/energy totals, the given result attributes,
+// and every Annotator the Tap reaches.
+func (o *Observer) EndSession(attrs ...Attr) {
+	if o.session == nil {
+		return
+	}
+	if o.round != nil {
+		o.b.End()
+		o.round = nil
+	}
+	o.session.SetAttr(
+		IntAttr("polls", o.tap.Polls()),
+		IntAttr("nodes_polled", o.tap.Nodes()),
+	)
+	o.session.SetAttr(attrs...)
+	query.Layers(o.tap, func(l any, _ *query.Tap) bool {
 		if an, ok := l.(Annotator); ok {
-			s.session.SetAttr(an.TraceAttrs()...)
+			o.session.SetAttr(an.TraceAttrs()...)
 		}
 		return true
 	})
-	s.b.End()
-	s.session = nil
+	o.b.End()
+	o.session = nil
 }
