@@ -33,18 +33,19 @@ var channels = sync.Pool{New: func() any { return new(pooledChannel) }}
 
 // pooledChannel is a channel with the stream it draws from.
 type pooledChannel struct {
-	fastsim.Channel
+	ch  fastsim.Channel
 	chr rng.Source
 }
 
-// randomChannel returns a pooled channel of defaultN nodes with x random
-// positives drawn from r.Split(1), as fastsim.RandomPositives would draw
-// them. Put it back in channels once the trial is done with it.
-func randomChannel(x int, r *rng.Source) *pooledChannel {
-	ch := channels.Get().(*pooledChannel)
-	r.SplitInto(1, &ch.chr)
-	ch.ResetRandom(defaultN, x, fastsim.DefaultConfig(), &ch.chr)
-	return ch
+// randomChannel draws a pooled channel of defaultN nodes with x random
+// positives from r.Split(1), as fastsim.RandomPositives would, and
+// returns it with its pool entry. Put pc back in channels once the trial
+// is done with ch.
+func randomChannel(x int, r *rng.Source) (pc *pooledChannel, ch *fastsim.Channel) {
+	pc = channels.Get().(*pooledChannel)
+	r.SplitInto(1, &pc.chr)
+	pc.ch.ResetRandom(defaultN, x, fastsim.DefaultConfig(), &pc.chr)
+	return pc, &pc.ch
 }
 
 func init() {
@@ -63,8 +64,8 @@ func init() {
 			algReplies := func(alg core.Algorithm) func(x int) pointCost {
 				return func(x int) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
-						ch := randomChannel(x, r)
-						defer channels.Put(ch)
+						pc, ch := randomChannel(x, r)
+						defer channels.Put(pc)
 						if _, err := alg.Run(ch, defaultN, defaultT, r.Split(2)); err != nil {
 							return 0, err
 						}
@@ -126,8 +127,8 @@ func init() {
 			tcastMS := func(alg core.Algorithm) func(x int) pointCost {
 				return func(x int) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
-						ch := randomChannel(x, r)
-						defer channels.Put(ch)
+						pc, ch := randomChannel(x, r)
+						defer channels.Put(pc)
 						res, err := alg.Run(ch, defaultN, defaultT, r.Split(2))
 						if err != nil {
 							return 0, err
@@ -189,8 +190,8 @@ func init() {
 			auditors := sync.Pool{New: func() any { return new(audit.Auditor) }}
 			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch := randomChannel(x, r)
-					defer channels.Put(ch)
+					pc, ch := randomChannel(x, r)
+					defer channels.Put(pc)
 					a := auditors.Get().(*audit.Auditor)
 					defer auditors.Put(a)
 					if err := a.Reset(ch, audit.Config{N: defaultN, T: defaultT}); err != nil {
@@ -370,8 +371,8 @@ func init() {
 			}
 			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch := randomChannel(x, r)
-					defer channels.Put(ch)
+					pc, ch := randomChannel(x, r)
+					defer channels.Put(pc)
 					got, queries, err := count.Identify(ch, defaultN)
 					if err != nil {
 						return 0, err
@@ -388,8 +389,8 @@ func init() {
 			tab.Add(ident)
 			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
-					ch := randomChannel(x, r)
-					defer channels.Put(ch)
+					pc, ch := randomChannel(x, r)
+					defer channels.Put(pc)
 					members := make([]int, defaultN)
 					for i := range members {
 						members[i] = i
