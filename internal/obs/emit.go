@@ -123,11 +123,10 @@ func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 	}
 }
 
-// ChainSlots prices a finished session by q's slot meter
-// (query.SlotMeter) — the one the span recorder advances virtual time
-// by, so verdict events price sessions identically to spans. Substrates
-// without a meter (the abstract fastsim channel) cost one slot per poll;
-// fallbackPolls covers them.
+// ChainSlots prices a finished session by q's query.SlotMeter, as the
+// span recorder does, so verdict events price sessions identically to
+// spans; without a meter (the abstract fastsim channel) it is one slot
+// per poll, fallbackPolls.
 func ChainSlots(q query.Querier, fallbackPolls int) int64 {
 	if m := query.SlotMeter(q); m != nil {
 		return int64(m.Slots())
