@@ -300,6 +300,11 @@ func runBenches(short bool, filter, faultSpec string, bus *obs.Bus) File {
 	return f
 }
 
+// memFloor is the bytes/op growth the memory gate ignores whatever the
+// ratio: a bare 0-allocs/op bench reads 1 B/op in one run and 3 in the
+// next from the runtime's own amortized allocations.
+const memFloor = 256
+
 // compare reports (and counts) the benchmarks whose ns/op grew beyond
 // threshold relative to base. Benchmarks whose name contains allocGate are
 // additionally held to allocThresh on allocs/op — the hot-path benchmarks
@@ -307,8 +312,10 @@ func runBenches(short bool, filter, faultSpec string, bus *obs.Bus) File {
 // when the wall clock hides them. Benchmarks whose name contains memGate
 // are likewise held to memThresh on bytes/op — the telemetry-scale trio
 // exists to pin per-trial observability memory flat in N, so byte growth
-// there is a regression regardless of speed. Benchmarks present on only
-// one side are reported but never counted as regressions.
+// there is a regression regardless of speed — once it also exceeds
+// memFloor, below which B/op moves with amortized runtime allocations.
+// Benchmarks present on only one side are reported but never counted as
+// regressions.
 func compare(base, current File, threshold float64, allocGate string, allocThresh float64, memGate string, memThresh float64) int {
 	baseline := make(map[string]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
@@ -336,7 +343,7 @@ func compare(base, current File, threshold float64, allocGate string, allocThres
 			regressions++
 		}
 		if memGate != "" && strings.Contains(r.Name, memGate) &&
-			float64(r.BytesOp) > float64(old.BytesOp)*memThresh {
+			float64(r.BytesOp) > float64(old.BytesOp)*memThresh && r.BytesOp-old.BytesOp > memFloor {
 			status = fmt.Sprintf("BYTES REGRESSED (%d -> %d B/op)", old.BytesOp, r.BytesOp)
 			regressions++
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 
 	"tcast/internal/obs"
@@ -80,5 +81,27 @@ func TestCompareMemGate(t *testing.T) {
 	}}
 	if got := compare(base, within, 1.10, "", 1.10, "query-2tbins-scale", 1.25); got != 0 {
 		t.Fatalf("within-threshold bytes counted %d regressions, want 0", got)
+	}
+}
+
+// TestCompareMemGateFloor: growth under memFloor bytes/op is runtime
+// noise whatever its ratio, while a real +30% at 1 KB/op still counts.
+func TestCompareMemGateFloor(t *testing.T) {
+	run := func(bytes ...int64) File {
+		f := File{Schema: benchSchema, Version: benchVersion}
+		for _, b := range bytes {
+			f.Benchmarks = append(f.Benchmarks, Result{Name: fmt.Sprintf("query-2tbins-sparse-%d", b), NsOp: 100, BytesOp: b})
+		}
+		return f
+	}
+	base, noise := run(1, 1024), run(1, 1024)
+	noise.Benchmarks[0].BytesOp = 3 // 1 -> 3 B/op: 3x, 2 bytes
+	if got := compare(base, noise, 1.10, "", 1.10, "query-2tbins-s", 1.25); got != 0 {
+		t.Fatalf("1 -> 3 B/op counted %d regressions, want 0", got)
+	}
+	grown := run(1, 1024)
+	grown.Benchmarks[1].BytesOp = 1024 * 13 / 10 // +30% at 1 KB/op
+	if got := compare(base, grown, 1.10, "", 1.10, "query-2tbins-s", 1.25); got != 1 {
+		t.Fatalf("+30%% at 1 KB/op counted %d regressions, want 1", got)
 	}
 }

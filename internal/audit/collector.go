@@ -2,7 +2,7 @@ package audit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -27,8 +27,14 @@ type WrongDecision struct {
 // order-sensitive. Serial callers append them directly with Add; parallel
 // trial pools use AddAt with the trial index, then Flush once the batch
 // drains, so the dump lists rows in trial order regardless of worker
-// count.
+// count. A batch that spans several points gives each point its own Fork,
+// whose trials use AddAt with their index within the point; one Flush of
+// the parent then splices the points in index order, each point's rows in
+// trial order.
 type Collector struct {
+	// parent is set on a fork: the fork folds counters into, and locks,
+	// the root collector; only its buffered rows are its own.
+	parent     *Collector
 	mu         sync.Mutex
 	sessions   int
 	polls      int
@@ -38,15 +44,27 @@ type Collector struct {
 	invariants [NumInvariants]int
 	wrong      []WrongDecision
 	pending    map[int]WrongDecision
+	forks      map[int]*Collector
+}
+
+// lock locks the collector that owns c's counters and dump — c itself, or
+// the root above a fork — and returns it.
+func (c *Collector) lock() *Collector {
+	r := c
+	for r.parent != nil {
+		r = r.parent
+	}
+	r.mu.Lock()
+	return r
 }
 
 // Add folds one session's verdict into the collector.
 func (c *Collector) Add(session string, v Verdict) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fold(v)
+	r := c.lock()
+	defer r.mu.Unlock()
+	r.fold(v)
 	if v.Outcome != OutcomeCorrect {
-		c.wrong = append(c.wrong, WrongDecision{
+		r.wrong = append(r.wrong, WrongDecision{
 			Session: session, Outcome: v.Outcome,
 			CausalPoll: v.CausalPoll, CausalClass: v.CausalClass,
 		})
@@ -58,9 +76,9 @@ func (c *Collector) Add(session string, v Verdict) {
 // the dump when Flush splices the batch in index order. Indices must be
 // unique within a batch (they are trial indices); reusing one panics.
 func (c *Collector) AddAt(i int, session string, v Verdict) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fold(v)
+	r := c.lock()
+	defer r.mu.Unlock()
+	r.fold(v)
 	if v.Outcome != OutcomeCorrect {
 		if _, dup := c.pending[i]; dup {
 			panic(fmt.Sprintf("audit: AddAt(%d) called twice in one batch", i))
@@ -88,31 +106,64 @@ func (c *Collector) fold(v Verdict) {
 	}
 }
 
-// Flush splices the rows buffered by AddAt into the dump in ascending
-// trial-index order. Call it after each trial batch drains — indices
-// restart at zero every batch, so flushing late would collide.
+// Fork returns a sub-collector for the batch entry at index i: its
+// verdicts fold into c's counters at once, and its AddAt rows wait for
+// c's next Flush, which splices them at position i. Fork is safe for
+// concurrent use; forking the same index twice in one batch panics.
+func (c *Collector) Fork(i int) *Collector {
+	r := c.lock()
+	defer r.mu.Unlock()
+	if _, dup := c.forks[i]; dup {
+		panic(fmt.Sprintf("audit: Fork(%d) called twice in one batch", i))
+	}
+	if c.forks == nil {
+		c.forks = make(map[int]*Collector)
+	}
+	f := &Collector{parent: c}
+	c.forks[i] = f
+	return f
+}
+
+// Flush splices the rows buffered by AddAt, and those of every pending
+// fork, into the dump in ascending index order. Call it after each trial
+// batch drains — indices restart at zero every batch, so flushing late
+// would collide. Flush the collector the batch forked from, not a fork.
 func (c *Collector) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idxs := make([]int, 0, len(c.pending))
+	r := c.lock()
+	defer r.mu.Unlock()
+	c.splice(r)
+}
+
+// splice appends c's buffered rows and its forks' rows to r's dump in
+// index order and clears them; callers hold r.mu.
+func (c *Collector) splice(r *Collector) {
+	idxs := make([]int, 0, len(c.pending)+len(c.forks))
 	for i := range c.pending {
 		idxs = append(idxs, i)
 	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		c.wrong = append(c.wrong, c.pending[i])
+	for i := range c.forks {
+		idxs = append(idxs, i)
 	}
-	c.pending = nil
+	slices.Sort(idxs)
+	for _, i := range slices.Compact(idxs) {
+		if w, ok := c.pending[i]; ok {
+			r.wrong = append(r.wrong, w)
+		}
+		if f := c.forks[i]; f != nil {
+			f.splice(r)
+		}
+	}
+	c.pending, c.forks = nil, nil
 }
 
-// Discard drops the rows buffered by AddAt without emitting them — the
-// error path: when a batch fails, the buffered subset is
-// scheduling-dependent, so keeping it would make the dump
-// nondeterministic.
+// Discard drops the rows buffered by AddAt, and every pending fork,
+// without emitting them — the error path: when a batch fails, the
+// buffered subset is scheduling-dependent, so keeping it would make the
+// dump nondeterministic. Counters already folded stay.
 func (c *Collector) Discard() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pending = nil
+	r := c.lock()
+	defer r.mu.Unlock()
+	c.pending, c.forks = nil, nil
 }
 
 // Void records a session that was started (its polls were graded live)
@@ -121,24 +172,24 @@ func (c *Collector) Discard() {
 // sessions graded plus sessions voided equals sessions started.
 func (c *Collector) Void(session string) {
 	_ = session // voided sessions are counted, not listed
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.voided++
+	r := c.lock()
+	defer r.mu.Unlock()
+	r.voided++
 }
 
 // AddDecision grades a session from its decision alone — the wire-only
 // path (cmd/tcastmote's controller cannot see the remote initiator's
 // polls). Wrong decisions are counted but necessarily unattributed.
 func (c *Collector) AddDecision(session string, decision, truth bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sessions++
+	r := c.lock()
+	defer r.mu.Unlock()
+	r.sessions++
 	if decision == truth {
-		c.outcomes[OutcomeCorrect]++
+		r.outcomes[OutcomeCorrect]++
 		return
 	}
-	c.outcomes[OutcomeWrongUnattributed]++
-	c.wrong = append(c.wrong, WrongDecision{
+	r.outcomes[OutcomeWrongUnattributed]++
+	r.wrong = append(r.wrong, WrongDecision{
 		Session: session, Outcome: OutcomeWrongUnattributed, CausalPoll: -1,
 	})
 }
@@ -158,19 +209,20 @@ type Stats struct {
 	Wrong []WrongDecision
 }
 
-// Stats returns a snapshot. Rows still buffered by AddAt are not
-// included; Flush first to see a batch in progress.
+// Stats returns a snapshot (of the root, for a fork). Rows still
+// buffered by AddAt or a pending fork are not included; Flush first to
+// see a batch in progress.
 func (c *Collector) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	r := c.lock()
+	defer r.mu.Unlock()
 	return Stats{
-		Sessions:   c.sessions,
-		Polls:      c.polls,
-		Voided:     c.voided,
-		Outcomes:   c.outcomes,
-		Classes:    c.classes,
-		Invariants: c.invariants,
-		Wrong:      append([]WrongDecision(nil), c.wrong...),
+		Sessions:   r.sessions,
+		Polls:      r.polls,
+		Voided:     r.voided,
+		Outcomes:   r.outcomes,
+		Classes:    r.classes,
+		Invariants: r.invariants,
+		Wrong:      append([]WrongDecision(nil), r.wrong...),
 	}
 }
 

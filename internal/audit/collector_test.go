@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,6 +43,51 @@ func TestAddAtFlushOrder(t *testing.T) {
 	indexed.Flush()
 	if got, want := indexed.Summary(), serial.Summary(); got != want {
 		t.Fatalf("indexed dump differs from serial dump:\n--- serial ---\n%s--- indexed ---\n%s", want, got)
+	}
+}
+
+// TestForkFlushOrder: forked batches fill concurrently (run under -race);
+// their counters fold at once, and one Flush of the parent lists the
+// forks' rows in fork order, each fork's in trial order, exactly as a
+// serial Add loop would. A discarded fork keeps its counters and drops
+// its rows.
+func TestForkFlushOrder(t *testing.T) {
+	const points, trials = 4, 6
+	serial, forked := &Collector{}, &Collector{}
+	forks := make([]*Collector, points)
+	for p := range forks {
+		forks[p] = forked.Fork(p)
+	}
+	var wg sync.WaitGroup
+	for p := points - 1; p >= 0; p-- {
+		for i := trials - 1; i >= 0; i-- {
+			wg.Add(1)
+			go func(p, i int) {
+				defer wg.Done()
+				forks[p].AddAt(i, fmt.Sprintf("p=%d/trial=%d", p, i), wrongVerdict(i))
+			}(p, i)
+		}
+	}
+	wg.Wait()
+	for p := 0; p < points; p++ {
+		for i := 0; i < trials; i++ {
+			if p == 2 {
+				serial.fold(wrongVerdict(i)) // counted, rows discarded
+				continue
+			}
+			serial.Add(fmt.Sprintf("p=%d/trial=%d", p, i), wrongVerdict(i))
+		}
+	}
+	if got := forked.Stats().Sessions; got != points*trials {
+		t.Fatalf("counters before Flush: %d sessions, want %d", got, points*trials)
+	}
+	forks[2].Discard()
+	forked.Flush()
+	if got, want := forked.Summary(), serial.Summary(); got != want {
+		t.Fatalf("forked dump differs from serial dump:\n--- serial ---\n%s--- forked ---\n%s", want, got)
+	}
+	if got, want := forked.Stats().Wrong, serial.Stats().Wrong; !slices.Equal(got, want) {
+		t.Fatalf("rows after Flush:\n%v\nwant\n%v", got, want)
 	}
 }
 

@@ -301,9 +301,7 @@ func (s *session) settle() {
 	for i := 0; i < s.stream.Bins(); i++ {
 		if s.dropped.Contains(i) != keep {
 			s.binBuf = s.stream.AppendBin(i, s.binBuf[:0])
-			for _, rank := range s.binBuf {
-				s.marks.Add(rank)
-			}
+			s.marks.Mark(s.binBuf)
 		}
 	}
 	s.k.Candidates.FilterRanks(&s.ranked, &s.marks, keep)

@@ -13,6 +13,7 @@ import (
 	"tcast/internal/rng"
 	"tcast/internal/session"
 	"tcast/internal/stats"
+	"tcast/internal/trace"
 )
 
 // tab-acc is the accuracy-breakdown campaign: 2tBins over the packet-level
@@ -58,11 +59,17 @@ func backcast(miss float64) func(r *rng.Source) (query.Querier, error) {
 // with attribute set, how many wrong decisions were joined to an injected
 // fault (their labels name it). Verdicts fold into the point's collector
 // and, when set, o.Audit, both keyed by trial index so the dumps are
-// order-deterministic.
+// order-deterministic. With o.Trace set the point is a span named prefix,
+// and each session records into a trial fork grafted under it, as in
+// sweep.
 func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query.RetryPolicy, attribute bool, o Options, root *rng.Source) (*audit.Collector, []float64, int, error) {
 	col := &audit.Collector{}
+	runs := o.runs(200)
+	if b := o.Trace; b != nil {
+		b.Begin(trace.KindPoint, prefix).SetAttr(trace.IntAttr("runs", runs))
+	}
 	var attributed atomic.Int64
-	values, err := RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
+	values, err := RunTrials(runs, o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
 		s := sessions.Get().(*session.Session)
 		defer sessions.Put(s)
 		err := s.Reset(session.Spec{
@@ -70,6 +77,7 @@ func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query
 			Label: fmt.Sprintf("%s/trial=%d", prefix, trial), Trial: trial,
 			Substrate: backcast(miss), Faults: fcfg, Retry: retry,
 			Metrics: o.Metrics, Audit: col, Attribute: attribute, Obs: o.Obs,
+			Trace: o.Trace, TraceSample: o.TraceSample,
 		}, r)
 		if err != nil {
 			return 0, err
@@ -88,6 +96,14 @@ func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query
 		}
 		return 0, nil
 	})
+	if b := o.Trace; b != nil {
+		if err == nil {
+			b.Graft()
+		} else {
+			b.DropForks()
+		}
+		b.End()
+	}
 	if err != nil {
 		if o.Audit != nil {
 			o.Audit.Discard()

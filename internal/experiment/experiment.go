@@ -39,7 +39,7 @@ type Options struct {
 	// Workers bounds trial parallelism; zero means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives the run's observability data:
-	// per-poll instruments from the instrumented querier and per-point
+	// per-poll instruments from the instrumented querier and per-series
 	// trial throughput and wall-clock timings from the sweep driver.
 	// Instrumentation never touches the trial RNG streams, so results
 	// are bit-identical with and without it.
@@ -47,9 +47,10 @@ type Options struct {
 	// Trace, when non-nil, receives a structured span recording of the
 	// run: series → point → trial → session → round → poll, with
 	// virtual-time intervals from the cost model. Trials run at full
-	// worker parallelism: each trial records into its own fork of the
-	// builder (trace.Builder.Fork) and the sweep grafts the fragments
-	// back in trial-index order after the point's pool drains, so the
+	// worker parallelism: each point records into its own fork of the
+	// builder (trace.Builder.Fork), each trial into a fork of its point's,
+	// and once the series' batch drains the sweep grafts the trials into
+	// their points in trial-index order and the points in x order, so the
 	// encoded trace depends only on the seed, never the worker count.
 	// Like Metrics, tracing consumes no randomness, so the computed
 	// tables are bit-identical with and without it.
@@ -67,11 +68,12 @@ type Options struct {
 	// its verdict (decision outcome, poll soundness classes, invariant
 	// violations, causal poll for wrong decisions) is folded into the
 	// collector. Trials run at full worker parallelism: verdicts are
-	// inserted under their trial index (Collector.AddAt) and the sweep
-	// flushes each point's batch in index order, so session labels and
-	// wrong-decision rows are in deterministic trial order for any worker
-	// count. Like the other two layers it consumes no randomness, so the
-	// computed tables are bit-identical with and without it.
+	// inserted under their trial index (Collector.AddAt) into their
+	// point's fork of the collector (Collector.Fork), and the sweep
+	// flushes the series in point and trial order, so wrong-decision rows
+	// are in deterministic order for any worker count. Like the other
+	// two layers it consumes no randomness, so the computed tables are
+	// bit-identical with and without it.
 	Audit *audit.Collector
 	// Faults, when non-nil, stacks the deterministic fault injector
 	// (internal/faults) directly above every trial's querier substrate,
@@ -124,8 +126,9 @@ func (o Options) workers() int {
 // trial-index order. Trial i always receives its own index and the stream
 // root.Split(i), so the output is bit-identical regardless of worker
 // count; the index also keys each trial's observation context (trace
-// forks, audit rows), which is how traced and audited sweeps stay
-// deterministic at full parallelism.
+// forks, audit rows), which is how traced and audited batches stay
+// deterministic at full parallelism. Trials are dealt to workers by
+// static stride; sweep, which batches a whole series, uses runBatch.
 //
 // On failure RunTrials returns (nil, err): any partially computed values
 // are discarded, never exposed. The first recorded failure cancels the
@@ -191,79 +194,152 @@ func RunTrials(runs, workers int, root *rng.Source, trial func(i int, r *rng.Sou
 	return values, nil
 }
 
-// MeanParallel runs RunTrials and folds the values (in index order, so
-// floating-point accumulation is deterministic) into a stats.Running.
-func MeanParallel(runs, workers int, root *rng.Source, trial func(i int, r *rng.Source) (float64, error)) (stats.Running, error) {
-	values, err := RunTrials(runs, workers, root, trial)
-	if err != nil {
-		return stats.Running{}, err
-	}
-	var total stats.Running
-	for _, v := range values {
-		total.Observe(v)
-	}
-	return total, nil
-}
-
 // pointCost is the per-trial measurement for one sweep point; i is the
 // trial index, which keys the trial's observation context.
 type pointCost func(i int, r *rng.Source) (float64, error)
 
-// sweep builds one series by evaluating cost at every x. When o.Metrics is
-// set, each point additionally reports its wall-clock duration and trial
-// throughput — the timings are observability only and never feed back into
-// the table. When o.Trace is set, the series and every sweep point become
-// spans (the per-trial spans underneath come from the cost functions).
-func sweep(name string, xs []int, o Options, root *rng.Source, cost func(x int) pointCost) (*stats.Series, error) {
-	runs, workers := o.runs(defaultRuns), o.workers()
-	s := &stats.Series{Name: name}
-	if b := o.Trace; b != nil {
+// sweep builds one series by evaluating cost at every x. All (point,
+// trial) pairs of the series run as one batch on o.workers() goroutines,
+// the caller's among them: workers claim pairs in point-major order from
+// one counter, so no point waits for the slowest trial of the one before.
+// Trial i of point x draws from root.Split(x).Split(i) and each point's
+// values fold in trial order, so the series is bit-identical for any
+// worker count. cost receives the point's Options: with o.Trace or
+// o.Audit set they carry the point's own fork (trace.Builder.Fork,
+// audit.Collector.Fork), under which the trials key their contexts by
+// trial index; after the batch the points are grafted and flushed in x
+// order, each trace point under its own span. When o.Metrics is set the
+// series reports its wall-clock time and trial throughput — observability
+// only, never fed back into the table.
+//
+// The error returned is the one of the lowest failing (point, trial)
+// pair; the failing point keeps an empty span, and neither it nor any
+// later point contributes trial spans or audit rows.
+func sweep(name string, xs []int, o Options, root *rng.Source, cost func(x int, o Options) pointCost) (*stats.Series, error) {
+	runs, b, c := o.runs(defaultRuns), o.Trace, o.Audit
+	if b != nil {
 		b.Begin(trace.KindSeries, name)
 		defer b.End()
 	}
-	for _, x := range xs {
-		if b := o.Trace; b != nil {
-			sp := b.Begin(trace.KindPoint, "x="+strconv.Itoa(x))
+	costs := make([]pointCost, len(xs))
+	roots := make([]*rng.Source, len(xs))
+	points := make([]Options, len(xs))
+	for p, x := range xs {
+		po := o
+		if b != nil {
+			po.Trace = b.Fork(p)
+		}
+		if c != nil {
+			po.Audit = c.Fork(p)
+		}
+		points[p], costs[p], roots[p] = po, cost(x, po), root.Split(uint64(x))
+	}
+	start := time.Now()
+	values, fail, err := runBatch(runs, o.workers(), roots, costs)
+	if b != nil {
+		for p, x := range xs {
+			// The point span opens here rather than before the batch, so
+			// a point past the failure leaves an empty fork behind.
+			pb := points[p].Trace
+			if p > fail {
+				pb.DropForks()
+				continue
+			}
+			sp := pb.Begin(trace.KindPoint, "x="+strconv.Itoa(x))
 			sp.SetAttr(trace.IntAttr("x", x), trace.IntAttr("runs", runs))
-		}
-		start := time.Now()
-		acc, err := MeanParallel(runs, workers, root.Split(uint64(x)), cost(x))
-		if b := o.Trace; b != nil {
-			// Splice the per-trial forks under the point span in trial-index
-			// order; a failed point drops its fragments instead (the surviving
-			// subset is scheduling-dependent). Close the point span before the
-			// error check so the builder's stack stays balanced on every
-			// return path.
-			if err == nil {
-				b.Graft()
+			if p < fail {
+				pb.Graft()
 			} else {
-				b.DropForks()
+				pb.DropForks()
 			}
-			b.End()
+			pb.End()
 		}
-		if c := o.Audit; c != nil {
-			// Same batching for the collector's order-sensitive rows.
-			if err == nil {
-				c.Flush()
-			} else {
-				c.Discard()
-			}
+		b.Graft()
+	}
+	if c != nil {
+		for p := fail; p < len(xs); p++ {
+			points[p].Audit.Discard()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("experiment: series %s at x=%d: %w", name, x, err)
+		c.Flush()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiment: series %s at x=%d: %w", name, xs[fail], err)
+	}
+	if m := o.Metrics; m != nil {
+		elapsed, trials := time.Since(start).Seconds(), len(values)
+		m.Counter("experiment_points_total").Add(int64(len(xs)))
+		m.Counter("experiment_trials_total").Add(int64(trials))
+		m.Histogram("experiment_series_seconds", metrics.TimeBuckets).Observe(elapsed)
+		if elapsed > 0 {
+			m.Gauge("experiment_trials_per_second").Set(float64(trials) / elapsed)
 		}
-		if m := o.Metrics; m != nil {
-			elapsed := time.Since(start)
-			m.Counter("experiment_points_total").Inc()
-			m.Counter("experiment_trials_total").Add(int64(acc.N()))
-			m.Histogram("experiment_point_seconds", metrics.TimeBuckets).Observe(elapsed.Seconds())
-			if secs := elapsed.Seconds(); secs > 0 {
-				m.Gauge("experiment_trials_per_second").Set(float64(acc.N()) / secs)
-			}
+	}
+	s := &stats.Series{Name: name}
+	for p, x := range xs {
+		var acc stats.Running
+		for _, v := range values[p*runs : (p+1)*runs] {
+			acc.Observe(v)
 		}
 		s.Append(stats.Point{X: float64(x), Y: acc.Mean(), Err: acc.CI95(), N: acc.N()})
 	}
 	return s, nil
+}
+
+// runBatch evaluates runs trials at each of len(costs) points as one
+// batch: pair k is trial k%runs of point k/runs, drawing from
+// roots[point].Split(trial), and its value lands at values[k]. workers-1
+// goroutines and the caller claim pairs in ascending k from one counter.
+// On failure runBatch returns (nil, point, err) for the lowest failing
+// pair: no worker claims a pair past the lowest failure seen so far, and
+// every pair below it still runs, so the winner cannot depend on
+// scheduling. Without failure the point is len(costs).
+func runBatch(runs, workers int, roots []*rng.Source, costs []pointCost) ([]float64, int, error) {
+	total := runs * len(costs)
+	workers = max(1, min(workers, total))
+	values := make([]float64, total)
+	var (
+		next    atomic.Int64 // next unclaimed pair
+		failK   atomic.Int64 // lowest failing pair so far
+		mu      sync.Mutex   // guards failErr together with failK writes
+		failErr error
+	)
+	failK.Store(int64(total))
+	work := func() {
+		var src rng.Source // reseeded per pair, as in RunTrials
+		for {
+			k := next.Add(1) - 1
+			if k >= int64(total) || k > failK.Load() {
+				return
+			}
+			p, i := int(k)/runs, int(k)%runs
+			roots[p].SplitInto(uint64(i), &src)
+			v, err := costs[p](i, &src)
+			if err != nil {
+				mu.Lock()
+				if k < failK.Load() {
+					failK.Store(k)
+					failErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			values[k] = v
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failErr != nil {
+		return nil, int(failK.Load()) / runs, failErr
+	}
+	return values, len(costs), nil
 }
 
 // sessions pools the trials' sessions: a reused session keeps its

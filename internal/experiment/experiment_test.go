@@ -11,30 +11,37 @@ import (
 	"tcast/internal/stats"
 )
 
-func TestMeanParallelDeterministicAcrossWorkerCounts(t *testing.T) {
-	trial := func(_ int, r *rng.Source) (float64, error) { return r.Float64(), nil }
-	means := make([]float64, 0, 4)
+func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
+	cost := func(x int, _ Options) pointCost {
+		return func(_ int, r *rng.Source) (float64, error) { return float64(x) * r.Float64(), nil }
+	}
+	var first *stats.Series
 	for _, workers := range []int{1, 2, 4, 16} {
-		acc, err := MeanParallel(100, workers, rng.New(7), trial)
+		s, err := sweep("s", []int{1, 2, 5}, Options{Runs: 100, Workers: workers}, rng.New(7), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
-		means = append(means, acc.Mean())
-	}
-	for _, m := range means[1:] {
-		if m != means[0] {
-			t.Fatalf("worker count changed the mean: %v", means)
+		if first == nil {
+			first = s
+			continue
+		}
+		for p, pt := range s.Points {
+			if pt != first.Points[p] {
+				t.Fatalf("workers=%d changed point %d: %+v vs %+v", workers, p, pt, first.Points[p])
+			}
 		}
 	}
 }
 
-func TestMeanParallelPropagatesErrors(t *testing.T) {
+func TestSweepPropagatesErrors(t *testing.T) {
 	var calls atomic.Int64 // trials run on two workers at once
-	trial := func(_ int, r *rng.Source) (float64, error) {
-		calls.Add(1)
-		return 0, fmt.Errorf("boom")
+	cost := func(int, Options) pointCost {
+		return func(_ int, r *rng.Source) (float64, error) {
+			calls.Add(1)
+			return 0, fmt.Errorf("boom")
+		}
 	}
-	if _, err := MeanParallel(10, 2, rng.New(1), trial); err == nil {
+	if _, err := sweep("s", []int{1, 2}, Options{Runs: 10, Workers: 2}, rng.New(1), cost); err == nil {
 		t.Fatal("error swallowed")
 	}
 	if calls.Load() == 0 {
@@ -42,19 +49,23 @@ func TestMeanParallelPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestMeanParallelRejectsZeroRuns(t *testing.T) {
-	if _, err := MeanParallel(0, 2, rng.New(1), nil); err == nil {
+func TestRunTrialsRejectsZeroRuns(t *testing.T) {
+	if _, err := RunTrials(0, 2, rng.New(1), nil); err == nil {
 		t.Fatal("runs=0 accepted")
 	}
 }
 
-func TestMeanParallelCountsAllRuns(t *testing.T) {
-	acc, err := MeanParallel(137, 8, rng.New(1), func(_ int, r *rng.Source) (float64, error) { return 1, nil })
+func TestSweepCountsAllRuns(t *testing.T) {
+	s, err := sweep("s", []int{1, 2, 3}, Options{Runs: 137, Workers: 8}, rng.New(1), func(int, Options) pointCost {
+		return func(_ int, r *rng.Source) (float64, error) { return 1, nil }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.N() != 137 || acc.Mean() != 1 {
-		t.Fatalf("N=%d mean=%v", acc.N(), acc.Mean())
+	for _, p := range s.Points {
+		if p.N != 137 || p.Y != 1 {
+			t.Fatalf("point %+v: want N=137 mean=1", p)
+		}
 	}
 }
 
@@ -234,7 +245,7 @@ func TestExperimentDeterminism(t *testing.T) {
 
 func TestSweepProducesCIs(t *testing.T) {
 	root := rng.New(3)
-	s, err := sweep("s", []int{1, 2}, Options{Runs: 50, Workers: 4}, root, func(x int) pointCost {
+	s, err := sweep("s", []int{1, 2}, Options{Runs: 50, Workers: 4}, root, func(x int, _ Options) pointCost {
 		return func(_ int, r *rng.Source) (float64, error) { return float64(x) + r.Float64(), nil }
 	})
 	if err != nil {

@@ -61,8 +61,8 @@ func init() {
 			}
 			// tcast: every positive in a polled bin transmits once per
 			// poll of that bin.
-			algReplies := func(alg core.Algorithm) func(x int) pointCost {
-				return func(x int) pointCost {
+			algReplies := func(alg core.Algorithm) func(int, Options) pointCost {
+				return func(x int, _ Options) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
 						pc, ch := randomChannel(x, r)
 						defer channels.Put(pc)
@@ -83,7 +83,7 @@ func init() {
 			// CSMA: one frame per delivery plus one per collision
 			// participant; the simulator counts collision slots, and at
 			// least two stations transmit in each.
-			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int) pointCost {
+			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
 					return float64(res.Delivered + 2*res.Collisions), nil
@@ -95,7 +95,7 @@ func init() {
 			tab.Add(csma)
 			// Sequential: exactly the positives scheduled before the
 			// decision transmit.
-			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int) pointCost {
+			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
@@ -124,8 +124,8 @@ func init() {
 				Title:  "latency to the threshold decision (ms), CC2420 timing",
 				XLabel: "positive nodes x", YLabel: "milliseconds",
 			}
-			tcastMS := func(alg core.Algorithm) func(x int) pointCost {
-				return func(x int) pointCost {
+			tcastMS := func(alg core.Algorithm) func(int, Options) pointCost {
+				return func(x int, _ Options) pointCost {
 					return func(_ int, r *rng.Source) (float64, error) {
 						pc, ch := randomChannel(x, r)
 						defer channels.Put(pc)
@@ -144,7 +144,7 @@ func init() {
 				}
 				tab.Add(s)
 			}
-			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int) pointCost {
+			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
 					return costs.CSMALatency(res.Slots, res.Delivered).Seconds() * 1000, nil
@@ -154,7 +154,7 @@ func init() {
 				return nil, err
 			}
 			tab.Add(csma)
-			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int) pointCost {
+			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
@@ -188,7 +188,7 @@ func init() {
 			// and replies; one pooled auditor per worker keeps its
 			// account's slots across trials.
 			auditors := sync.Pool{New: func() any { return new(audit.Auditor) }}
-			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int) pointCost {
+			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pc, ch := randomChannel(x, r)
 					defer channels.Put(pc)
@@ -210,7 +210,7 @@ func init() {
 				return nil, err
 			}
 			tab.Add(tcastEnergy)
-			csmaEnergy, err := sweep("CSMA", xs, o, root.Split(2), func(x int) pointCost {
+			csmaEnergy, err := sweep("CSMA", xs, o, root.Split(2), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					ids := r.Split(1).Sample(defaultN, x)
 					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
@@ -222,7 +222,7 @@ func init() {
 				return nil, err
 			}
 			tab.Add(csmaEnergy)
-			seqEnergy, err := sweep("Sequential", xs, o, root.Split(3), func(x int) pointCost {
+			seqEnergy, err := sweep("Sequential", xs, o, root.Split(3), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pos := idset.NewDense(defaultN)
 					for _, id := range r.Split(1).Sample(defaultN, x) {
@@ -323,7 +323,7 @@ func init() {
 			}
 			for i, k := range []int{1, 2, 4, 8} {
 				k := k
-				s, err := sweep(fmt.Sprintf("k=%d", k), xs, o, root.Split(uint64(i)), func(x int) pointCost {
+				s, err := sweep(fmt.Sprintf("k=%d", k), xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
 					return func(trial int, r *rng.Source) (float64, error) {
 						ch := kplus.RandomChannel(k, defaultN, x, r.Split(1))
 						res, err := kplus.Threshold(ch, defaultN, defaultT, r.Split(2))
@@ -369,7 +369,7 @@ func init() {
 				Title:  "polls to identify every positive vs. to estimate their count",
 				XLabel: "positive nodes x", YLabel: "queries",
 			}
-			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), func(x int) pointCost {
+			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pc, ch := randomChannel(x, r)
 					defer channels.Put(pc)
@@ -387,7 +387,7 @@ func init() {
 				return nil, err
 			}
 			tab.Add(ident)
-			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), func(x int) pointCost {
+			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), func(x int, _ Options) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					pc, ch := randomChannel(x, r)
 					defer channels.Put(pc)
@@ -403,7 +403,7 @@ func init() {
 				return nil, err
 			}
 			tab.Add(est)
-			thresh, err := sweep("Threshold (2tBins, t=16)", xs, o, root.Split(3), func(x int) pointCost {
+			thresh, err := sweep("Threshold (2tBins, t=16)", xs, o, root.Split(3), func(x int, o Options) pointCost {
 				return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {

@@ -114,16 +114,16 @@ func init() {
 			}
 			curves := []struct {
 				name string
-				cost func(x int) pointCost
+				cost func(int, Options) pointCost
 			}{
-				{"2tBins", func(x int) pointCost {
+				{"2tBins", func(x int, o Options) pointCost {
 					return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				}},
-				{"ExpIncrease", func(x int) pointCost {
+				{"ExpIncrease", func(x int, o Options) pointCost {
 					return tcastCost(core.ExpIncrease{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				}},
-				{"CSMA", func(x int) pointCost { return csmaCost(defaultN, defaultT, x, o) }},
-				{"Sequential", func(x int) pointCost { return sequentialCost(defaultN, defaultT, x, o) }},
+				{"CSMA", func(x int, o Options) pointCost { return csmaCost(defaultN, defaultT, x, o) }},
+				{"Sequential", func(x int, o Options) pointCost { return sequentialCost(defaultN, defaultT, x, o) }},
 			}
 			for i, c := range curves {
 				s, err := sweep(c.name, xs, o, root.Split(uint64(i)), c.cost)
@@ -158,7 +158,7 @@ func init() {
 			}
 			for i, c := range curves {
 				c := c
-				s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int) pointCost {
+				s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
 					return tcastCost(c.alg, defaultN, defaultT, x, c.cfg, o)
 				})
 				if err != nil {
@@ -193,7 +193,7 @@ func init() {
 			}
 			for i, c := range curves {
 				c := c
-				s, err := sweep(c.name, ts, o, root.Split(uint64(i)), func(t int) pointCost {
+				s, err := sweep(c.name, ts, o, root.Split(uint64(i)), func(t int, o Options) pointCost {
 					return tcastCost(c.alg, defaultN, t, x, c.cfg, o)
 				})
 				if err != nil {
@@ -298,14 +298,14 @@ func init() {
 				Title:  "ProbABNS vs CSMA, N=32, t=8",
 				XLabel: "positive nodes x", YLabel: "queries / slots",
 			}
-			prob, err := sweep("ProbABNS", xs, o, root.Split(1), func(x int) pointCost {
+			prob, err := sweep("ProbABNS", xs, o, root.Split(1), func(x int, o Options) pointCost {
 				return tcastCost(core.ProbABNS{}, n, t, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(prob)
-			csma, err := sweep("CSMA", xs, o, root.Split(2), func(x int) pointCost {
+			csma, err := sweep("CSMA", xs, o, root.Split(2), func(x int, o Options) pointCost {
 				return csmaCost(n, t, x, o)
 			})
 			if err != nil {
@@ -370,7 +370,7 @@ func init() {
 			}
 			for i, rc := range repeats {
 				rc := rc
-				s, err := sweep(rc.name, ds, o, root.Split(uint64(i)), func(d int) pointCost {
+				s, err := sweep(rc.name, ds, o, root.Split(uint64(i)), func(d int, _ Options) pointCost {
 					return detectorAccuracyCost(n, float64(d), rc.r)
 				})
 				if err != nil {
@@ -452,7 +452,7 @@ func init() {
 					Capture:              fastsim.GeometricCapture(beta),
 					CaptureEffectPresent: true,
 				}
-				s, err := sweep(fmt.Sprintf("beta=%.2f", beta), xs, o, root.Split(uint64(i)), func(x int) pointCost {
+				s, err := sweep(fmt.Sprintf("beta=%.2f", beta), xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
 					return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, cfg, o)
 				})
 				if err != nil {
@@ -460,7 +460,7 @@ func init() {
 				}
 				tab.Add(s)
 			}
-			s, err := sweep("1/k capture", xs, o, root.Split(99), func(x int) pointCost {
+			s, err := sweep("1/k capture", xs, o, root.Split(99), func(x int, o Options) pointCost {
 				cfg := fastsim.Config{
 					Model:                fastsim.TwoPlusConfig().Model,
 					Capture:              fastsim.InverseCapture(),
@@ -492,7 +492,7 @@ func init() {
 				core.ExpIncrease{Variant: core.ExpFourfold},
 			} {
 				alg := alg
-				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), func(x int) pointCost {
+				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
 					return tcastCost(alg, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 				})
 				if err != nil {
@@ -539,7 +539,7 @@ func abnsFigure(probabilistic bool) func(o Options) (*stats.Table, error) {
 		}
 		for i, c := range curves {
 			c := c
-			s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int) pointCost {
+			s, err := sweep(c.name, xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
 				return tcastCost(c.alg, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {

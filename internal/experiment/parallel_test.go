@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"tcast/internal/audit"
+	"tcast/internal/metrics"
+	"tcast/internal/obs"
 	"tcast/internal/rng"
 	"tcast/internal/trace"
 )
@@ -34,16 +39,17 @@ func tracedRun(t *testing.T, e Experiment, workers int) (string, []byte) {
 	return Render(tab), enc
 }
 
-// TestTraceBytesWorkerIndependent covers the three traced trial shapes:
+// TestTraceBytesWorkerIndependent covers the four traced trial shapes:
 // tcast sessions (fig1 also includes the CSMA/Sequential baseline spans),
-// every algorithm/model combination (fig3), and the k+ substrate's inline
-// trial spans (ext-kplus).
+// every algorithm/model combination (fig3), the k+ substrate's inline
+// trial spans (ext-kplus), and the audited backcast points, faulted or
+// not (tab-acc, ext-faults).
 func TestTraceBytesWorkerIndependent(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
 		workers = 8 // still exercises the fork path, just with more stripes than cores
 	}
-	for _, id := range []string{"fig1", "fig3", "ext-kplus"} {
+	for _, id := range []string{"fig1", "fig3", "ext-kplus", "tab-acc", "ext-faults"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -158,32 +164,131 @@ func TestRunTrialsIndexedLowestErrorWins(t *testing.T) {
 	}
 }
 
-// TestSweepErrorDropsObservationBatch: a failing point must not leak a
-// scheduling-dependent subset of trace forks or audit rows.
+// TestSweepErrorDropsObservationBatch: a failing series returns the
+// error of its lowest failing (point, trial) pair at every worker count,
+// and leaks no scheduling-dependent trace fork or audit row. The points
+// before the failure keep their trial spans and rows, in order; the
+// failing point keeps an empty span; later points leave nothing.
 func TestSweepErrorDropsObservationBatch(t *testing.T) {
-	b := trace.NewBuilder()
-	col := &audit.Collector{}
-	o := Options{Runs: 10, Workers: 4, Trace: b, Audit: col}
-	_, err := sweep("s", []int{1}, o, rng.New(1), func(x int) pointCost {
-		return func(i int, r *rng.Source) (float64, error) {
-			f := b.Fork(i)
-			f.Begin(trace.KindTrial, "trial")
-			f.End()
-			if i >= 2 {
-				return 0, fmt.Errorf("trial %d failed", i)
+	const runs = 10
+	for _, workers := range []int{1, 2, 3, 7} {
+		b := trace.NewBuilder()
+		col := &audit.Collector{}
+		o := Options{Runs: runs, Workers: workers, Trace: b, Audit: col}
+		_, err := sweep("s", []int{1, 2, 3, 4}, o, rng.New(1), func(x int, o Options) pointCost {
+			return func(i int, r *rng.Source) (float64, error) {
+				f := o.Trace.Fork(i)
+				f.Begin(trace.KindTrial, fmt.Sprintf("x=%d/trial=%d", x, i))
+				f.End()
+				o.Audit.AddAt(i, fmt.Sprintf("x=%d/trial=%d", x, i), audit.Verdict{Outcome: audit.OutcomeWrongLoss})
+				if x == 4 || (x == 3 && i >= 2) {
+					return 0, fmt.Errorf("trial %d failed", i)
+				}
+				return 1, nil
 			}
-			return 1, nil
+		})
+		if want := "experiment: series s at x=3: trial 2 failed"; err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 		}
-	})
-	if err == nil {
-		t.Fatal("sweep error swallowed")
+		if n := b.PendingForks(); n != 0 {
+			t.Fatalf("workers=%d: %d forks left pending after failed sweep", workers, n)
+		}
+		// The series span, x=1 and x=2 with their trials, x=3 empty.
+		var got []string
+		b.Trace().Roots[0].Walk(func(_ int, sp *trace.Span) { got = append(got, sp.Name) })
+		want, wantRows := []string{"s"}, []string(nil)
+		for x := 1; x <= 2; x++ {
+			want = append(want, fmt.Sprintf("x=%d", x))
+			for i := 0; i < runs; i++ {
+				wantRows = append(wantRows, fmt.Sprintf("x=%d/trial=%d", x, i))
+			}
+			want = append(want, wantRows[len(wantRows)-runs:]...)
+		}
+		want = append(want, "x=3")
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("workers=%d: spans\n%v\nwant\n%v", workers, got, want)
+		}
+		col.Flush() // splices any row a failed point left pending
+		var rows []string
+		for _, w := range col.Stats().Wrong {
+			rows = append(rows, w.Session)
+		}
+		if strings.Join(rows, " ") != strings.Join(wantRows, " ") {
+			t.Fatalf("workers=%d: audit rows %v, want x=1's and x=2's in trial order", workers, rows)
+		}
 	}
-	if n := b.PendingForks(); n != 0 {
-		t.Fatalf("%d forks left pending after failed sweep", n)
+}
+
+// sweepIDs lists the experiments built from sweep.
+var sweepIDs = []string{
+	"fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig9",
+	"abl-capture", "abl-variants",
+	"ext-energy", "ext-time", "ext-battery", "ext-kplus", "ext-count",
+}
+
+// observedRun runs e with every observability layer on and returns its
+// rendered table, encoded trace, audit dump, sorted bus events and
+// per-poll metrics digest.
+func observedRun(t *testing.T, e Experiment, workers, sample int) [5]string {
+	t.Helper()
+	b, col, reg, bus := trace.NewBuilder(), &audit.Collector{}, metrics.New(), obs.NewBus()
+	var (
+		mu     sync.Mutex
+		events []string
+	)
+	bus.Subscribe(obs.SinkFunc(func(ev obs.Event) {
+		ev.Seq = 0 // scheduling-ordered
+		mu.Lock()
+		events = append(events, fmt.Sprintf("%+v", ev))
+		mu.Unlock()
+	}))
+	tab, err := e.Run(Options{Runs: 3, Seed: 2011, Workers: workers,
+		Trace: b, TraceSample: sample, Audit: col, Metrics: reg, Obs: bus})
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
 	}
-	if tr := b.Trace(); tr.NumSpans() != 2 {
-		// Only the series and point spans survive; no trial fragments.
-		t.Fatalf("failed sweep leaked trial spans: %d spans", tr.NumSpans())
+	tr := b.Trace()
+	if trace.Analyze(tr).Phases[trace.KindSeries].Spans == 0 {
+		t.Fatalf("%s: no series spans; is it still built from sweep?", e.ID)
+	}
+	enc, err := trace.EncodeBytes(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(events)
+	polled := "" // the detector and channel-only tables run no session
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasPrefix(c.Name, metrics.MetricPolls) {
+			polled = metricsDigest(t, reg)
+			break
+		}
+	}
+	return [5]string{Render(tab), string(enc), col.Summary(), strings.Join(events, "\n"), polled}
+}
+
+// TestSweepBatchWorkerIndependent: a series runs as one batch of (point,
+// trial) pairs, so points of one series overlap in time. Every
+// sweep-based experiment, fully observed and traced with and without
+// sampling, must still render the same table, trace bytes, audit dump,
+// bus event set and metrics series at any worker count.
+func TestSweepBatchWorkerIndependent(t *testing.T) {
+	parts := [5]string{"table", "trace bytes", "audit dump", "bus events", "metrics series"}
+	for _, id := range sweepIDs {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sample := range []int{1, 4} {
+			serial := observedRun(t, e, 1, sample)
+			for _, workers := range []int{2, 3, 7} {
+				got := observedRun(t, e, workers, sample)
+				for k := range got {
+					if got[k] != serial[k] {
+						t.Fatalf("%s (sample %d): %s differs between workers=1 and workers=%d", id, sample, parts[k], workers)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -144,3 +144,25 @@ func TestResetThenFillMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkMatchesAdd: Mark sets exactly the bits Add would, duplicates
+// and the universe's last id included, over a reused set.
+func TestMarkMatchesAdd(t *testing.T) {
+	r := rng.New(5)
+	marked := new(Dense)
+	for _, n := range []int{1, 63, 64, 65, 130, 4096} {
+		ids := []int{n - 1, 0, n - 1}
+		for i := 0; i < n/3; i++ {
+			ids = append(ids, r.Intn(n))
+		}
+		added := NewDense(n)
+		for _, id := range ids {
+			added.Add(id)
+		}
+		marked.Reset(n)
+		marked.Mark(ids)
+		if !slices.Equal(marked.Members(), added.Members()) {
+			t.Fatalf("n=%d: Mark set %v, Add %v", n, marked.Members(), added.Members())
+		}
+	}
+}

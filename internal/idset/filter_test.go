@@ -51,12 +51,13 @@ func FuzzFilterRanks(f *testing.F) {
 			}
 		}
 		marks := NewDense(rk.Len() + r.Intn(130))
-		on := pick()
+		on, marked := pick(), []int(nil)
 		for i := 0; i < marks.Cap(); i++ {
 			if r.Bernoulli(on) {
-				marks.Add(i)
+				marked = append(marked, i)
 			}
 		}
+		marks.Mark(marked)
 		var want []int
 		for rank, id := range snap {
 			if h.Contains(id) && marks.Contains(rank) == keep {

@@ -86,6 +86,17 @@ func (d *Dense) Add(id int) {
 	}
 }
 
+// Mark sets the bits of ids, each of which must lie in [0, Cap()). Unlike
+// Add it neither range-checks each id nor keeps the count, so Len is
+// stale until the next Reset: it is for mark maps that are only read
+// bitwise, such as the marks of Hybrid.FilterRanks.
+func (d *Dense) Mark(ids []int) {
+	words := d.words
+	for _, id := range ids {
+		words[id>>6] |= 1 << uint(id&63)
+	}
+}
+
 // Remove deletes id; absent ids are a no-op. It panics out of range.
 func (d *Dense) Remove(id int) {
 	d.check(id)
