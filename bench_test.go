@@ -112,7 +112,6 @@ func BenchmarkMoteTestbed(b *testing.B) {
 		if _, err := lab.RunBatch(4, 6, 10); err != nil {
 			b.Fatal(err)
 		}
-		lab.Close()
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command tcastlab drives the emulated TelosB testbed of Section IV-D:
-// an initiator plus participant motes as goroutines behind serial
+// an initiator plus participant motes as state machines behind serial
 // interfaces, querying over a lossy backcast radio. It reports the Figure
 // 4 curves and the error statistics the paper summarizes (no false
 // positives, ~1.4% false negatives dominated by single-HACK groups).
@@ -103,7 +103,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer lab.Close()
 
 	curves, agg, err := lab.RunPaperProtocol(*repeats)
 	if err != nil {

@@ -117,12 +117,6 @@ func runServer(addr string, participants int, miss float64, x int, seed uint64, 
 		parts[id].Configure(true)
 	}
 	ini := mote.NewInitiator(1<<16, med, parts, root.Split(2))
-	defer func() {
-		ini.Close()
-		for _, p := range parts {
-			p.Close()
-		}
-	}()
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -217,7 +217,6 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			defer lab.Close()
 			curves, agg, err := lab.RunPaperProtocol(o.runs(100))
 			if err != nil {
 				return nil, err
@@ -250,7 +249,6 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			defer lab.Close()
 			_, agg, err := lab.RunPaperProtocol(o.runs(100))
 			if err != nil {
 				return nil, err

@@ -15,14 +15,7 @@ func bootLab(t *testing.T, n int, missProb float64, seed uint64) (*Initiator, []
 	for i := range parts {
 		parts[i] = NewParticipant(i)
 	}
-	ini := NewInitiator(1<<16, med, parts, root.Split(2))
-	t.Cleanup(func() {
-		ini.Close()
-		for _, p := range parts {
-			p.Close()
-		}
-	})
-	return ini, parts
+	return NewInitiator(1<<16, med, parts, root.Split(2)), parts
 }
 
 func configure(parts []*Participant, positives ...int) {
@@ -177,7 +170,6 @@ func TestTraceRecordsEmptiness(t *testing.T) {
 
 func TestParticipantArmedFor(t *testing.T) {
 	p := NewParticipant(3)
-	defer p.Close()
 	p.Configure(true)
 	if !p.armedFor([]int{1, 3}) {
 		t.Fatal("positive member not armed")
@@ -197,14 +189,25 @@ func TestBadRosterRejected(t *testing.T) {
 	// IDs 5 and 6 instead of 0 and 1: firmware must refuse.
 	parts := []*Participant{NewParticipant(5), NewParticipant(6)}
 	ini := NewInitiator(1<<16, med, parts, root.Split(2))
-	defer func() {
-		ini.Close()
-		for _, p := range parts {
-			p.Close()
-		}
-	}()
 	ini.Configure(1)
 	if _, err := ini.Query(); err == nil {
 		t.Fatal("mismatched roster accepted")
+	}
+}
+
+// TestBackcastPollAllocs pins the firmware's per-poll cost: the armed set
+// and the medium's scratch are reused, so a poll of a 12-mote testbed
+// allocates only the trace record's copy of its bin.
+func TestBackcastPollAllocs(t *testing.T) {
+	ini, parts := bootLab(t, 12, 0.05, 9)
+	configure(parts, 0, 3, 6, 9)
+	q := &backcastQuerier{med: ini.med, initiatorID: ini.id, participants: ini.participants, addr: 0x8000}
+	bin := []int{0, 1, 2, 3, 4, 5}
+	allocs := testing.AllocsPerRun(100, func() {
+		q.trace = q.trace[:0]
+		q.Query(bin)
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocs per backcast poll, want at most 1", allocs)
 	}
 }

@@ -187,14 +187,6 @@ func New(cfg Config) (*Lab, error) {
 	return &Lab{cfg: cfg, root: root, parts: parts, initiator: ini}, nil
 }
 
-// Close shuts all motes down.
-func (l *Lab) Close() {
-	l.initiator.Close()
-	for _, p := range l.parts {
-		p.Close()
-	}
-}
-
 // RunBatch performs repeats TCast runs with exactly x positive motes and
 // the given threshold, grading each against the configured ground truth.
 func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {

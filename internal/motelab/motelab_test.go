@@ -11,7 +11,6 @@ func newLab(t *testing.T, cfg Config) *Lab {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(lab.Close)
 	return lab
 }
 

@@ -51,12 +51,6 @@ type Participant struct {
 	Positive bool
 }
 
-// pollPayload is what a poll/bind frame carries: the queried bin.
-type pollPayload struct {
-	bin  []int
-	addr uint16
-}
-
 // Session is one threshold-query session by a fixed initiator over a fixed
 // participant set. It implements query.Querier.
 type Session struct {
@@ -68,6 +62,7 @@ type Session struct {
 	seq         uint8
 	addr        uint16
 	slots       int
+	repliers    []int // deliverPoll's result, reused by every poll
 }
 
 // NewSession creates a session over any radio.Channel — the bare medium
@@ -170,7 +165,7 @@ func (s *Session) pollcastQuery(bin []int) query.Response {
 	s.med.BeginSlot()
 	s.med.Transmit(radio.Frame{
 		Kind: radio.FramePoll, Src: s.initiatorID, Dst: radio.Broadcast,
-		Seq: s.seq, Bytes: len(bin) + 2, Payload: pollPayload{bin: bin},
+		Seq: s.seq, Bytes: len(bin) + 2,
 	})
 	voters := s.deliverPoll(bin)
 	s.med.EndSlot()
@@ -212,7 +207,7 @@ func (s *Session) backcastQuery(bin []int) query.Response {
 	s.med.BeginSlot()
 	s.med.Transmit(radio.Frame{
 		Kind: radio.FrameData, Src: s.initiatorID, Dst: radio.Broadcast,
-		Addr: s.addr, Bytes: len(bin) + 2, Payload: pollPayload{bin: bin, addr: s.addr},
+		Addr: s.addr, Bytes: len(bin) + 2,
 	})
 	armed := s.deliverPoll(bin)
 	s.med.EndSlot()
@@ -228,13 +223,12 @@ func (s *Session) backcastQuery(bin []int) query.Response {
 	// Hardware address recognition: armed radios match and will HACK.
 	// The poll itself rides the same control-reliability model as
 	// phase 1 (a lost poll means no HACK from that node).
-	hackers := armed
 	s.med.EndSlot()
 	s.slots++
 
 	// Phase 3: identical HACKs superpose.
 	s.med.BeginSlot()
-	for _, h := range hackers {
+	for _, h := range armed {
 		s.med.Transmit(radio.Frame{Kind: radio.FrameHACK, Src: h, Addr: s.addr, Seq: s.seq})
 	}
 	obs := s.med.Observe(s.initiatorID)
@@ -249,17 +243,18 @@ func (s *Session) backcastQuery(bin []int) query.Response {
 }
 
 // deliverPoll lets every positive participant in bin receive the current
-// control frame; it returns the IDs that heard it and will reply.
+// control frame; it returns the IDs that heard it and will reply. The
+// result is the session's scratch: valid until the next poll.
 func (s *Session) deliverPoll(bin []int) []int {
-	var repliers []int
+	s.repliers = s.repliers[:0]
 	for _, id := range bin {
 		p, ok := s.parts[id]
 		if !ok || !p.Positive {
 			continue
 		}
 		if obs := s.med.Observe(id); obs.Frame != nil {
-			repliers = append(repliers, id)
+			s.repliers = append(s.repliers, id)
 		}
 	}
-	return repliers
+	return s.repliers
 }

@@ -234,3 +234,15 @@ func TestNonParticipantIDsIgnored(t *testing.T) {
 		t.Fatalf("unknown IDs answered: %v", r.Kind)
 	}
 }
+
+// TestQueryDoesNotAllocate pins the session's reused replier buffer: a
+// poll allocates nothing under either primitive.
+func TestQueryDoesNotAllocate(t *testing.T) {
+	for _, prim := range []Primitive{Pollcast, Backcast} {
+		s := newSession(t, radio.Config{MissProb: 0.1}, 15, prim, query.OnePlus, makeParts(12, 1, 4, 7))
+		bin := []int{0, 1, 2, 3, 4, 5}
+		if allocs := testing.AllocsPerRun(100, func() { s.Query(bin) }); allocs != 0 {
+			t.Errorf("%v: %v allocs per poll, want 0", prim, allocs)
+		}
+	}
+}

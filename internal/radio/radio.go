@@ -71,8 +71,6 @@ type Frame struct {
 	// SHR+PHR+MAC overhead plus this many payload bytes (HACKs are
 	// fixed-size ACK frames regardless).
 	Bytes int
-	// Payload carries protocol data (e.g. the polled bin).
-	Payload any
 }
 
 // Airtime returns the frame's on-air duration under the 802.15.4 timing
@@ -150,6 +148,8 @@ type Medium struct {
 	slot        int
 	open        bool
 	cur         []Frame
+	incoming    []Frame // Observe's scratch: cur minus the receiver's own
+	decoded     Frame   // the frame the last Observe decoded
 	interfering bool
 	elapsed     time.Duration
 }
@@ -203,17 +203,20 @@ func (m *Medium) Transmit(f Frame) {
 
 // Observe resolves the current slot for one receiver. Each call draws
 // fresh reception randomness, modeling independent radios. The receiver
-// never hears its own transmissions.
+// never hears its own transmissions. A decoded Observation.Frame points
+// at a frame the medium owns: it stays valid until the next Observe or
+// EndSlot, so a caller that needs it longer copies it.
 func (m *Medium) Observe(receiver int) Observation {
 	if !m.open {
 		panic("radio: Observe outside a slot")
 	}
-	var incoming []Frame
+	m.incoming = m.incoming[:0]
 	for _, f := range m.cur {
 		if f.Src != receiver {
-			incoming = append(incoming, f)
+			m.incoming = append(m.incoming, f)
 		}
 	}
+	incoming := m.incoming
 	obs := Observation{Energy: len(incoming) > 0 || m.interfering}
 	if len(incoming) == 0 {
 		return obs
@@ -234,8 +237,8 @@ func (m *Medium) Observe(receiver int) Observation {
 			}
 		}
 		if survived > 0 {
-			f := incoming[0]
-			obs.Frame = &f
+			m.decoded = incoming[0]
+			obs.Frame = &m.decoded
 			obs.Superposed = survived
 		}
 		return obs
@@ -243,14 +246,15 @@ func (m *Medium) Observe(receiver int) Observation {
 
 	// Distinct frames: apply per-copy loss to votes and HACKs. A lone
 	// survivor decodes; colliding survivors destroy one another.
-	var arrived []Frame
+	arrived := 0
 	for _, f := range incoming {
 		if !f.Lossy() || !m.r.Bernoulli(m.lossFor(f)) {
-			arrived = append(arrived, f)
+			arrived++
+			m.decoded = f
 		}
 	}
-	if len(arrived) == 1 {
-		obs.Frame = &arrived[0]
+	if arrived == 1 {
+		obs.Frame = &m.decoded
 		obs.Superposed = 1
 	}
 	return obs

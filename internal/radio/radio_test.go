@@ -337,3 +337,28 @@ func TestQuickObservationConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestObserveDoesNotAllocate pins the medium's reusable scratch: resolving
+// a slot allocates nothing, whether its frames superpose or collide.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	for name, frames := range map[string][]Frame{
+		"identical HACKs": {{Kind: FrameHACK, Src: 1, Addr: 7, Seq: 3}, {Kind: FrameHACK, Src: 2, Addr: 7, Seq: 3}, {Kind: FrameHACK, Src: 3, Addr: 7, Seq: 3}},
+		"distinct frames": {{Kind: FramePoll, Src: 9, Dst: Broadcast}, {Kind: FrameVote, Src: 1}, {Kind: FrameVote, Src: 2}},
+	} {
+		m := NewMedium(Config{MissProb: 0.5}, rng.New(1))
+		decoded := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			slot(m, frames...)
+			if m.Observe(0).Frame != nil {
+				decoded++
+			}
+			m.EndSlot()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per observed slot, want 0", name, allocs)
+		}
+		if decoded == 0 {
+			t.Errorf("%s: no slot decoded, so the decode path went unmeasured", name)
+		}
+	}
+}

@@ -29,13 +29,7 @@ func bootWiredLab(t *testing.T) (iniClient *Client, parts []*mote.Participant) {
 	iniCtrl, iniMote := net.Pipe()
 	go func() { _ = ServeInitiator(iniMote, ini) }()
 
-	t.Cleanup(func() {
-		iniCtrl.Close()
-		ini.Close()
-		for _, p := range parts {
-			p.Close()
-		}
-	})
+	t.Cleanup(func() { iniCtrl.Close() })
 	return NewClient(iniCtrl), parts
 }
 
@@ -93,13 +87,7 @@ func TestWiredMiniCampaign(t *testing.T) {
 	iniCtrl, iniMote := net.Pipe()
 	go func() { _ = ServeInitiator(iniMote, ini) }()
 	iniClient := NewClient(iniCtrl)
-	t.Cleanup(func() {
-		iniCtrl.Close()
-		ini.Close()
-		for _, p := range parts {
-			p.Close()
-		}
-	})
+	t.Cleanup(func() { iniCtrl.Close() })
 
 	const threshold = 2
 	for x := 0; x <= n; x++ {
