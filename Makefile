@@ -106,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFormsAgree -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzFilterRanks -fuzztime=30s ./internal/idset/
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzEncodeMatchesJSON -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzSerialDecode -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzCSMAMatchesSlotLoop -fuzztime=30s ./internal/baseline/

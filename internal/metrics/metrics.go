@@ -72,6 +72,23 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.total.Add(1)
+	h.addSum(v)
+}
+
+// add records n samples at once: counts[i] of them in bucket i, summing
+// to sum.
+func (h *Histogram) add(counts []uint64, n uint64, sum float64) {
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.total.Add(n)
+	h.addSum(sum)
+}
+
+// addSum adds v to the running sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		newBits := math.Float64bits(math.Float64frombits(old) + v)

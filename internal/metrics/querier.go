@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/bits"
+
 	"tcast/internal/query"
 )
 
@@ -39,11 +41,13 @@ const (
 	MetricSessionNodes = "tcast_session_nodes_polled"
 )
 
-// Observer is the metrics layer's query.Observer: it records every group
-// poll into a Registry — per-poll response kinds and bin sizes as they
-// happen, and per-session query/slot/energy totals when Finish is called.
-// The per-poll path is pure atomic updates, safe to use from concurrently
-// running sessions (each session holds its own Observer).
+// Observer is the metrics layer's query.Observer. Per poll it only
+// tallies into fields it owns — the response kind, the bin-size bucket
+// and the node-poll sum — so concurrently running sessions (each holds
+// its own Observer) share nothing while they poll. The per-poll series
+// are published to the Registry when the session ends: Finish adds them
+// with the session's query/slot/energy totals, and Flush adds them alone
+// for a session that ended without deciding.
 type Observer struct {
 	m     *Registry // the registry the handles below were resolved in
 	polls [query.NumKinds]*Counter
@@ -53,12 +57,33 @@ type Observer struct {
 	sessionPolls *Histogram
 	sessionNodes *Histogram
 	sessions     *Counter
+
+	// The tallies since the last flush.
+	kinds  [query.NumKinds]int64
+	bins   [binBuckets]uint64
+	binSum int64
 }
 
-// Reset points o at m (non-nil). The metric handles are resolved only
-// when m is not the registry o last resolved them in, so a pooled
-// observer pays no name lookups session after session.
+// binBuckets is the bucket count of BinSizeBuckets' histogram: one per
+// power-of-two bound 1 .. 1024 and the overflow bucket.
+const binBuckets = 12
+
+// binBucket is the bucket of BinSizeBuckets that a bin of size n falls
+// in: the first bound >= n, as Histogram.Observe picks it.
+func binBucket(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return min(bits.Len(uint(n-1)), binBuckets-1)
+}
+
+// Reset points o at m (non-nil), first publishing any tallies left from
+// a session that was not finished into the registry they were made for.
+// The metric handles are resolved only when m is not the registry o last
+// resolved them in, so a pooled observer pays no name lookups session
+// after session.
 func (o *Observer) Reset(m *Registry) {
+	o.Flush()
 	if o.m == m {
 		return
 	}
@@ -86,17 +111,38 @@ func Wrap(q query.Querier, m *Registry) query.Querier {
 
 // OnPoll implements query.Observer.
 func (o *Observer) OnPoll(_ int, bin []int, resp query.Response) {
-	o.polls[resp.Kind].Inc()
-	o.nodes.Add(int64(len(bin)))
-	o.binSize.Observe(float64(len(bin)))
+	o.kinds[resp.Kind]++
+	o.bins[binBucket(len(bin))]++
+	o.binSum += int64(len(bin))
 }
 
 // OnRound implements query.Observer; rounds are not metered.
 func (o *Observer) OnRound(int) {}
 
-// Finish records one session's totals — polls (= RCD slots) and node-poll
-// pairs (the listener-energy proxy) — into the session histograms.
+// Flush publishes the polls tallied since the last flush — the per-kind
+// poll counters, the node-poll counter and the bin-size histogram — and
+// zeroes the tallies.
+func (o *Observer) Flush() {
+	var polls uint64
+	for k, c := range o.kinds {
+		if c != 0 {
+			o.polls[k].Add(c)
+			polls += uint64(c)
+		}
+	}
+	if polls == 0 {
+		return
+	}
+	o.nodes.Add(o.binSum)
+	o.binSize.add(o.bins[:], polls, float64(o.binSum))
+	o.kinds, o.bins, o.binSum = [query.NumKinds]int64{}, [binBuckets]uint64{}, 0
+}
+
+// Finish flushes o and records one session's totals — polls (= RCD
+// slots) and node-poll pairs (the listener-energy proxy) — into the
+// session histograms.
 func (o *Observer) Finish(polls, nodes int) {
+	o.Flush()
 	o.sessions.Inc()
 	o.sessionPolls.Observe(float64(polls))
 	o.sessionNodes.Observe(float64(nodes))

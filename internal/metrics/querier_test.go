@@ -2,9 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
+	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -229,5 +232,107 @@ func TestInstrumentedQuerierReset(t *testing.T) {
 	}
 	if len(sessionPolls) != 1 || sessionPolls[0] != 2 {
 		t.Errorf("session polls sum = %v, want [2] (the dropped tallies must not count)", sessionPolls)
+	}
+}
+
+// TestBinBucketMatchesObserve: the observer's bucket index is the one
+// Histogram.Observe picks in BinSizeBuckets, and its array has one slot
+// per bucket.
+func TestBinBucketMatchesObserve(t *testing.T) {
+	if binBuckets != len(BinSizeBuckets)+1 {
+		t.Fatalf("binBuckets = %d, BinSizeBuckets has %d buckets", binBuckets, len(BinSizeBuckets)+1)
+	}
+	for n := 0; n <= 4096; n++ {
+		if got, want := binBucket(n), sort.SearchFloat64s(BinSizeBuckets, float64(n)); got != want {
+			t.Fatalf("binBucket(%d) = %d, Observe picks %d", n, got, want)
+		}
+	}
+}
+
+// perPollObserver is the metrics observer that updated the registry's
+// atomics on every poll, kept as the reference the per-session flush
+// must match.
+type perPollObserver struct {
+	polls                               [query.NumKinds]*Counter
+	nodes, sessions                     *Counter
+	binSize, sessionPolls, sessionNodes *Histogram
+}
+
+func newPerPollObserver(m *Registry) *perPollObserver {
+	o := &perPollObserver{
+		nodes:        m.Counter(MetricNodesPolled),
+		sessions:     m.Counter(MetricSessions),
+		binSize:      m.Histogram(MetricBinSize, BinSizeBuckets),
+		sessionPolls: m.Histogram(MetricSessionPolls, SessionBuckets),
+		sessionNodes: m.Histogram(MetricSessionNodes, SessionBuckets),
+	}
+	for k := query.Kind(0); int(k) < query.NumKinds; k++ {
+		o.polls[k] = m.Counter(MetricPolls, "kind", k.String())
+	}
+	return o
+}
+
+func (o *perPollObserver) OnPoll(_ int, bin []int, resp query.Response) {
+	o.polls[resp.Kind].Inc()
+	o.nodes.Add(int64(len(bin)))
+	o.binSize.Observe(float64(len(bin)))
+}
+
+func (o *perPollObserver) OnRound(int) {}
+
+func (o *perPollObserver) finish(polls, nodes int) {
+	o.sessions.Inc()
+	o.sessionPolls.Observe(float64(polls))
+	o.sessionNodes.Observe(float64(nodes))
+}
+
+// TestSessionFlushMatchesPerPoll: 2tBins sessions run on GOMAXPROCS
+// workers (CI runs it at -cpu 1,2,4), each through a Tap with one pooled
+// Observer, leave the same registry text dump as the per-poll reference.
+// Every fifth session stops without deciding: it is flushed, not
+// finished, and its polls still count.
+func TestSessionFlushMatchesPerPoll(t *testing.T) {
+	const sessions, n, tt = 120, 96, 8
+	flushed, ref := New(), New()
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var (
+				o   Observer
+				tap query.Tap
+				ch  fastsim.Channel
+			)
+			po := newPerPollObserver(ref)
+			for i := w; i < sessions; i += workers {
+				r := rng.New(uint64(i))
+				ch.ResetRandom(n, i%(2*tt), fastsim.TwoPlusConfig(), r.Split(1))
+				o.Reset(flushed)
+				tap.Reset(&ch, &o, po)
+				if _, err := (core.TwoTBins{}).Run(&tap, n, tt, r.Split(2)); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%5 == 0 {
+					o.Flush()
+					continue
+				}
+				o.Finish(tap.Polls(), tap.Nodes())
+				po.finish(tap.Polls(), tap.Nodes())
+			}
+		}(w)
+	}
+	wg.Wait()
+	var got, want bytes.Buffer
+	if err := WriteText(&got, flushed.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&want, ref.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("flushed registry differs from the per-poll reference:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

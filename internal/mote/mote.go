@@ -80,18 +80,22 @@ type QueryOutcome struct {
 // implementation. Like a Participant it is a plain state machine that
 // serves one serial command at a time and is not safe for concurrent use.
 type Initiator struct {
-	id           int
-	med          radio.Channel
 	participants []*Participant
 	r            *rng.Source
 	threshold    int // -1 until Configure
+
+	// The firmware's run state, reused run after run: the 2tBins session
+	// scratch and the backcast querier over the medium.
+	arena core.Arena
+	q     backcastQuerier
 }
 
 // NewInitiator boots the initiator mote with its 2tBins firmware. It
 // owns med and r; participants are consulted over their radio-side
 // interface during queries.
 func NewInitiator(id int, med radio.Channel, participants []*Participant, r *rng.Source) *Initiator {
-	return &Initiator{id: id, med: med, participants: participants, r: r, threshold: -1}
+	return &Initiator{participants: participants, r: r, threshold: -1,
+		q: backcastQuerier{med: med, initiatorID: id, participants: participants}}
 }
 
 // Configure sets the run's threshold (serial command).
@@ -175,8 +179,11 @@ func (ini *Initiator) runTCast() (QueryOutcome, error) {
 			return QueryOutcome{}, fmt.Errorf("mote: participant %d has ID %d; IDs must be 0..%d in order", i, p.id, len(ini.participants)-1)
 		}
 	}
-	q := &backcastQuerier{med: ini.med, initiatorID: ini.id, participants: ini.participants, addr: 0x8000}
-	res, err := core.TwoTBins{}.Run(q, len(ini.participants), ini.threshold, ini.r)
+	// Every run starts from the same sequence number and ephemeral
+	// address, with a trace of its own for the caller to keep.
+	q := &ini.q
+	q.seq, q.addr, q.slots, q.trace = 0, 0x8000, 0, nil
+	res, err := core.RunIn(&ini.arena, core.TwoTBins{}, q, len(ini.participants), ini.threshold, ini.r)
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("mote: tcast failed: %w", err)
 	}

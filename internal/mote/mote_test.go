@@ -201,7 +201,8 @@ func TestBadRosterRejected(t *testing.T) {
 func TestBackcastPollAllocs(t *testing.T) {
 	ini, parts := bootLab(t, 12, 0.05, 9)
 	configure(parts, 0, 3, 6, 9)
-	q := &backcastQuerier{med: ini.med, initiatorID: ini.id, participants: ini.participants, addr: 0x8000}
+	q := &ini.q
+	q.addr = 0x8000
 	bin := []int{0, 1, 2, 3, 4, 5}
 	allocs := testing.AllocsPerRun(100, func() {
 		q.trace = q.trace[:0]
@@ -209,5 +210,31 @@ func TestBackcastPollAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("%v allocs per backcast poll, want at most 1", allocs)
+	}
+}
+
+// TestWarmQueryAllocs pins a warm TCast run on the 12-mote testbed: the
+// 2tBins session scratch and the backcast querier are the initiator's,
+// so a run allocates only its poll record — one bin copy per poll and
+// the record's growth.
+func TestWarmQueryAllocs(t *testing.T) {
+	ini, parts := bootLab(t, 12, 0, 9)
+	configure(parts, 1, 4, 7, 10)
+	ini.Configure(4)
+	queries := 0
+	run := func() {
+		out, err := ini.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries += out.Queries
+	}
+	run() // warm
+	queries = 0
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, run)
+	perRun := float64(queries) / (runs + 1) // AllocsPerRun adds a warm-up call
+	if limit := perRun + 6; allocs > limit {
+		t.Fatalf("%v allocs per warm query of %.1f polls, want at most %.1f", allocs, perRun, limit)
 	}
 }

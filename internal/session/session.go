@@ -308,7 +308,8 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 // Run executes the algorithm and finishes the observers: the audit
 // verdict first (so it annotates the closing session span), then the
 // session span, then the metrics totals. A session that errors before
-// deciding is voided in the collector and its span records the error.
+// deciding is voided in the collector, its span records the error, and
+// its polls still reach the metrics' per-poll series.
 func (s *Session) Run() (core.Result, error) {
 	sp := &s.spec
 	obs.PublishSessionStart(sp.Obs, sp.Label, sp.Trial)
@@ -337,13 +338,14 @@ func (s *Session) Run() (core.Result, error) {
 		}
 		s.fb.End() // trial span
 	}
-	if s.err != nil {
-		return s.res, s.err
-	}
 	if sp.Metrics != nil {
-		s.mo.Finish(s.tap.Polls(), s.tap.Nodes())
+		if s.err == nil {
+			s.mo.Finish(s.tap.Polls(), s.tap.Nodes())
+		} else {
+			s.mo.Flush()
+		}
 	}
-	return s.res, nil
+	return s.res, s.err
 }
 
 // Record adds the session's verdict to c under its trial index, or voids

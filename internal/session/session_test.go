@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -431,6 +432,62 @@ func TestFailedResetPublishesNothing(t *testing.T) {
 	s.Publish()
 	if events != before {
 		t.Fatalf("Publish after a failed Reset emitted %d events", events-before)
+	}
+}
+
+// failingAlg polls its bins, then gives up without deciding.
+type failingAlg struct{ bins [][]int }
+
+func (failingAlg) Name() string { return "failing" }
+
+func (a failingAlg) Run(q query.Querier, _, _ int, _ *rng.Source) (core.Result, error) {
+	for _, b := range a.bins {
+		q.Query(b)
+	}
+	return core.Result{Queries: len(a.bins)}, errors.New("gave up")
+}
+
+// TestErroredSessionMetrics: a session that errors mid-run still adds its
+// polls, node-polls and bin sizes to the registry as Run returns, and
+// adds no session totals.
+func TestErroredSessionMetrics(t *testing.T) {
+	reg := metrics.New()
+	alg := failingAlg{bins: [][]int{{0, 1, 2}, {3}, {4, 5, 6, 7, 8}}}
+	var s Session
+	sp := Spec{N: 16, T: 2, X: 4, Collision: fastsim.DefaultConfig(), Algorithm: alg, Metrics: reg}
+	if err := s.Reset(sp, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err == nil {
+		t.Fatal("failing algorithm reported no error")
+	}
+	snap := reg.Snapshot()
+	var polls float64
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, metrics.MetricPolls+"{") {
+			polls += c.Value
+		}
+	}
+	if polls != 3 {
+		t.Errorf("%s sums to %v, want 3", metrics.MetricPolls, polls)
+	}
+	if got := reg.Counter(metrics.MetricNodesPolled).Value(); got != 9 {
+		t.Errorf("%s = %d, want 9", metrics.MetricNodesPolled, got)
+	}
+	if got := reg.Counter(metrics.MetricSessions).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0 for a session that did not decide", metrics.MetricSessions, got)
+	}
+	for _, h := range snap.Histograms {
+		want := struct {
+			count uint64
+			sum   float64
+		}{}
+		if h.Name == metrics.MetricBinSize {
+			want.count, want.sum = 3, 9
+		}
+		if h.Count != want.count || h.Sum != want.sum {
+			t.Errorf("%s: count %d sum %v, want %d and %v", h.Name, h.Count, h.Sum, want.count, want.sum)
+		}
 	}
 }
 

@@ -7,14 +7,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 )
 
 // JSONL codec for traces: line one is a header carrying the schema
 // version and the trace metadata, then one line per span in preorder.
-// Every field is written through ordered struct marshalling and every
-// number through strconv-backed attr formatting, so encoding the same
-// trace always produces the same bytes — the property the acceptance
-// check "same seed ⇒ byte-identical trace files" rests on.
+// Encode writes each record straight into one reused buffer in a fixed
+// field order, numbers through strconv and strings as encoding/json
+// would quote them, so encoding the same trace always produces the same
+// bytes — the property the acceptance check "same seed ⇒ byte-identical
+// trace files" rests on. Decode reads the records back through the
+// struct types below, whose tags name the same fields.
 
 // Version is the trace schema version written into the header line.
 // Decode rejects files whose version it does not know.
@@ -44,43 +47,123 @@ type spanRecord struct {
 	Attrs  []Attr `json:"attrs,omitempty"`
 }
 
-// Encode writes the trace as JSONL.
+// encodeChunk is how many encoded bytes Encode gathers before writing
+// them to its writer.
+const encodeChunk = 32 << 10
+
+// encoder appends JSONL records to buf and hands buf to w in chunks.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	id  int
+}
+
+// Encode writes the trace as JSONL: the bytes of encoding/json's Encoder
+// over header and spanRecord, one record per line.
 func Encode(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header{Schema: schemaName, Version: Version, Unit: "slot", Meta: t.Meta}); err != nil {
-		return err
-	}
-	id := 0
-	var walk func(parent int, sp *Span) error
-	walk = func(parent int, sp *Span) error {
-		rec := spanRecord{
-			ID:     id,
-			Parent: parent,
-			Kind:   sp.Kind.String(),
-			Name:   sp.Name,
-			Start:  sp.Start,
-			End:    sp.End,
-			Attrs:  sp.Attrs,
-		}
-		self := id
-		id++
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-		for _, c := range sp.Children {
-			if err := walk(self, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	// Twice the chunk, so the record that crosses it still fits.
+	e := encoder{w: w, buf: make([]byte, 0, 2*encodeChunk)}
+	b := append(e.buf, `{"schema":"`+schemaName+`","version":`...)
+	b = strconv.AppendInt(b, Version, 10)
+	b = append(b, `,"unit":"slot"`...)
+	b = appendAttrs(b, `,"meta":`, t.Meta)
+	e.buf = append(b, "}\n"...)
 	for _, r := range t.Roots {
-		if err := walk(-1, r); err != nil {
+		if err := e.span(-1, r); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return e.write()
+}
+
+// span encodes sp under parent, then its subtree in preorder.
+func (e *encoder) span(parent int, sp *Span) error {
+	self := e.id
+	e.id++
+	b := append(e.buf, `{"id":`...)
+	b = strconv.AppendInt(b, int64(self), 10)
+	b = append(b, `,"parent":`...)
+	b = strconv.AppendInt(b, int64(parent), 10)
+	b = append(b, `,"kind":`...)
+	b = appendString(b, sp.Kind.String())
+	b = append(b, `,"name":`...)
+	b = appendString(b, sp.Name)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, sp.Start, 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, sp.End, 10)
+	b = appendAttrs(b, `,"attrs":`, sp.Attrs)
+	e.buf = append(b, "}\n"...)
+	if len(e.buf) >= encodeChunk {
+		if err := e.write(); err != nil {
+			return err
+		}
+	}
+	for _, c := range sp.Children {
+		if err := e.span(self, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// write hands the gathered bytes to w and empties the buffer.
+func (e *encoder) write() error {
+	n, err := e.w.Write(e.buf)
+	if err == nil && n < len(e.buf) {
+		err = io.ErrShortWrite
+	}
+	e.buf = e.buf[:0]
+	return err
+}
+
+// appendAttrs appends key and the attrs as a JSON array, or nothing when
+// attrs is empty, as omitempty does.
+func appendAttrs(b []byte, key string, attrs []Attr) []byte {
+	if len(attrs) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	b = append(b, '[')
+	for i, a := range attrs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"k":`...)
+		b = appendString(b, a.Key)
+		b = append(b, `,"v":`...)
+		b = appendString(b, a.Value)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// plainJSON marks the bytes encoding/json copies into a quoted string
+// unchanged: printable ASCII except the quote, the backslash and the
+// HTML-escaped <, > and &.
+var plainJSON = func() (t [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
+	return t
+}()
+
+// appendString appends s quoted as encoding/json quotes it. Strings of
+// plain bytes, every name and attr the program writes, are copied as
+// they are; any other string goes through json.Marshal, so escapes,
+// invalid UTF-8 and U+2028/U+2029 come out exactly as it writes them.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainJSON[s[i]] {
+			// Marshal of a string cannot fail.
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // EncodeBytes renders the trace to a byte slice.

@@ -1,7 +1,10 @@
 package trace_test
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,6 +39,160 @@ func randomTrace(r *rng.Source) *trace.Trace {
 		b.End()
 	}
 	return b.Trace()
+}
+
+// jsonEncode is the reflective encoder Encode replaced, kept as its
+// oracle: encoding/json's Encoder over the header and span record types,
+// one value per line.
+func jsonEncode(w io.Writer, t *trace.Trace) error {
+	type header struct {
+		Schema  string       `json:"schema"`
+		Version int          `json:"version"`
+		Unit    string       `json:"unit"`
+		Meta    []trace.Attr `json:"meta,omitempty"`
+	}
+	type spanRecord struct {
+		ID     int          `json:"id"`
+		Parent int          `json:"parent"`
+		Kind   string       `json:"kind"`
+		Name   string       `json:"name"`
+		Start  int64        `json:"start"`
+		End    int64        `json:"end"`
+		Attrs  []trace.Attr `json:"attrs,omitempty"`
+	}
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(header{Schema: "tcast-trace", Version: trace.Version, Unit: "slot", Meta: t.Meta}); err != nil {
+		return err
+	}
+	id := 0
+	var walk func(parent int, sp *trace.Span) error
+	walk = func(parent int, sp *trace.Span) error {
+		self := id
+		id++
+		if err := enc.Encode(spanRecord{ID: self, Parent: parent, Kind: sp.Kind.String(), Name: sp.Name,
+			Start: sp.Start, End: sp.End, Attrs: sp.Attrs}); err != nil {
+			return err
+		}
+		for _, c := range sp.Children {
+			if err := walk(self, c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, r := range t.Roots {
+		if err := walk(-1, r); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// assertMatchesOracle fails t unless Encode writes exactly jsonEncode's
+// bytes for tr.
+func assertMatchesOracle(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := trace.Encode(&got, tr); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if err := jsonEncode(&want, tr); err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Encode differs from encoding/json:\n%q\nvs\n%q", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestEncodeMatchesJSON: Encode writes encoding/json's bytes for random
+// traces, for one large enough to cross several write chunks, and for
+// the escapes the fast string path must hand over.
+func TestEncodeMatchesJSON(t *testing.T) {
+	root := rng.New(7)
+	for i := 0; i < 50; i++ {
+		assertMatchesOracle(t, randomTrace(root.Split(uint64(i))))
+	}
+	assertMatchesOracle(t, wideTrace(5000))
+	assertMatchesOracle(t, &trace.Trace{})
+	for _, s := range fuzzStrings {
+		assertMatchesOracle(t, stringTrace(s, s, s, -3, 4, 0xff))
+	}
+}
+
+// wideTrace is one session span over polls attributed the way the
+// observed figure sweeps attribute them.
+func wideTrace(polls int) *trace.Trace {
+	b := trace.NewBuilder()
+	b.SetMeta(trace.StringAttr("cmd", "wide"))
+	b.Begin(trace.KindSession, "2tBins").SetAttr(trace.IntAttr("n", polls))
+	for i := 0; i < polls; i++ {
+		sp := b.Begin(trace.KindPoll, "poll")
+		b.Advance(1)
+		sp.SetAttr(trace.IntAttr("bin_size", i%17), trace.StringAttr("kind", "empty"))
+		b.End()
+	}
+	b.End()
+	return b.Trace()
+}
+
+// fuzzStrings seed FuzzEncodeMatchesJSON and TestEncodeMatchesJSON with
+// every class of byte encoding/json escapes or rewrites.
+var fuzzStrings = []string{
+	"", "plain", "<a&b>", `q"uote`, `back\slash`, "tab\tnl\nnul\x00del\x7f",
+	"bad\xffutf8\xc3", "line\u2028para\u2029", "é ünïcode ☃",
+}
+
+// stringTrace builds a forest from one fuzzed name, attr key and value:
+// shape's bits choose, span by span, between a child of the previous
+// span and a new root, and whether the span and the trace carry attrs.
+func stringTrace(name, key, value string, start, end int64, shape uint8) *trace.Trace {
+	tr := &trace.Trace{}
+	if shape&1 != 0 {
+		tr.Meta = []trace.Attr{{Key: key, Value: value}, {Key: value, Value: name}}
+	}
+	var prev *trace.Span
+	for i := 0; i < 4; i++ {
+		sp := &trace.Span{Kind: trace.SpanKind(i + int(shape>>6)), Name: name, Start: start - int64(i), End: end + int64(i)}
+		if shape&(2<<i) != 0 {
+			sp.Attrs = []trace.Attr{{Key: key, Value: value}}
+		}
+		if prev == nil || shape&(32>>i) != 0 {
+			tr.Roots = append(tr.Roots, sp)
+		} else {
+			prev.Children = append(prev.Children, sp)
+		}
+		prev = sp
+	}
+	return tr
+}
+
+// FuzzEncodeMatchesJSON: for any names, attr keys and values, and any
+// span times, Encode writes exactly the bytes encoding/json writes.
+func FuzzEncodeMatchesJSON(f *testing.F) {
+	for i, s := range fuzzStrings {
+		f.Add(s, "k", s, int64(i), int64(-i), uint8(i*37))
+	}
+	f.Add("<x>", "\u2028", "\xfe\xff", int64(-1)<<63, int64(1)<<62, uint8(0xff))
+	f.Fuzz(func(t *testing.T, name, key, value string, start, end int64, shape uint8) {
+		assertMatchesOracle(t, stringTrace(name, key, value, start, end, shape))
+	})
+}
+
+// TestEncodeAllocs pins Encode's allocations at its one buffer, whatever
+// the span count.
+func TestEncodeAllocs(t *testing.T) {
+	for _, polls := range []int{10, 20000} {
+		tr := wideTrace(polls)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := trace.Encode(io.Discard, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("Encode of %d polls: %v allocs, want at most 2", polls, allocs)
+		}
+	}
 }
 
 // TestCodecRoundTripProperty is the encode→decode→encode property: for
