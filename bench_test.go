@@ -59,7 +59,7 @@ func BenchmarkBaselineCSMA(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
+		baseline.CSMA{}.Run(128, 16, 32, r.Split(2), nil)
 	}
 }
 
@@ -72,7 +72,7 @@ func BenchmarkBaselineSequential(b *testing.B) {
 		for _, id := range r.Split(1).Sample(128, 32) {
 			pos.Add(id)
 		}
-		baseline.Sequential{}.Run(128, 16, pos, r.Split(2))
+		baseline.Sequential{}.Run(128, 16, pos, r.Split(2), nil)
 	}
 }
 

@@ -750,12 +750,12 @@ func csmaBench() bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := root.Split(uint64(i))
-				baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
+				baseline.CSMA{}.Run(128, 16, 32, r.Split(2), nil)
 			}
 		},
 		traced: func() (int64, int64, error) {
 			r := rng.New(1).Split(0)
-			res := baseline.CSMA{}.Run(128, 16, 32, r.Split(2))
+			res := baseline.CSMA{}.Run(128, 16, 32, r.Split(2), nil)
 			return 0, int64(res.Slots), nil
 		},
 	}

@@ -234,7 +234,7 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 				link := faults.NewLink(fcfg.Burst, r.Split(9))
 				c.Drop = func(int) bool { return link.Lost() }
 			}
-			return c.Run(n, t, x, r)
+			return c.Run(n, t, x, r, nil)
 		}), "CSMA", nil
 	case "seq":
 		if col != nil {
@@ -245,7 +245,7 @@ func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config,
 			for _, id := range r.Split(1).Sample(n, x) {
 				pos.Add(id)
 			}
-			return baseline.Sequential{}.Run(n, t, pos, r.Split(2))
+			return baseline.Sequential{}.Run(n, t, pos, r.Split(2), nil)
 		}), "Sequential", nil
 	}
 	a, err := session.Algorithm(alg, nil)

@@ -52,7 +52,7 @@ func main() {
 				for _, id := range tags {
 					pos.Add(id)
 				}
-				seq := baseline.Sequential{}.Run(n, threshold, pos, r.Split(seedBase+1))
+				seq := baseline.Sequential{}.Run(n, threshold, pos, r.Split(seedBase+1), nil)
 				seqCost += float64(seq.Slots)
 			}
 			fmt.Printf("%8d  %8d  %14.1f  %16.1f\n",

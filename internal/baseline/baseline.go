@@ -35,8 +35,18 @@ type Result struct {
 	Dropped int
 	// Order is the reply schedule used by Sequential (nil for CSMA);
 	// energy accounting needs to know who was scheduled before the
-	// early-termination point.
+	// early-termination point. It is the run's Scratch buffer, valid
+	// until that Scratch's next run.
 	Order []int
+}
+
+// Scratch is one caller's reusable baseline state: CSMA's per-station
+// contention state and Sequential's reply order. Pooled trials keep one
+// per worker, so a warm run allocates nothing; a nil *Scratch gives the
+// run fresh buffers. Not safe for concurrent use.
+type Scratch struct {
+	stations []int32
+	order    []int
 }
 
 // CSMA is the contention baseline: every positive node tries to deliver
@@ -81,18 +91,25 @@ const cwMin, cwMax = 4, 128
 // one step, capped by the guard. A busy slot costs O(transmitters);
 // colliding stations redraw in backlog (index) order, drawing exactly
 // what a slot-by-slot simulation draws.
-func (c CSMA) Run(n, t, x int, r *rng.Source) Result {
+func (c CSMA) Run(n, t, x int, r *rng.Source, s *Scratch) Result {
 	if t <= 0 {
 		return Result{Decision: true}
 	}
 	if t > n {
 		return Result{Decision: false}
 	}
+	if s == nil {
+		s = new(Scratch)
+	}
 
 	// Flat per-station state: cw is the contention window, next links a
 	// station to the next one in its bucket (-1 ends a bucket), tx holds
-	// one slot's transmitters.
-	flat := make([]int32, 3*x)
+	// one slot's transmitters. Every station's cw and next are written
+	// before they are read, so reused storage needs no clearing.
+	if cap(s.stations) < 3*x {
+		s.stations = make([]int32, 3*x)
+	}
+	flat := s.stations[:3*x]
 	cw, next, tx := flat[:x], flat[x:2*x], flat[2*x:2*x:3*x]
 	var head [cwMax]int32
 	for b := range head {
@@ -202,15 +219,20 @@ func nextOccupied(occupied [cwMax / 64]uint64, b int) int {
 // soon as the threshold question resolves.
 type Sequential struct{}
 
-// Run simulates one session over a uniformly random reply order.
-func (s Sequential) Run(n, t int, positives *idset.Dense, r *rng.Source) Result {
+// Run simulates one session over a uniformly random reply order, drawn
+// into sc's order buffer.
+func (Sequential) Run(n, t int, positives *idset.Dense, r *rng.Source, sc *Scratch) Result {
 	if t <= 0 {
 		return Result{Decision: true}
 	}
 	if t > n {
 		return Result{Decision: false}
 	}
-	order := r.Perm(n)
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.order = r.PermInto(sc.order, n)
+	order := sc.order
 	res := Result{Order: order}
 	heard := 0
 	for i, id := range order {

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func TestCSMAIdealCorrect(t *testing.T) {
 	} {
 		for i := 0; i < 10; i++ {
 			r := root.Split(uint64(tc.n*1000 + tc.x*10 + i))
-			res := CSMA{}.Run(tc.n, tc.th, tc.x, r)
+			res := CSMA{}.Run(tc.n, tc.th, tc.x, r, nil)
 			if want := tc.x >= tc.th; res.Decision != want {
 				t.Fatalf("n=%d t=%d x=%d: decision %v, want %v", tc.n, tc.th, tc.x, res.Decision, want)
 			}
@@ -42,7 +43,7 @@ func TestCSMAIdealCorrect(t *testing.T) {
 
 func TestCSMAZeroPositivesIdealFree(t *testing.T) {
 	r := rng.New(2)
-	res := CSMA{}.Run(64, 8, 0, r)
+	res := CSMA{}.Run(64, 8, 0, r, nil)
 	if res.Decision || res.Slots != 0 {
 		t.Fatalf("x=0 ideal: %+v", res)
 	}
@@ -50,10 +51,10 @@ func TestCSMAZeroPositivesIdealFree(t *testing.T) {
 
 func TestCSMATrivialThresholds(t *testing.T) {
 	r := rng.New(3)
-	if res := (CSMA{}).Run(8, 0, 3, r); !res.Decision || res.Slots != 0 {
+	if res := (CSMA{}).Run(8, 0, 3, r, nil); !res.Decision || res.Slots != 0 {
 		t.Fatalf("t=0: %+v", res)
 	}
-	if res := (CSMA{}).Run(8, 9, 3, r); res.Decision || res.Slots != 0 {
+	if res := (CSMA{}).Run(8, 9, 3, r, nil); res.Decision || res.Slots != 0 {
 		t.Fatalf("t>n: %+v", res)
 	}
 }
@@ -67,7 +68,7 @@ func TestCSMACostGrowsWithX(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			r := root.Split(uint64(x*1000 + i))
 			// High threshold so every reply must be collected.
-			res := CSMA{}.Run(128, 128, x, r)
+			res := CSMA{}.Run(128, 128, x, r, nil)
 			total += res.Slots
 		}
 		return float64(total) / runs
@@ -90,8 +91,8 @@ func TestCSMAEarlyStopAtThreshold(t *testing.T) {
 	var early, full int
 	for i := 0; i < runs; i++ {
 		r := root.Split(uint64(i))
-		early += CSMA{}.Run(128, 8, 100, r.Split(1)).Slots
-		full += CSMA{}.Run(128, 100, 100, r.Split(2)).Slots
+		early += CSMA{}.Run(128, 8, 100, r.Split(1), nil).Slots
+		full += CSMA{}.Run(128, 100, 100, r.Split(2), nil).Slots
 	}
 	if early >= full/2 {
 		t.Fatalf("early stop not effective: early=%d full=%d", early, full)
@@ -100,7 +101,7 @@ func TestCSMAEarlyStopAtThreshold(t *testing.T) {
 
 func TestCSMADeliveredAndCollisions(t *testing.T) {
 	r := rng.New(6)
-	res := CSMA{}.Run(64, 64, 20, r)
+	res := CSMA{}.Run(64, 64, 20, r, nil)
 	if res.Delivered != 20 {
 		t.Fatalf("Delivered = %d, want 20", res.Delivered)
 	}
@@ -115,7 +116,7 @@ func TestCSMAGuardTermination(t *testing.T) {
 	root := rng.New(7)
 	for i := 0; i < 30; i++ {
 		r := root.Split(uint64(i))
-		res := CSMA{GuardSlots: 256}.Run(64, 8, 3, r)
+		res := CSMA{GuardSlots: 256}.Run(64, 8, 3, r, nil)
 		if res.Decision {
 			t.Fatalf("trial %d: guard termination decided true with x=3 < t=8", i)
 		}
@@ -133,11 +134,11 @@ func TestCSMAGuardTermination(t *testing.T) {
 // t-th reply and answers true.
 func TestCSMAGuardCanBeFooled(t *testing.T) {
 	const n, th, x, seed = 64, 8, 10, 6
-	guarded := CSMA{GuardSlots: 8}.Run(n, th, x, rng.New(seed))
+	guarded := CSMA{GuardSlots: 8}.Run(n, th, x, rng.New(seed), nil)
 	if guarded.Decision || guarded.Delivered >= th {
 		t.Fatalf("guard 8: %+v, want a false answer before %d deliveries", guarded, th)
 	}
-	ideal := CSMA{}.Run(n, th, x, rng.New(seed))
+	ideal := CSMA{}.Run(n, th, x, rng.New(seed), nil)
 	if !ideal.Decision || ideal.Slots <= guarded.Slots {
 		t.Fatalf("guard 0: %+v, want true after more than the guarded %d slots", ideal, guarded.Slots)
 	}
@@ -145,7 +146,7 @@ func TestCSMAGuardCanBeFooled(t *testing.T) {
 
 func TestCSMAGuardZeroPositivesCostsGuard(t *testing.T) {
 	r := rng.New(8)
-	res := CSMA{GuardSlots: 32}.Run(64, 8, 0, r)
+	res := CSMA{GuardSlots: 32}.Run(64, 8, 0, r, nil)
 	if res.Decision || res.Slots != 32 {
 		t.Fatalf("guard idle cost: %+v", res)
 	}
@@ -157,7 +158,7 @@ func TestQuickCSMAIdealAlwaysCorrect(t *testing.T) {
 		th := int(tRaw) % (n + 2)
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		res := CSMA{}.Run(n, th, x, r)
+		res := CSMA{}.Run(n, th, x, r, nil)
 		return res.Decision == (x >= th)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -246,6 +247,10 @@ func seededDrop(seed uint64, p float64, asked *[]int) func(int) bool {
 	}
 }
 
+// wheelScratch is the one Scratch every wheel run of the oracle checks
+// shares, so each run starts from the stale state of the one before.
+var wheelScratch Scratch
+
 // checkCSMAMatchesSlotLoop runs the wheel and the reference loop from the
 // same seed and reports the first difference: a Result field, the slots
 // Drop was consulted on, or the stream position afterwards.
@@ -257,7 +262,7 @@ func checkCSMAMatchesSlotLoop(seed uint64, n, th, x, guard int, dropP float64) s
 		ref.Drop = seededDrop(seed^0x5eed, dropP, &askedRef)
 	}
 	rw, rr := rng.New(seed), rng.New(seed)
-	got := wheel.Run(n, th, x, rw)
+	got := wheel.Run(n, th, x, rw, &wheelScratch)
 	want := slotLoopCSMA(ref, n, th, x, rr)
 	if got.Decision != want.Decision || got.Slots != want.Slots ||
 		got.Delivered != want.Delivered || got.Collisions != want.Collisions ||
@@ -330,12 +335,43 @@ func TestCSMAAllocsFlatInX(t *testing.T) {
 	allocs := func(x int) float64 {
 		r := rng.New(1)
 		return testing.AllocsPerRun(50, func() {
-			CSMA{}.Run(128, 128, x, r)
+			CSMA{}.Run(128, 128, x, r, nil)
 		})
 	}
 	small, large := allocs(4), allocs(128)
 	if large > small {
 		t.Fatalf("CSMA.Run allocations grow with x: %v at x=4, %v at x=128", small, large)
+	}
+}
+
+// TestScratchReuse: runs on one reused Scratch draw and decide exactly
+// as runs on fresh buffers, and once warm allocate nothing.
+func TestScratchReuse(t *testing.T) {
+	var sc Scratch
+	root := rng.New(21)
+	for i := 0; i < 200; i++ {
+		n := 1 + i%130
+		x, th := (i*7)%(n+1), 1+(i*5)%n
+		pos := randomPositives(n, x, root.Split(uint64(i)))
+		fresh := Sequential{}.Run(n, th, pos, root.Split(uint64(i)+1000), nil)
+		reused := Sequential{}.Run(n, th, pos, root.Split(uint64(i)+1000), &sc)
+		if fresh.Decision != reused.Decision || fresh.Slots != reused.Slots ||
+			fresh.Delivered != reused.Delivered || !slices.Equal(fresh.Order, reused.Order) {
+			t.Fatalf("sequential n=%d t=%d x=%d: reused %+v, fresh %+v", n, th, x, reused, fresh)
+		}
+		if a, b := (CSMA{}).Run(n, th, x, root.Split(uint64(i)+2000), nil),
+			(CSMA{}).Run(n, th, x, root.Split(uint64(i)+2000), &sc); a.Slots != b.Slots ||
+			a.Delivered != b.Delivered || a.Collisions != b.Collisions || a.Decision != b.Decision {
+			t.Fatalf("csma n=%d t=%d x=%d: reused %+v, fresh %+v", n, th, x, b, a)
+		}
+	}
+	pos := randomPositives(128, 32, rng.New(1))
+	r := rng.New(2)
+	if allocs := testing.AllocsPerRun(50, func() { Sequential{}.Run(128, 16, pos, r, &sc) }); allocs != 0 {
+		t.Errorf("warm Sequential.Run: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { CSMA{}.Run(128, 16, 32, r, &sc) }); allocs != 0 {
+		t.Errorf("warm CSMA.Run: %v allocs, want 0", allocs)
 	}
 }
 
@@ -347,7 +383,7 @@ func TestSequentialCorrect(t *testing.T) {
 	} {
 		for i := 0; i < 10; i++ {
 			r := root.Split(uint64(tc.n*1000 + tc.x*10 + i))
-			res := Sequential{}.Run(tc.n, tc.th, randomPositives(tc.n, tc.x, r), r)
+			res := Sequential{}.Run(tc.n, tc.th, randomPositives(tc.n, tc.x, r), r, nil)
 			if want := tc.x >= tc.th; res.Decision != want {
 				t.Fatalf("n=%d t=%d x=%d: decision %v", tc.n, tc.th, tc.x, res.Decision)
 			}
@@ -359,7 +395,7 @@ func TestSequentialZeroPositivesCost(t *testing.T) {
 	// x=0: "false" resolves once the remaining slots cannot reach t:
 	// exactly n-t+1 slots.
 	r := rng.New(11)
-	res := Sequential{}.Run(128, 16, idset.NewDense(128), r)
+	res := Sequential{}.Run(128, 16, idset.NewDense(128), r, nil)
 	if res.Decision || res.Slots != 128-16+1 {
 		t.Fatalf("x=0: %+v, want slots=%d", res, 128-16+1)
 	}
@@ -368,7 +404,7 @@ func TestSequentialZeroPositivesCost(t *testing.T) {
 func TestSequentialAllPositiveCost(t *testing.T) {
 	// x=n: the t-th slot delivers the t-th positive.
 	r := rng.New(12)
-	res := Sequential{}.Run(128, 16, full(128), r)
+	res := Sequential{}.Run(128, 16, full(128), r, nil)
 	if !res.Decision || res.Slots != 16 {
 		t.Fatalf("x=n: %+v, want slots=16", res)
 	}
@@ -382,7 +418,7 @@ func TestSequentialLargeCostForSmallX(t *testing.T) {
 	total := 0
 	for i := 0; i < runs; i++ {
 		r := root.Split(uint64(i))
-		total += Sequential{}.Run(n, th, randomPositives(n, x, r), r).Slots
+		total += Sequential{}.Run(n, th, randomPositives(n, x, r), r, nil).Slots
 	}
 	avg := float64(total) / runs
 	if avg < float64(n)-float64(th)-float64(x)-5 {
@@ -392,10 +428,10 @@ func TestSequentialLargeCostForSmallX(t *testing.T) {
 
 func TestSequentialTrivialThresholds(t *testing.T) {
 	r := rng.New(15)
-	if res := (Sequential{}).Run(8, 0, idset.NewDense(8), r); !res.Decision || res.Slots != 0 {
+	if res := (Sequential{}).Run(8, 0, idset.NewDense(8), r, nil); !res.Decision || res.Slots != 0 {
 		t.Fatalf("t=0: %+v", res)
 	}
-	if res := (Sequential{}).Run(8, 9, full(8), r); res.Decision || res.Slots != 0 {
+	if res := (Sequential{}).Run(8, 9, full(8), r, nil); res.Decision || res.Slots != 0 {
 		t.Fatalf("t>n: %+v", res)
 	}
 }
@@ -406,7 +442,7 @@ func TestQuickSequentialAlwaysCorrect(t *testing.T) {
 		th := int(tRaw) % (n + 2)
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		res := Sequential{}.Run(n, th, randomPositives(n, x, r), r)
+		res := Sequential{}.Run(n, th, randomPositives(n, x, r), r, nil)
 		return res.Decision == (x >= th)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -419,7 +455,7 @@ func TestQuickSequentialSlotsBounded(t *testing.T) {
 		const n, th = 64, 8
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		res := Sequential{}.Run(n, th, randomPositives(n, x, r), r)
+		res := Sequential{}.Run(n, th, randomPositives(n, x, r), r, nil)
 		return res.Slots >= 1 && res.Slots <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -431,7 +467,7 @@ func BenchmarkCSMA(b *testing.B) {
 	root := rng.New(1)
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		CSMA{}.Run(128, 16, 32, r)
+		CSMA{}.Run(128, 16, 32, r, nil)
 	}
 }
 
@@ -439,6 +475,6 @@ func BenchmarkSequential(b *testing.B) {
 	root := rng.New(1)
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
-		Sequential{}.Run(128, 16, randomPositives(128, 32, r), r)
+		Sequential{}.Run(128, 16, randomPositives(128, 32, r), r, nil)
 	}
 }

@@ -93,17 +93,11 @@ func chunkBounds(n, b, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// ProbabilisticBin draws one sampling bin: each member joins independently
-// with probability q. This is the probe of Section V-D (q = 2/t) and the
-// repeated sample of Section VI (q = 1/b). q must not be NaN (see
-// AppendProbabilisticBin).
-func ProbabilisticBin(members []int, q float64, r *rng.Source) []int {
-	return AppendProbabilisticBin(nil, members, q, r)
-}
-
-// AppendProbabilisticBin is ProbabilisticBin appending into dst (pass a
-// reused buffer sliced to length zero to draw the bin without allocating).
-// It draws exactly what a loop of r.Bernoulli(q) over members draws —
+// AppendProbabilisticBin draws one sampling bin and appends it to dst:
+// each member joins independently with probability q. This is the probe
+// of Section V-D (q = 2/t) and the repeated sample of Section VI
+// (q = 1/b). Pass a reused buffer sliced to length zero to draw the bin
+// without allocating. It draws exactly what a loop of r.Bernoulli(q) over members draws —
 // nothing when q <= 0 or q >= 1, otherwise one Uint64 per member — but
 // decides each draw with one integer comparison against a precomputed
 // rng.Threshold on a detached stream. q must not be NaN: NewThreshold

@@ -108,10 +108,10 @@ func TestRandomPartitionIsRandom(t *testing.T) {
 
 func TestProbabilisticBinEdges(t *testing.T) {
 	r := rng.New(4)
-	if got := ProbabilisticBin(seq(10), 0, r); len(got) != 0 {
+	if got := AppendProbabilisticBin(nil, seq(10), 0, r); len(got) != 0 {
 		t.Fatalf("q=0 produced %v", got)
 	}
-	if got := ProbabilisticBin(seq(10), 1, r); len(got) != 10 {
+	if got := AppendProbabilisticBin(nil, seq(10), 1, r); len(got) != 10 {
 		t.Fatalf("q=1 produced %d members", len(got))
 	}
 }
@@ -121,7 +121,7 @@ func TestProbabilisticBinRate(t *testing.T) {
 	const q, trials, n = 0.25, 2000, 40
 	total := 0
 	for i := 0; i < trials; i++ {
-		total += len(ProbabilisticBin(seq(n), q, r))
+		total += len(AppendProbabilisticBin(nil, seq(n), q, r))
 	}
 	mean := float64(total) / trials
 	if math.Abs(mean-q*n) > 0.3 {
@@ -134,7 +134,7 @@ func TestProbabilisticBinMembersValid(t *testing.T) {
 	members := []int{3, 7, 11, 15}
 	valid := map[int]bool{3: true, 7: true, 11: true, 15: true}
 	for i := 0; i < 100; i++ {
-		for _, id := range ProbabilisticBin(members, 0.5, r) {
+		for _, id := range AppendProbabilisticBin(nil, members, 0.5, r) {
 			if !valid[id] {
 				t.Fatalf("bin contains non-member %d", id)
 			}

@@ -143,7 +143,7 @@ func (a ProbABNS) RunIn(ar *Arena, q query.Querier, n, t int, r *rng.Source) (Re
 	// Probe: one probabilistic bin with q = 2/t. For t <= 2 the probe
 	// would include (almost) everyone and teach us nothing; skip straight
 	// to 2tBins in that case. Members and probe land in the session's
-	// reused buffers; the Bernoulli draws match ProbabilisticBin's.
+	// reused buffers; the Bernoulli draws match a loop of Bernoulli(2/t) over the members.
 	if t > 2 {
 		s.scratch = s.k.Candidates.AppendMembers(s.scratch[:0])
 		probe := binning.AppendProbabilisticBin(s.probeBuf[:0], s.scratch, 2/float64(t), s.r)

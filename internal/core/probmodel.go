@@ -115,11 +115,16 @@ func NewBimodalDetectorDelta(tl, tr float64, delta float64) BimodalDetector {
 // activity (the high mode) is detected, plus the number of queries spent.
 // Probes that sample no nodes still consume a query: the initiator cannot
 // know the probe is empty of nodes, because membership is decided by each
-// node hashing the probe nonce locally.
-func (d BimodalDetector) Detect(q query.Querier, members []int, r *rng.Source) (activity bool, queries int) {
+// node hashing the probe nonce locally. Every probe is drawn into buf's
+// storage, so a caller that passes cap(buf) >= len(members) makes the
+// call allocation-free.
+func (d BimodalDetector) Detect(q query.Querier, members []int, r *rng.Source, buf []int) (activity bool, queries int) {
+	if cap(buf) < len(members) {
+		buf = make([]int, 0, len(members))
+	}
 	nonEmpty := 0
 	for i := 0; i < d.R; i++ {
-		probe := binning.ProbabilisticBin(members, 1/d.B, r)
+		probe := binning.AppendProbabilisticBin(buf[:0], members, 1/d.B, r)
 		queries++
 		if q.Query(probe).Kind != query.Empty {
 			nonEmpty++

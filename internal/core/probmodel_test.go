@@ -166,7 +166,7 @@ func detectorAccuracy(t *testing.T, n int, bi dist.Bimodal, det BimodalDetector,
 		r := root.Split(uint64(i))
 		x, quiet := bi.SampleLabeled(r.Split(1))
 		ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(2))
-		activity, queries := det.Detect(ch, members, r.Split(3))
+		activity, queries := det.Detect(ch, members, r.Split(3), nil)
 		if queries != det.R {
 			t.Fatalf("queries = %d, want %d", queries, det.R)
 		}

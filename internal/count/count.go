@@ -103,11 +103,13 @@ type EstimateOptions struct {
 // 2^-j, so the expected empty-probe fraction is exp(-x/2^j). The
 // estimator walks levels until most probes come up empty and inverts the
 // empty fraction at that level. It returns the estimate and the number of
-// polls spent (O(Repeats·log n)).
+// polls spent (O(Repeats·log n)). Every probe is drawn into buf's
+// storage, so a caller that passes cap(buf) >= len(members) makes the
+// call allocation-free; a smaller buf costs one new probe buffer.
 //
 // A zero estimate is exact: level 0 probes include every member, so an
 // all-empty level-0 round proves x = 0 on an ideal channel.
-func Estimate(q query.Querier, members []int, opts EstimateOptions, r *rng.Source) (xHat float64, queries int) {
+func Estimate(q query.Querier, members []int, opts EstimateOptions, r *rng.Source, buf []int) (xHat float64, queries int) {
 	repeats := opts.Repeats
 	if repeats <= 0 {
 		repeats = 32
@@ -122,7 +124,9 @@ func Estimate(q query.Querier, members []int, opts EstimateOptions, r *rng.Sourc
 	}
 	// One probe buffer serves every poll of the call: a Querier borrows
 	// its bin only for the duration of Query.
-	buf := make([]int, 0, n)
+	if cap(buf) < n {
+		buf = make([]int, 0, n)
+	}
 	for j := 0; j <= maxLevel; j++ {
 		p := math.Pow(2, -float64(j))
 		empty := 0

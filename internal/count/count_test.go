@@ -123,7 +123,7 @@ func members(n int) []int {
 func TestEstimateZeroExact(t *testing.T) {
 	r := rng.New(2)
 	ch, _ := fastsim.RandomPositives(64, 0, fastsim.DefaultConfig(), r.Split(1))
-	xHat, queries := Estimate(ch, members(64), EstimateOptions{Repeats: 8}, r.Split(2))
+	xHat, queries := Estimate(ch, members(64), EstimateOptions{Repeats: 8}, r.Split(2), nil)
 	if xHat != 0 {
 		t.Fatalf("x=0 estimated as %v", xHat)
 	}
@@ -135,7 +135,7 @@ func TestEstimateZeroExact(t *testing.T) {
 func TestEstimateEmptyMembers(t *testing.T) {
 	r := rng.New(3)
 	ch, _ := fastsim.RandomPositives(4, 2, fastsim.DefaultConfig(), r.Split(1))
-	xHat, queries := Estimate(ch, nil, EstimateOptions{}, r.Split(2))
+	xHat, queries := Estimate(ch, nil, EstimateOptions{}, r.Split(2), nil)
 	if xHat != 0 || queries != 0 {
 		t.Fatalf("empty members: %v, %d", xHat, queries)
 	}
@@ -151,7 +151,7 @@ func TestEstimateAccuracy(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			r := root.Split(uint64(i))
 			ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(1))
-			xHat, _ := Estimate(ch, members(n), EstimateOptions{Repeats: 32}, r.Split(2))
+			xHat, _ := Estimate(ch, members(n), EstimateOptions{Repeats: 32}, r.Split(2), nil)
 			if xHat <= 0 {
 				t.Fatalf("x=%d estimated as %v", x, xHat)
 			}
@@ -168,7 +168,7 @@ func TestEstimateQueryBudget(t *testing.T) {
 	const n = 4096
 	r := rng.New(9)
 	ch, _ := fastsim.RandomPositives(n, 100, fastsim.DefaultConfig(), r.Split(1))
-	_, queries := Estimate(ch, members(n), EstimateOptions{Repeats: 16}, r.Split(2))
+	_, queries := Estimate(ch, members(n), EstimateOptions{Repeats: 16}, r.Split(2), nil)
 	maxLevels := 14 // log2(4096)=12, plus slack
 	if queries > 16*maxLevels {
 		t.Fatalf("%d queries exceeds budget %d", queries, 16*maxLevels)
@@ -185,7 +185,7 @@ func TestEstimateMonotoneQueries(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			r := root.Split(uint64(i))
 			ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(1))
-			_, q := Estimate(ch, members(n), EstimateOptions{Repeats: 8}, r.Split(2))
+			_, q := Estimate(ch, members(n), EstimateOptions{Repeats: 8}, r.Split(2), nil)
 			total += q
 		}
 		return float64(total) / 40
@@ -212,26 +212,52 @@ func BenchmarkEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
 		ch, _ := fastsim.RandomPositives(512, 64, fastsim.DefaultConfig(), r.Split(1))
-		Estimate(ch, m, EstimateOptions{Repeats: 16}, r.Split(2))
+		Estimate(ch, m, EstimateOptions{Repeats: 16}, r.Split(2), nil)
 	}
 }
 
 // Estimate draws every probe into one buffer, so a call allocates at most
-// that buffer however many levels and repeats it walks.
+// that buffer however many levels and repeats it walks, and nothing when
+// the caller's buffer holds the members.
 func TestEstimateAllocatesOneProbeBuffer(t *testing.T) {
 	const n = 128
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i
 	}
+	buf := make([]int, 0, n)
 	for _, x := range []int{0, 4, 40, n} {
 		ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), rng.New(uint64(x)))
 		r := rng.New(7)
 		allocs := testing.AllocsPerRun(20, func() {
-			Estimate(ch, members, EstimateOptions{Repeats: 16}, r)
+			Estimate(ch, members, EstimateOptions{Repeats: 16}, r, nil)
 		})
 		if allocs > 1 {
 			t.Errorf("x=%d: %v allocations per Estimate, want at most 1", x, allocs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			Estimate(ch, members, EstimateOptions{Repeats: 16}, r, buf)
+		})
+		if allocs != 0 {
+			t.Errorf("x=%d: %v allocations per Estimate into a caller's buffer, want 0", x, allocs)
+		}
+	}
+}
+
+// TestEstimateBufferKeepsDraws: a caller's buffer, of any capacity and
+// contents, changes neither the estimate nor the stream's position.
+func TestEstimateBufferKeepsDraws(t *testing.T) {
+	const n = 128
+	dirty := make([]int, 3, 200)
+	for _, x := range []int{0, 1, 9, 40, n} {
+		ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), rng.New(uint64(x)))
+		for _, buf := range [][]int{nil, dirty[:1], dirty} {
+			r1, r2 := rng.New(uint64(x)+5), rng.New(uint64(x)+5)
+			xa, qa := Estimate(ch, members(n), EstimateOptions{Repeats: 16}, r1, nil)
+			xb, qb := Estimate(ch, members(n), EstimateOptions{Repeats: 16}, r2, buf)
+			if xa != xb || qa != qb || r1.Uint64() != r2.Uint64() {
+				t.Fatalf("x=%d cap %d: estimate (%v, %d), want (%v, %d) on the same draws", x, cap(buf), xb, qb, xa, qa)
+			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ func ExampleEstimate() {
 	for i := range members {
 		members[i] = i
 	}
-	xHat, queries := count.Estimate(ch, members, count.EstimateOptions{Repeats: 16}, r.Split(2))
+	xHat, queries := count.Estimate(ch, members, count.EstimateOptions{Repeats: 16}, r.Split(2), nil)
 	fmt.Println("within factor two:", xHat > 50 && xHat < 200)
 	fmt.Println("far below one poll per node:", queries < 256)
 	// Output:

@@ -76,7 +76,7 @@ func TestEstimateUnderModerateLossStaysInBand(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		r := root.Split(uint64(i))
 		ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-		xHat, _ := Estimate(ch, members(n), EstimateOptions{Repeats: 32}, r.Split(2))
+		xHat, _ := Estimate(ch, members(n), EstimateOptions{Repeats: 32}, r.Split(2), nil)
 		sum += xHat
 	}
 	mean := sum / trials

@@ -43,6 +43,18 @@ type Report struct {
 	PerNode []float64
 }
 
+// perNode returns n zeroed values in buf's storage when it holds n,
+// otherwise in a new slice: the PerNode of a session priced into a
+// caller's reused buffer.
+func perNode(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // MeanNode returns the average participant energy.
 func (r Report) MeanNode() float64 {
 	if len(r.PerNode) == 0 {
@@ -74,13 +86,14 @@ func (l SlotLedger) Slots() int { return l.Rx + l.Tx + l.Idle }
 // TcastSession prices one tcast-over-backcast session of the given rounds
 // and polls over n participants. node reports each participant's slot
 // ledger — an audited session's Verdict.Nodes.At — whose Rx counts the
-// polls the node heard and Tx the replies it sent.
-func TcastSession(m Model, c timing.Costs, rounds, polls, n int, node func(id int) SlotLedger) Report {
+// polls the node heard and Tx the replies it sent. PerNode reuses buf's
+// storage when it holds n values, as in every session pricer here.
+func TcastSession(m Model, c timing.Costs, rounds, polls, n int, node func(id int) SlotLedger, buf []float64) Report {
 	pollAir := timing.FrameAirtime(3)
 	ackAir := timing.AckAirtime()
 	sessionTime := c.TcastLatency(polls, rounds)
 
-	rep := Report{PerNode: make([]float64, n)}
+	rep := Report{PerNode: perNode(buf, n)}
 	// Initiator: transmits every bind and poll, listens for every ACK
 	// window, idles through turnarounds.
 	txTime := time.Duration(rounds)*c.RoundBind + time.Duration(polls)*pollAir
@@ -112,20 +125,16 @@ func TcastSession(m Model, c timing.Costs, rounds, polls, n int, node func(id in
 
 // CSMASession computes the energy of one CSMA collection: the initiator
 // and every contender listen for the whole session (carrier sensing is
-// receiving); each delivered reply is one transmission. positives lists
-// the contending node IDs; delivered of them got through.
-func CSMASession(m Model, c timing.Costs, slots, delivered, n int, positives []int) Report {
+// receiving); each delivered reply is one transmission. isContender
+// reports the contending (positive) nodes; delivered of them got through.
+func CSMASession(m Model, c timing.Costs, slots, delivered, n int, isContender func(id int) bool, buf []float64) Report {
 	frameAir := timing.FrameAirtime(2)
 	sessionTime := c.CSMALatency(slots, delivered)
 
-	rep := Report{PerNode: make([]float64, n)}
+	rep := Report{PerNode: perNode(buf, n)}
 	rep.Initiator = m.millijoules(sessionTime, m.RxmA)
-	contender := make(map[int]bool, len(positives))
-	for _, id := range positives {
-		contender[id] = true
-	}
 	for id := 0; id < n; id++ {
-		if !contender[id] {
+		if !isContender(id) {
 			// Negative nodes have nothing to send and sleep through
 			// the contention.
 			rep.PerNode[id] = m.millijoules(sessionTime, m.IdlemA)
@@ -146,28 +155,31 @@ func CSMASession(m Model, c timing.Costs, slots, delivered, n int, positives []i
 // random schedule: every node receives the schedule broadcast, sleeps
 // until its own slot, and transmits only if positive and scheduled before
 // the early-termination point (slots).
-func SequentialSession(m Model, c timing.Costs, slots, n int, isPositive func(id int) bool, order []int) Report {
+func SequentialSession(m Model, c timing.Costs, slots, n int, isPositive func(id int) bool, order []int, buf []float64) Report {
 	frameAir := timing.FrameAirtime(2)
 	scheduleAir := timing.FrameAirtime(2 * n / 8)
 	sessionTime := c.SequentialLatency(slots)
 
-	rep := Report{PerNode: make([]float64, n)}
+	rep := Report{PerNode: perNode(buf, n)}
 	rep.Initiator = m.millijoules(sessionTime, m.RxmA)
-	scheduledBeforeStop := make(map[int]bool, slots)
-	for i := 0; i < slots && i < len(order); i++ {
-		scheduledBeforeStop[order[i]] = true
-	}
-	for id := 0; id < n; id++ {
+	bill := func(tx time.Duration) float64 {
 		active := scheduleAir
-		var tx time.Duration
-		if scheduledBeforeStop[id] && isPositive(id) {
-			tx = frameAir
-		}
 		idle := sessionTime - active - tx
 		if idle < 0 {
 			idle = 0
 		}
-		rep.PerNode[id] = m.millijoules(active, m.RxmA) + m.millijoules(tx, m.TxmA) + m.millijoules(idle, m.IdlemA)
+		return m.millijoules(active, m.RxmA) + m.millijoules(tx, m.TxmA) + m.millijoules(idle, m.IdlemA)
+	}
+	// Every node pays the sleeper's bill, then the positives scheduled
+	// before the stop pay the transmitter's instead.
+	sleeper := bill(0)
+	for id := range rep.PerNode {
+		rep.PerNode[id] = sleeper
+	}
+	for i := 0; i < slots && i < len(order); i++ {
+		if id := order[i]; id >= 0 && id < n && isPositive(id) {
+			rep.PerNode[id] = bill(frameAir)
+		}
 	}
 	return rep
 }

@@ -2,9 +2,11 @@ package energy
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"tcast/internal/rng"
 	"tcast/internal/timing"
 )
 
@@ -39,7 +41,7 @@ func TestCSMAListeningDominates(t *testing.T) {
 	m := CC2420()
 	c := timing.DefaultCosts(32)
 	positives := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	rep := CSMASession(m, c, 60, 8, 32, positives)
+	rep := CSMASession(m, c, 60, 8, 32, func(id int) bool { return slices.Contains(positives, id) }, nil)
 	sessionTime := c.CSMALatency(60, 8)
 	rxAlways := m.millijoules(sessionTime, m.RxmA)
 	for _, id := range positives {
@@ -60,7 +62,7 @@ func TestSequentialSleepersAreCheap(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	rep := SequentialSession(m, c, 32, 32, func(id int) bool { return id < 4 }, order)
+	rep := SequentialSession(m, c, 32, 32, func(id int) bool { return id < 4 }, order, nil)
 	// Every participant's bill is far below the initiator's rx-always.
 	for id, e := range rep.PerNode {
 		if e >= rep.Initiator/2 {
@@ -70,5 +72,96 @@ func TestSequentialSleepersAreCheap(t *testing.T) {
 	// Positives pay slightly more (they transmit).
 	if rep.PerNode[0] <= rep.PerNode[30] {
 		t.Fatal("transmitting node not above sleeping node")
+	}
+}
+
+// mapCSMASession and mapSequentialSession are the per-call-map pricers
+// CSMASession and SequentialSession replaced, kept as their oracles.
+func mapCSMASession(m Model, c timing.Costs, slots, delivered, n int, positives []int) Report {
+	frameAir := timing.FrameAirtime(2)
+	sessionTime := c.CSMALatency(slots, delivered)
+	rep := Report{PerNode: make([]float64, n)}
+	rep.Initiator = m.millijoules(sessionTime, m.RxmA)
+	contender := make(map[int]bool, len(positives))
+	for _, id := range positives {
+		contender[id] = true
+	}
+	for id := 0; id < n; id++ {
+		if !contender[id] {
+			rep.PerNode[id] = m.millijoules(sessionTime, m.IdlemA)
+			continue
+		}
+		listen := sessionTime - frameAir
+		if listen < 0 {
+			listen = 0
+		}
+		rep.PerNode[id] = m.millijoules(listen, m.RxmA) + m.millijoules(frameAir, m.TxmA)
+	}
+	return rep
+}
+
+func mapSequentialSession(m Model, c timing.Costs, slots, n int, isPositive func(id int) bool, order []int) Report {
+	frameAir := timing.FrameAirtime(2)
+	scheduleAir := timing.FrameAirtime(2 * n / 8)
+	sessionTime := c.SequentialLatency(slots)
+	rep := Report{PerNode: make([]float64, n)}
+	rep.Initiator = m.millijoules(sessionTime, m.RxmA)
+	scheduledBeforeStop := make(map[int]bool, slots)
+	for i := 0; i < slots && i < len(order); i++ {
+		scheduledBeforeStop[order[i]] = true
+	}
+	for id := 0; id < n; id++ {
+		active := scheduleAir
+		var tx time.Duration
+		if scheduledBeforeStop[id] && isPositive(id) {
+			tx = frameAir
+		}
+		idle := sessionTime - active - tx
+		if idle < 0 {
+			idle = 0
+		}
+		rep.PerNode[id] = m.millijoules(active, m.RxmA) + m.millijoules(tx, m.TxmA) + m.millijoules(idle, m.IdlemA)
+	}
+	return rep
+}
+
+// TestBaselinePricersMatchMapOracles: priced into one reused buffer, the
+// CSMA and Sequential bills equal the map oracles' bit for bit, node by
+// node and in MeanNode's summation, and a warm call allocates nothing.
+func TestBaselinePricersMatchMapOracles(t *testing.T) {
+	m := CC2420()
+	var buf []float64
+	root := rng.New(5)
+	for i := 0; i < 200; i++ {
+		n := 1 + (i*11)%128
+		x, slots := (i*7)%(n+1), (i*13)%(n+40)
+		r := root.Split(uint64(i))
+		ids := r.Sample(n, x)
+		isPos := func(id int) bool { return slices.Contains(ids, id) }
+		c := timing.DefaultCosts(n)
+		same := func(what string, got, want Report) {
+			t.Helper()
+			if got.Initiator != want.Initiator || !slices.Equal(got.PerNode, want.PerNode) || got.MeanNode() != want.MeanNode() {
+				t.Fatalf("%s n=%d x=%d slots=%d: got %+v, oracle %+v", what, n, x, slots, got, want)
+			}
+		}
+		got := CSMASession(m, c, slots, min(x, slots), n, isPos, buf)
+		same("csma", got, mapCSMASession(m, c, slots, min(x, slots), n, ids))
+		buf = got.PerNode
+		order := r.PermInto(nil, n)
+		got = SequentialSession(m, c, slots, n, isPos, order, buf)
+		same("sequential", got, mapSequentialSession(m, c, slots, n, isPos, order))
+		buf = got.PerNode
+	}
+	c := timing.DefaultCosts(128)
+	order := rng.New(1).PermInto(nil, 128)
+	isPos := func(id int) bool { return id%5 == 0 }
+	buf = make([]float64, 128)
+	allocs := testing.AllocsPerRun(50, func() {
+		CSMASession(m, c, 90, 16, 128, isPos, buf)
+		SequentialSession(m, c, 60, 128, isPos, order, buf)
+	})
+	if allocs != 0 {
+		t.Errorf("warm CSMA and Sequential pricing: %v allocs, want 0", allocs)
 	}
 }

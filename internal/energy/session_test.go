@@ -54,7 +54,7 @@ func auditedSession(t *testing.T, n, th, x int, cfg fastsim.Config, seed uint64)
 func pricedSession(t *testing.T, n, th, x int, seed uint64) (energy.Report, *fastsim.Channel) {
 	t.Helper()
 	v, res, _, ch := auditedSession(t, n, th, x, fastsim.DefaultConfig(), seed)
-	return energy.TcastSession(energy.CC2420(), timing.DefaultCosts(n), res.Rounds, v.Polls, n, v.Nodes.At), ch
+	return energy.TcastSession(energy.CC2420(), timing.DefaultCosts(n), res.Rounds, v.Polls, n, v.Nodes.At, nil), ch
 }
 
 // oracleTcastSession is the per-poll pricing TcastSession replaced: it
@@ -121,7 +121,7 @@ func TestTcastSessionMatchesPollOracle(t *testing.T) {
 				if v.Polls != len(bins) || v.Polls != res.Queries {
 					t.Fatalf("%s x=%d seed=%d: %d graded polls, %d bins, %d queries", name, x, seed, v.Polls, len(bins), res.Queries)
 				}
-				got := energy.TcastSession(m, c, res.Rounds, v.Polls, n, v.Nodes.At)
+				got := energy.TcastSession(m, c, res.Rounds, v.Polls, n, v.Nodes.At, nil)
 				want := oracleTcastSession(m, c, res.Rounds, bins, n, ch.IsPositive)
 				if got.Initiator != want.Initiator {
 					t.Fatalf("%s x=%d seed=%d: initiator %v, oracle %v", name, x, seed, got.Initiator, want.Initiator)
@@ -180,17 +180,11 @@ func TestSchemeComparisonAtModerateX(t *testing.T) {
 	m := energy.CC2420()
 	c := timing.DefaultCosts(n)
 
-	positives := make([]int, 0, x)
-	for id := 0; id < n; id++ {
-		if ch.IsPositive(id) {
-			positives = append(positives, id)
-		}
-	}
 	// Plausible CSMA cost for x=32, t=16 (from the Fig 1 data: ~88
 	// slots, 16 deliveries).
-	csmaRep := energy.CSMASession(m, c, 88, 16, n, positives)
-	order := rng.New(3).Perm(n)
-	seqRep := energy.SequentialSession(m, c, 40, n, ch.IsPositive, order)
+	csmaRep := energy.CSMASession(m, c, 88, 16, n, ch.IsPositive, nil)
+	order := rng.New(3).PermInto(nil, n)
+	seqRep := energy.SequentialSession(m, c, 40, n, ch.IsPositive, order, nil)
 
 	if !(seqRep.MeanNode() < tcastRep.MeanNode() && tcastRep.MeanNode() < csmaRep.MeanNode()) {
 		t.Fatalf("energy ordering violated: seq=%v tcast=%v csma=%v",

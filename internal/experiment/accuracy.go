@@ -7,9 +7,7 @@ import (
 	"tcast/internal/audit"
 	"tcast/internal/core"
 	"tcast/internal/faults"
-	"tcast/internal/pollcast"
 	"tcast/internal/query"
-	"tcast/internal/radio"
 	"tcast/internal/rng"
 	"tcast/internal/session"
 	"tcast/internal/stats"
@@ -35,24 +33,6 @@ const (
 // accMissPcts are the swept per-reply loss probabilities, in percent.
 var accMissPcts = []int{0, 2, 5, 10, 15, 20}
 
-// backcast is the packet-level substrate of the audited campaigns: a
-// backcast session over a radio medium with per-reply loss miss (drawn
-// from Split(1)) and backcastX positives sampled from Split(2).
-func backcast(miss float64) func(r *rng.Source) (query.Querier, error) {
-	return func(r *rng.Source) (query.Querier, error) {
-		med := radio.NewMedium(radio.Config{MissProb: miss}, r.Split(1))
-		parts := make([]*pollcast.Participant, backcastN)
-		positive := make(map[int]bool, backcastX)
-		for _, id := range r.Split(2).Sample(backcastN, backcastX) {
-			positive[id] = true
-		}
-		for i := range parts {
-			parts[i] = &pollcast.Participant{ID: i, Positive: positive[i]}
-		}
-		return pollcast.NewSession(med, backcastN, parts, pollcast.Backcast, query.OnePlus)
-	}
-}
-
 // backcastPoint runs one point of audited 2tBins sessions over the
 // backcast substrate (at full worker parallelism) and returns the point's
 // collector, the per-trial correctness values (1 correct, 0 wrong) and,
@@ -72,10 +52,13 @@ func backcastPoint(prefix string, miss float64, fcfg *faults.Config, retry query
 	values, err := RunTrials(runs, o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
 		s := sessions.Get().(*session.Session)
 		defer sessions.Put(s)
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		sc.miss = miss
 		err := s.Reset(session.Spec{
 			N: backcastN, T: backcastT, X: backcastX, Algorithm: core.TwoTBins{},
 			Label: fmt.Sprintf("%s/trial=%d", prefix, trial), Trial: trial,
-			Substrate: backcast(miss), Faults: fcfg, Retry: retry,
+			Substrate: sc.substrate, Faults: fcfg, Retry: retry,
 			Metrics: o.Metrics, Audit: col, Attribute: attribute, Obs: o.Obs,
 			Trace: o.Trace, TraceSample: o.TraceSample,
 		}, r)

@@ -53,12 +53,14 @@ var extRetry = query.RetryPolicy{MaxRetries: 2, Backoff: 1}
 // reply slot, the same clock the injector steps per poll).
 func csmaFaultedPoint(burst faults.BurstConfig, o Options, root *rng.Source) ([]float64, error) {
 	return RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
-		link := faults.NewLink(burst, r.Split(3))
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		sc.link.Reset(burst, sc.split(r, 3))
 		c := baseline.CSMA{GuardSlots: extGuard}
 		if burst.Active() {
-			c.Drop = func(int) bool { return link.Lost() }
+			c.Drop = sc.drop
 		}
-		res := c.Run(backcastN, backcastT, backcastX, r.Split(2))
+		res := c.Run(backcastN, backcastT, backcastX, sc.split(r, 2), &sc.base)
 		if res.Decision == (backcastX >= backcastT) {
 			return 1, nil
 		}

@@ -2,15 +2,12 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"tcast/internal/audit"
-	"tcast/internal/baseline"
 	"tcast/internal/core"
 	"tcast/internal/count"
 	"tcast/internal/energy"
 	"tcast/internal/fastsim"
-	"tcast/internal/idset"
 	"tcast/internal/kplus"
 	"tcast/internal/multihop"
 	"tcast/internal/pollcast"
@@ -26,26 +23,86 @@ import (
 // the paper lists as future work, and the identification/estimation
 // primitives from the companion group-testing framework.
 
-// channels pools the extension tables' abstract channels. ResetRandom
-// draws exactly what fastsim.RandomPositives draws, so a pooled channel
-// answers and counts like a fresh one.
-var channels = sync.Pool{New: func() any { return new(pooledChannel) }}
-
-// pooledChannel is a channel with the stream it draws from.
-type pooledChannel struct {
-	ch  fastsim.Channel
-	chr rng.Source
+// runOnChannel runs alg over the scratch's channel of defaultN nodes with
+// x random positives, threshold defaultT: the channel draws from the
+// trial's Split(1) and the algorithm from its Split(2).
+func (sc *trialScratch) runOnChannel(alg core.Algorithm, x int, r *rng.Source) (core.Result, error) {
+	ch := sc.channel(defaultN, x, fastsim.DefaultConfig(), r)
+	return core.RunIn(&sc.arena, alg, ch, defaultN, defaultT, sc.split(r, 2))
 }
 
-// randomChannel draws a pooled channel of defaultN nodes with x random
-// positives from r.Split(1), as fastsim.RandomPositives would, and
-// returns it with its pool entry. Put pc back in channels once the trial
-// is done with ch.
-func randomChannel(x int, r *rng.Source) (pc *pooledChannel, ch *fastsim.Channel) {
-	pc = channels.Get().(*pooledChannel)
-	r.SplitInto(1, &pc.chr)
-	pc.ch.ResetRandom(defaultN, x, fastsim.DefaultConfig(), &pc.chr)
-	return pc, &pc.ch
+// kplusRun runs one k+ threshold session at defaultN, defaultT on the
+// scratch's channel with x positives sampled from the trial's Split(1),
+// splitting from Split(2).
+func (sc *trialScratch) kplusRun(k, x int, r *rng.Source) (kplus.Result, error) {
+	sc.kch.Reset(k, defaultN, sc.sample(defaultN, x, r))
+	return kplus.Threshold(&sc.kch, defaultN, defaultT, sc.split(r, 2), &sc.ksc)
+}
+
+// kplusCost measures one k+ threshold session's query count with x
+// positives, recording it as a one-slot-per-query trial span when o
+// traces.
+func kplusCost(k, x int, o Options) pointCost {
+	return func(trial int, r *rng.Source) (float64, error) {
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		res, err := sc.kplusRun(k, x, r)
+		if err != nil {
+			return 0, err
+		}
+		if b := o.Trace; b != nil {
+			// One RCD slot per k+ group query, like fastsim.
+			f := b.Fork(trial)
+			sp := f.Begin(trace.KindTrial, fmt.Sprintf("trial %d", trial))
+			f.Advance(int64(res.Queries))
+			sp.SetAttr(
+				trace.StringAttr("substrate", "kplus"),
+				trace.IntAttr("k", k),
+				trace.IntAttr("n", defaultN), trace.IntAttr("t", defaultT), trace.IntAttr("x", x),
+				trace.IntAttr("queries", res.Queries),
+				trace.BoolAttr("decision", res.Decision),
+			)
+			f.End()
+		}
+		if res.Decision != (x >= defaultT) {
+			return 0, fmt.Errorf("k=%d wrong decision at x=%d", k, x)
+		}
+		return float64(res.Queries), nil
+	}
+}
+
+// estimateCost counts the polls of one cardinality estimate over the
+// scratch's channel with x positives, probing from the trial's Split(2).
+func estimateCost(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+	ch := sc.channel(defaultN, x, fastsim.DefaultConfig(), r)
+	_, queries := count.Estimate(ch, sc.identity(defaultN), count.EstimateOptions{Repeats: 16}, sc.split(r, 2), sc.probe)
+	return float64(queries), nil
+}
+
+// extCost is one extension-table trial on pooled scratch.
+type extCost func(sc *trialScratch, x int, r *rng.Source) (float64, error)
+
+// pooled lifts an extension-table trial into a sweep cost: every trial
+// takes a scratch from trials and puts it back when done.
+func pooled(cost extCost) func(int, Options) pointCost {
+	return func(x int, _ Options) pointCost {
+		return func(_ int, r *rng.Source) (float64, error) {
+			sc := trials.Get().(*trialScratch)
+			defer trials.Put(sc)
+			return cost(sc, x, r)
+		}
+	}
+}
+
+// repliesCost counts the reply transmissions of one alg session: every
+// positive in a polled bin transmits once per poll of that bin.
+func repliesCost(alg core.Algorithm) extCost {
+	return func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+		if _, err := sc.runOnChannel(alg, x, r); err != nil {
+			return 0, err
+		}
+		return float64(sc.ch.Stats().Replies), nil
+	}
 }
 
 func init() {
@@ -59,22 +116,8 @@ func init() {
 				Title:  "positive-node transmissions until the threshold decision",
 				XLabel: "positive nodes x", YLabel: "reply frames sent",
 			}
-			// tcast: every positive in a polled bin transmits once per
-			// poll of that bin.
-			algReplies := func(alg core.Algorithm) func(int, Options) pointCost {
-				return func(x int, _ Options) pointCost {
-					return func(_ int, r *rng.Source) (float64, error) {
-						pc, ch := randomChannel(x, r)
-						defer channels.Put(pc)
-						if _, err := alg.Run(ch, defaultN, defaultT, r.Split(2)); err != nil {
-							return 0, err
-						}
-						return float64(ch.Stats().Replies), nil
-					}
-				}
-			}
 			for i, alg := range []core.Algorithm{core.TwoTBins{}, core.ProbABNS{}} {
-				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), algReplies(alg))
+				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), pooled(repliesCost(alg)))
 				if err != nil {
 					return nil, err
 				}
@@ -83,28 +126,19 @@ func init() {
 			// CSMA: one frame per delivery plus one per collision
 			// participant; the simulator counts collision slots, and at
 			// least two stations transmit in each.
-			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
-					return float64(res.Delivered + 2*res.Collisions), nil
-				}
-			})
+			csma, err := sweep("CSMA", xs, o, root.Split(10), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				res := sc.csma(defaultN, defaultT, x, r)
+				return float64(res.Delivered + 2*res.Collisions), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(csma)
 			// Sequential: exactly the positives scheduled before the
 			// decision transmit.
-			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pos := idset.NewDense(defaultN)
-					for _, id := range r.Split(1).Sample(defaultN, x) {
-						pos.Add(id)
-					}
-					res := baseline.Sequential{}.Run(defaultN, defaultT, pos, r.Split(2))
-					return float64(res.Delivered), nil
-				}
-			})
+			seq, err := sweep("Sequential", xs, o, root.Split(11), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				return float64(sc.sequential(defaultN, defaultT, x, r).Delivered), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -124,46 +158,30 @@ func init() {
 				Title:  "latency to the threshold decision (ms), CC2420 timing",
 				XLabel: "positive nodes x", YLabel: "milliseconds",
 			}
-			tcastMS := func(alg core.Algorithm) func(int, Options) pointCost {
-				return func(x int, _ Options) pointCost {
-					return func(_ int, r *rng.Source) (float64, error) {
-						pc, ch := randomChannel(x, r)
-						defer channels.Put(pc)
-						res, err := alg.Run(ch, defaultN, defaultT, r.Split(2))
-						if err != nil {
-							return 0, err
-						}
-						return costs.TcastLatency(res.Queries, res.Rounds).Seconds() * 1000, nil
-					}
-				}
-			}
 			for i, alg := range []core.Algorithm{core.TwoTBins{}, core.ProbABNS{}} {
-				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), tcastMS(alg))
+				s, err := sweep(alg.Name(), xs, o, root.Split(uint64(i)), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+					res, err := sc.runOnChannel(alg, x, r)
+					if err != nil {
+						return 0, err
+					}
+					return costs.TcastLatency(res.Queries, res.Rounds).Seconds() * 1000, nil
+				}))
 				if err != nil {
 					return nil, err
 				}
 				tab.Add(s)
 			}
-			csma, err := sweep("CSMA", xs, o, root.Split(10), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
-					return costs.CSMALatency(res.Slots, res.Delivered).Seconds() * 1000, nil
-				}
-			})
+			csma, err := sweep("CSMA", xs, o, root.Split(10), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				res := sc.csma(defaultN, defaultT, x, r)
+				return costs.CSMALatency(res.Slots, res.Delivered).Seconds() * 1000, nil
+			}))
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(csma)
-			seq, err := sweep("Sequential", xs, o, root.Split(11), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pos := idset.NewDense(defaultN)
-					for _, id := range r.Split(1).Sample(defaultN, x) {
-						pos.Add(id)
-					}
-					res := baseline.Sequential{}.Run(defaultN, defaultT, pos, r.Split(2))
-					return costs.SequentialLatency(res.Slots).Seconds() * 1000, nil
-				}
-			})
+			seq, err := sweep("Sequential", xs, o, root.Split(11), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				return costs.SequentialLatency(sc.sequential(defaultN, defaultT, x, r).Slots).Seconds() * 1000, nil
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -185,54 +203,43 @@ func init() {
 				XLabel: "positive nodes x", YLabel: "millijoules per participant",
 			}
 			// The auditor's node ledgers count each participant's polls
-			// and replies; one pooled auditor per worker keeps its
-			// account's slots across trials.
-			auditors := sync.Pool{New: func() any { return new(audit.Auditor) }}
-			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pc, ch := randomChannel(x, r)
-					defer channels.Put(pc)
-					a := auditors.Get().(*audit.Auditor)
-					defer auditors.Put(a)
-					if err := a.Reset(ch, audit.Config{N: defaultN, T: defaultT}); err != nil {
-						return 0, err
-					}
-					res, err := (core.TwoTBins{}).Run(a, defaultN, defaultT, r.Split(2))
-					if err != nil {
-						return 0, err
-					}
-					v := a.Finish(res.Decision)
-					rep := energy.TcastSession(model, costs, res.Rounds, v.Polls, defaultN, v.Nodes.At)
-					return rep.MeanNode(), nil
+			// and replies; the scratch's auditor keeps its account's
+			// slots across trials.
+			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				a := &sc.auditor
+				if err := a.Reset(sc.channel(defaultN, x, fastsim.DefaultConfig(), r), audit.Config{N: defaultN, T: defaultT}); err != nil {
+					return 0, err
 				}
-			})
+				res, err := core.RunIn(&sc.arena, core.TwoTBins{}, a, defaultN, defaultT, sc.split(r, 2))
+				if err != nil {
+					return 0, err
+				}
+				v := a.Finish(res.Decision)
+				rep := energy.TcastSession(model, costs, res.Rounds, v.Polls, defaultN, v.Nodes.At, sc.perNode)
+				sc.perNode = rep.PerNode
+				return rep.MeanNode(), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(tcastEnergy)
-			csmaEnergy, err := sweep("CSMA", xs, o, root.Split(2), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					ids := r.Split(1).Sample(defaultN, x)
-					res := baseline.CSMA{}.Run(defaultN, defaultT, x, r.Split(2))
-					rep := energy.CSMASession(model, costs, res.Slots, res.Delivered, defaultN, ids)
-					return rep.MeanNode(), nil
-				}
-			})
+			csmaEnergy, err := sweep("CSMA", xs, o, root.Split(2), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				contenders := sc.positives(defaultN, x, r)
+				res := sc.csma(defaultN, defaultT, x, r)
+				rep := energy.CSMASession(model, costs, res.Slots, res.Delivered, defaultN, contenders.Contains, sc.perNode)
+				sc.perNode = rep.PerNode
+				return rep.MeanNode(), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(csmaEnergy)
-			seqEnergy, err := sweep("Sequential", xs, o, root.Split(3), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pos := idset.NewDense(defaultN)
-					for _, id := range r.Split(1).Sample(defaultN, x) {
-						pos.Add(id)
-					}
-					res := baseline.Sequential{}.Run(defaultN, defaultT, pos, r.Split(2))
-					rep := energy.SequentialSession(model, costs, res.Slots, defaultN, pos.Contains, res.Order)
-					return rep.MeanNode(), nil
-				}
-			})
+			seqEnergy, err := sweep("Sequential", xs, o, root.Split(3), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				res := sc.sequential(defaultN, defaultT, x, r)
+				rep := energy.SequentialSession(model, costs, res.Slots, defaultN, sc.pos.Contains, res.Order, sc.perNode)
+				sc.perNode = rep.PerNode
+				return rep.MeanNode(), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -322,33 +329,8 @@ func init() {
 				XLabel: "positive nodes x", YLabel: "queries",
 			}
 			for i, k := range []int{1, 2, 4, 8} {
-				k := k
 				s, err := sweep(fmt.Sprintf("k=%d", k), xs, o, root.Split(uint64(i)), func(x int, o Options) pointCost {
-					return func(trial int, r *rng.Source) (float64, error) {
-						ch := kplus.RandomChannel(k, defaultN, x, r.Split(1))
-						res, err := kplus.Threshold(ch, defaultN, defaultT, r.Split(2))
-						if err != nil {
-							return 0, err
-						}
-						if b := o.Trace; b != nil {
-							// One RCD slot per k+ group query, like fastsim.
-							f := b.Fork(trial)
-							sp := f.Begin(trace.KindTrial, fmt.Sprintf("trial %d", trial))
-							f.Advance(int64(res.Queries))
-							sp.SetAttr(
-								trace.StringAttr("substrate", "kplus"),
-								trace.IntAttr("k", k),
-								trace.IntAttr("n", defaultN), trace.IntAttr("t", defaultT), trace.IntAttr("x", x),
-								trace.IntAttr("queries", res.Queries),
-								trace.BoolAttr("decision", res.Decision),
-							)
-							f.End()
-						}
-						if res.Decision != (x >= defaultT) {
-							return 0, fmt.Errorf("k=%d wrong decision at x=%d", k, x)
-						}
-						return float64(res.Queries), nil
-					}
+					return kplusCost(k, x, o)
 				})
 				if err != nil {
 					return nil, err
@@ -369,36 +351,22 @@ func init() {
 				Title:  "polls to identify every positive vs. to estimate their count",
 				XLabel: "positive nodes x", YLabel: "queries",
 			}
-			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pc, ch := randomChannel(x, r)
-					defer channels.Put(pc)
-					got, queries, err := count.Identify(ch, defaultN)
-					if err != nil {
-						return 0, err
-					}
-					if len(got) != ch.Positives() {
-						return 0, fmt.Errorf("identification missed positives at x=%d", x)
-					}
-					return float64(queries), nil
+			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
+				ch := sc.channel(defaultN, x, fastsim.DefaultConfig(), r)
+				got, queries, err := count.Identify(ch, defaultN)
+				if err != nil {
+					return 0, err
 				}
-			})
+				if len(got) != ch.Positives() {
+					return 0, fmt.Errorf("identification missed positives at x=%d", x)
+				}
+				return float64(queries), nil
+			}))
 			if err != nil {
 				return nil, err
 			}
 			tab.Add(ident)
-			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), func(x int, _ Options) pointCost {
-				return func(_ int, r *rng.Source) (float64, error) {
-					pc, ch := randomChannel(x, r)
-					defer channels.Put(pc)
-					members := make([]int, defaultN)
-					for i := range members {
-						members[i] = i
-					}
-					_, queries := count.Estimate(ch, members, count.EstimateOptions{Repeats: 16}, r.Split(2))
-					return float64(queries), nil
-				}
-			})
+			est, err := sweep("Estimate (±2x)", xs, o, root.Split(2), pooled(estimateCost))
 			if err != nil {
 				return nil, err
 			}

@@ -27,7 +27,7 @@ func runObserved(t *testing.T, id string, o Options) (table, traceBytes, auditDu
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	enc, err := trace.EncodeBytes(builder.Trace())
+	enc, err := encodeBytes(builder.Trace())
 	if err != nil {
 		t.Fatalf("%s: encoding trace: %v", id, err)
 	}

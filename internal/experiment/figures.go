@@ -9,7 +9,6 @@ import (
 	"tcast/internal/core"
 	"tcast/internal/dist"
 	"tcast/internal/fastsim"
-	"tcast/internal/idset"
 	"tcast/internal/motelab"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
@@ -72,7 +71,9 @@ func baselineTrialSpan(b *trace.Builder, scheme string, trial, n, t, x int, res 
 // csmaCost measures the CSMA baseline's slot count.
 func csmaCost(n, t, x int, o Options) pointCost {
 	return func(trial int, r *rng.Source) (float64, error) {
-		res := baseline.CSMA{}.Run(n, t, x, r.Split(2))
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		res := sc.csma(n, t, x, r)
 		if b := o.Trace; b != nil {
 			baselineTrialSpan(b.Fork(trial), "csma", trial, n, t, x, res)
 		}
@@ -86,11 +87,9 @@ func csmaCost(n, t, x int, o Options) pointCost {
 // sequentialCost measures the sequential-ordering baseline's slot count.
 func sequentialCost(n, t, x int, o Options) pointCost {
 	return func(trial int, r *rng.Source) (float64, error) {
-		pos := idset.NewDense(n)
-		for _, id := range r.Split(1).Sample(n, x) {
-			pos.Add(id)
-		}
-		res := baseline.Sequential{}.Run(n, t, pos, r.Split(2))
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		res := sc.sequential(n, t, x, r)
 		if b := o.Trace; b != nil {
 			baselineTrialSpan(b.Fork(trial), "sequential", trial, n, t, x, res)
 		}
@@ -550,22 +549,24 @@ func abnsFigure(probabilistic bool) func(o Options) (*stats.Table, error) {
 }
 
 // detectorAccuracyCost returns a trial measuring the bimodal detector's
-// correctness (1 correct, 0 wrong) at mode separation d.
+// correctness (1 correct, 0 wrong) at mode separation d. The workload and
+// detector depend on d alone, so the point builds them once; each trial
+// draws x from its Split(1), the positives from Split(2) and the probes
+// from Split(3).
 func detectorAccuracyCost(n int, d float64, repeats func(tl, tr float64) int) pointCost {
+	bi := dist.SymmetricBimodal(n, d, 0)
+	tl, tr := bi.Boundaries()
+	if tl >= tr {
+		err := fmt.Errorf("boundaries not separated for d=%v", d)
+		return func(int, *rng.Source) (float64, error) { return 0, err }
+	}
+	det := core.NewBimodalDetector(tl, tr, repeats(tl, tr))
 	return func(_ int, r *rng.Source) (float64, error) {
-		bi := dist.SymmetricBimodal(n, d, 0)
-		tl, tr := bi.Boundaries()
-		if tl >= tr {
-			return 0, fmt.Errorf("boundaries not separated for d=%v", d)
-		}
-		det := core.NewBimodalDetector(tl, tr, repeats(tl, tr))
-		x, quiet := bi.SampleLabeled(r.Split(1))
-		ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(2))
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		activity, _ := det.Detect(ch, members, r.Split(3))
+		sc := trials.Get().(*trialScratch)
+		defer trials.Put(sc)
+		x, quiet := bi.SampleLabeled(sc.split(r, 1))
+		sc.ch.ResetRandom(n, x, fastsim.DefaultConfig(), sc.split(r, 2))
+		activity, _ := det.Detect(&sc.ch, sc.identity(n), sc.split(r, 3), sc.probe)
 		if activity == !quiet {
 			return 1, nil
 		}

@@ -173,7 +173,7 @@ func TestTracingDoesNotPerturbTrials(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := trace.EncodeBytes(b.Trace())
+			enc, err := encodeBytes(b.Trace())
 			if err != nil {
 				t.Fatal(err)
 			}

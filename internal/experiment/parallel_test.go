@@ -32,7 +32,7 @@ func tracedRun(t *testing.T, e Experiment, workers int) (string, []byte) {
 		t.Fatal(err)
 	}
 	b.End()
-	enc, err := trace.EncodeBytes(b.Trace())
+	enc, err := encodeBytes(b.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func observedRun(t *testing.T, e Experiment, workers, sample int) [5]string {
 	if trace.Analyze(tr).Phases[trace.KindSeries].Spans == 0 {
 		t.Fatalf("%s: no series spans; is it still built from sweep?", e.ID)
 	}
-	enc, err := trace.EncodeBytes(tr)
+	enc, err := encodeBytes(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func sampledRun(t *testing.T, e Experiment, workers, sample int) (string, []byte
 		t.Fatal(err)
 	}
 	b.End()
-	enc, err := trace.EncodeBytes(b.Trace())
+	enc, err := encodeBytes(b.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,4 +355,11 @@ func TestSampledTraceWorkerIndependent(t *testing.T) {
 	if sa.Polls != sa.SampledPolls*8 {
 		t.Fatalf("scaled poll estimate %d, want %d*8", sa.Polls, sa.SampledPolls)
 	}
+}
+
+// encodeBytes renders a trace to a byte slice through Encode.
+func encodeBytes(tr *trace.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	err := trace.Encode(&buf, tr)
+	return buf.Bytes(), err
 }

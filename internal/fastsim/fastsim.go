@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"tcast/internal/binning"
@@ -180,8 +179,10 @@ type Channel struct {
 	bin    []int
 	// posIDs mirrors positives as a sorted ID slice, which QueryStreamed
 	// walks when the positives are fewer than a bin's members. It is
-	// snapshotted at construction/reset, which is sound because the
-	// positive set is fixed for a session's lifetime.
+	// snapshotted at construction/reset — read off the dense set's words,
+	// or at or above idset.SparseCutover sorted from the sample — which
+	// is sound because the positive set is fixed for a session's
+	// lifetime.
 	posIDs []int
 }
 
@@ -242,10 +243,13 @@ func RandomPositives(n, x int, cfg Config, r *rng.Source) (*Channel, *idset.Dens
 // ResetRandom reinitializes the channel in place for a fresh trial: the
 // positive set is redrawn exactly as RandomPositives draws it (the same
 // samplePositives sequence on r, so pooled and fresh channels are
-// bit-identical), the
-// transmission ledger is zeroed, and every internal buffer is recycled.
-// Pooled trial state calls ResetRandom between trials instead of
-// allocating a new channel.
+// bit-identical), the transmission ledger is zeroed, and every internal
+// buffer is recycled, so a warm reset allocates nothing. The sorted
+// positives follow the sampler: below idset.SparseCutover, where the
+// dense sampler already costs O(n), they are read back off the dense
+// set's words without a sort; at or above it Floyd's O(x) sample is
+// sorted instead. Pooled trial state calls ResetRandom between trials
+// instead of allocating a new channel.
 func (c *Channel) ResetRandom(n, x int, cfg Config, r *rng.Source) {
 	if cfg.Capture == nil {
 		cfg.Capture = defaultCapture
@@ -259,8 +263,14 @@ func (c *Channel) ResetRandom(n, x int, cfg Config, r *rng.Source) {
 	for _, id := range c.sampleBuf {
 		c.positives.Add(id)
 	}
-	c.posIDs = append(c.posIDs[:0], c.sampleBuf...)
-	sort.Ints(c.posIDs)
+	if n >= idset.SparseCutover {
+		// Floyd's few IDs in a huge field: sorting them costs less than
+		// reading n/64 words.
+		c.posIDs = append(c.posIDs[:0], c.sampleBuf...)
+		slices.Sort(c.posIDs)
+	} else {
+		c.posIDs = c.positives.AppendMembers(c.posIDs[:0])
+	}
 	c.cfg = cfg
 	c.r = r
 	c.stats = TxStats{}

@@ -77,13 +77,21 @@ func TestQueryMatchesReference(t *testing.T) {
 func TestResetRandomMatchesRandomPositives(t *testing.T) {
 	cfg := TwoPlusConfig()
 	var pooled Channel
-	for seed := uint64(1); seed <= 10; seed++ {
+	for seed := uint64(1); seed <= 14; seed++ {
+		// Seeds past 10 straddle the sparse cutover, where the sorted
+		// store is sorted from the sample instead of read off the words.
 		n := 64 + int(seed%3)*40
+		if seed > 10 {
+			n = idset.SparseCutover - 2 + int(seed%4)
+		}
 		x := int(seed % 20)
 		fresh, set := RandomPositives(n, x, cfg, rng.New(seed))
 		pooled.ResetRandom(n, x, cfg, rng.New(seed))
 		if got := pooled.positives; got.Cap() != set.Cap() || !slices.Equal(got.Members(), set.Members()) {
 			t.Fatalf("seed %d: pooled positives differ from fresh", seed)
+		}
+		if !slices.Equal(pooled.posIDs, set.Members()) {
+			t.Fatalf("seed %d n=%d: sorted positives %v, want %v", seed, n, pooled.posIDs, set.Members())
 		}
 		if pooled.Stats() != (TxStats{}) {
 			t.Fatalf("seed %d: stats not zeroed: %+v", seed, pooled.Stats())

@@ -505,8 +505,16 @@ type Link struct {
 
 // NewLink creates a single Gilbert–Elliott link drawing from r.
 func NewLink(cfg BurstConfig, r *rng.Source) *Link {
+	l := new(Link)
+	l.Reset(cfg, r)
+	return l
+}
+
+// Reset returns the link to the state NewLink(cfg, r) creates: the good
+// state, drawing from r. Pooled trial state reuses one link this way.
+func (l *Link) Reset(cfg BurstConfig, r *rng.Source) {
 	c := Config{Burst: cfg}.normalized()
-	return &Link{cfg: c.Burst, r: r}
+	*l = Link{cfg: c.Burst, r: r}
 }
 
 // Lost advances the chain one step and reports whether a frame sent this

@@ -12,8 +12,9 @@ import (
 // retired, so a k=4 radio needs only a handful of polls.
 func ExampleThreshold() {
 	r := rng.New(1)
-	ch := kplus.RandomChannel(4, 128, 20, r.Split(1)) // k=4, 20 of 128 positive
-	res, err := kplus.Threshold(ch, 128, 16, r.Split(2))
+	var ch kplus.Channel
+	ch.Reset(4, 128, r.Split(1).Sample(128, 20)) // k=4, 20 of 128 positive
+	res, err := kplus.Threshold(&ch, 128, 16, r.Split(2), nil)
 	if err != nil {
 		panic(err)
 	}

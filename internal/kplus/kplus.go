@@ -15,6 +15,7 @@ package kplus
 import (
 	"fmt"
 
+	"tcast/internal/idset"
 	"tcast/internal/rng"
 )
 
@@ -37,28 +38,26 @@ type Querier interface {
 }
 
 // Channel is the abstract k+ substrate over a known ground truth. It
-// implements Querier.
+// implements Querier. The zero value is ready for Reset, which re-targets
+// it in place, so a pooled channel serves trial after trial without
+// allocating.
 type Channel struct {
-	positive map[int]bool
+	positive idset.Dense
 	k        int
 }
 
-// NewChannel builds a channel where the listed nodes are positive and the
-// radio resolves counts below k. It panics if k < 1.
-func NewChannel(k int, positives []int) *Channel {
+// Reset re-targets the channel at participants {0..n-1}, of which exactly
+// the listed nodes are positive, under a radio that resolves counts below
+// k. It panics if k < 1 or an ID is outside [0, n).
+func (c *Channel) Reset(k, n int, positives []int) {
 	if k < 1 {
 		panic("kplus: k must be at least 1")
 	}
-	pos := make(map[int]bool, len(positives))
+	c.positive.Reset(n)
 	for _, id := range positives {
-		pos[id] = true
+		c.positive.Add(id)
 	}
-	return &Channel{positive: pos, k: k}
-}
-
-// RandomChannel draws x positives out of {0..n-1}.
-func RandomChannel(k, n, x int, r *rng.Source) *Channel {
-	return NewChannel(k, r.Sample(n, x))
+	c.k = k
 }
 
 // K implements Querier.
@@ -68,7 +67,7 @@ func (c *Channel) K() int { return c.k }
 func (c *Channel) Query(bin []int) Response {
 	count := 0
 	for _, id := range bin {
-		if c.positive[id] {
+		if c.positive.Contains(id) {
 			count++
 			if count >= c.k {
 				return Response{Count: c.k, Saturated: true}
@@ -86,12 +85,21 @@ type Result struct {
 	Queries int
 }
 
+// Scratch is Threshold's reusable state: the random split order and the
+// stack of pending bins. Pooled trials keep one per worker, so a warm
+// session allocates nothing; a nil *Scratch gives the session fresh
+// buffers. Not safe for concurrent use.
+type Scratch struct {
+	order   []int
+	pending [][]int
+}
+
 // Threshold answers "x >= t?" by splitting saturated bins: resolved bins
 // (count < k) retire their nodes and bank their exact counts; saturated
 // bins split in half. The session decides as soon as the banked count
 // reaches t, or when even k-saturating every outstanding bin cannot reach
-// it.
-func Threshold(q Querier, n, t int, r *rng.Source) (Result, error) {
+// it. The split order is drawn into sc.
+func Threshold(q Querier, n, t int, r *rng.Source, sc *Scratch) (Result, error) {
 	if n < 0 || t < 0 {
 		return Result{}, fmt.Errorf("kplus: negative n=%d or t=%d", n, t)
 	}
@@ -101,12 +109,17 @@ func Threshold(q Querier, n, t int, r *rng.Source) (Result, error) {
 	if t > n {
 		return Result{}, nil
 	}
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	k := q.K()
-	members := r.Perm(n) // random split order, matching the paper's random binning
+	sc.order = r.PermInto(sc.order, n) // random split order, matching the paper's random binning
 	confirmed := 0
 	var res Result
-	// pending holds bins that may still contain unknown positives.
-	pending := [][]int{members}
+	// pending holds bins that may still contain unknown positives; it is
+	// handed back to sc however the session ends.
+	pending := append(sc.pending[:0], sc.order)
+	defer func() { sc.pending = pending[:0] }()
 	pendingNodes := n
 	for len(pending) > 0 {
 		// Upper bound: banked + everything pending being positive.

@@ -18,8 +18,20 @@ func (c *countingQuerier) Query(bin []int) Response {
 	return c.Querier.Query(bin)
 }
 
+// channel returns a channel over {0..n-1} with the listed positives.
+func channel(k, n int, positives ...int) *Channel {
+	ch := new(Channel)
+	ch.Reset(k, n, positives)
+	return ch
+}
+
+// randomChannel draws x positives out of {0..n-1}.
+func randomChannel(k, n, x int, r *rng.Source) *Channel {
+	return channel(k, n, r.Sample(n, x)...)
+}
+
 func TestChannelExactBelowK(t *testing.T) {
-	ch := &countingQuerier{Querier: NewChannel(4, []int{1, 2, 3})}
+	ch := &countingQuerier{Querier: channel(4, 8, 1, 2, 3)}
 	resp := ch.Query([]int{0, 1, 2, 3, 4})
 	if resp.Saturated || resp.Count != 3 {
 		t.Fatalf("3 positives under k=4: %+v", resp)
@@ -34,7 +46,7 @@ func TestChannelExactBelowK(t *testing.T) {
 }
 
 func TestChannelSaturates(t *testing.T) {
-	ch := NewChannel(2, []int{1, 2, 3})
+	ch := channel(2, 8, 1, 2, 3)
 	resp := ch.Query([]int{1, 2, 3})
 	if !resp.Saturated || resp.Count != 2 {
 		t.Fatalf("3 positives under k=2: %+v", resp)
@@ -43,7 +55,7 @@ func TestChannelSaturates(t *testing.T) {
 
 func TestChannelKOneIsRCD(t *testing.T) {
 	// k=1 degenerates to the paper's 1+ model: silence vs activity.
-	ch := NewChannel(1, []int{5})
+	ch := channel(1, 8, 5)
 	if resp := ch.Query([]int{5, 6}); !resp.Saturated {
 		t.Fatal("activity not saturated under k=1")
 	}
@@ -52,13 +64,13 @@ func TestChannelKOneIsRCD(t *testing.T) {
 	}
 }
 
-func TestNewChannelPanicsOnBadK(t *testing.T) {
+func TestResetPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("k=0 accepted")
 		}
 	}()
-	NewChannel(0, nil)
+	new(Channel).Reset(0, 8, nil)
 }
 
 func TestThresholdCorrect(t *testing.T) {
@@ -69,8 +81,8 @@ func TestThresholdCorrect(t *testing.T) {
 		} {
 			for seed := uint64(0); seed < 3; seed++ {
 				r := rng.New(seed)
-				ch := RandomChannel(k, tc.n, tc.x, r.Split(1))
-				res, err := Threshold(ch, tc.n, tc.th, r.Split(2))
+				ch := randomChannel(k, tc.n, tc.x, r.Split(1))
+				res, err := Threshold(ch, tc.n, tc.th, r.Split(2), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,18 +94,56 @@ func TestThresholdCorrect(t *testing.T) {
 	}
 }
 
+// TestPooledSessionsMatchFresh: one Channel and Scratch reused across
+// sessions of varying k, n and x decide and cost exactly what fresh ones
+// do, and a warm session allocates nothing.
+func TestPooledSessionsMatchFresh(t *testing.T) {
+	var (
+		ch  Channel
+		sc  Scratch
+		ids []int
+	)
+	root := rng.New(77)
+	for i := 0; i < 300; i++ {
+		k, n := 1+i%8, 1+(i*13)%130
+		x, th := (i*7)%(n+1), (i*3)%(n+2)
+		r := root.Split(uint64(i))
+		want, err := Threshold(randomChannel(k, n, x, r.Split(1)), n, th, r.Split(2), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _ = r.Split(1).SampleInto(n, x, ids, nil)
+		ch.Reset(k, n, ids)
+		got, err := Threshold(&ch, n, th, r.Split(2), &sc)
+		if err != nil || got != want {
+			t.Fatalf("k=%d n=%d t=%d x=%d: pooled %+v (%v), fresh %+v", k, n, th, x, got, err, want)
+		}
+	}
+	ids, _ = rng.New(1).SampleInto(128, 16, ids, nil)
+	r := rng.New(2)
+	allocs := testing.AllocsPerRun(50, func() {
+		ch.Reset(4, 128, ids)
+		if _, err := Threshold(&ch, 128, 16, r, &sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm pooled session: %v allocs, want 0", allocs)
+	}
+}
+
 func TestThresholdTrivial(t *testing.T) {
 	r := rng.New(1)
-	ch := RandomChannel(2, 8, 3, r)
-	res, err := Threshold(ch, 8, 0, r)
+	ch := randomChannel(2, 8, 3, r)
+	res, err := Threshold(ch, 8, 0, r, nil)
 	if err != nil || !res.Decision || res.Queries != 0 {
 		t.Fatalf("t=0: %+v, %v", res, err)
 	}
-	res, err = Threshold(ch, 8, 9, r)
+	res, err = Threshold(ch, 8, 9, r, nil)
 	if err != nil || res.Decision || res.Queries != 0 {
 		t.Fatalf("t>n: %+v, %v", res, err)
 	}
-	if _, err := Threshold(ch, -1, 2, r); err == nil {
+	if _, err := Threshold(ch, -1, 2, r, nil); err == nil {
 		t.Fatal("negative n accepted")
 	}
 }
@@ -107,8 +157,8 @@ func TestLargerKThresholdCheaperNearT(t *testing.T) {
 		root := rng.New(uint64(200 + k))
 		for i := 0; i < runs; i++ {
 			r := root.Split(uint64(i))
-			ch := RandomChannel(k, n, x, r.Split(1))
-			res, err := Threshold(ch, n, th, r.Split(2))
+			ch := randomChannel(k, n, x, r.Split(1))
+			res, err := Threshold(ch, n, th, r.Split(2), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,8 +181,8 @@ func TestQuickThresholdAndCount(t *testing.T) {
 		th := int(tRaw) % (n + 2)
 		x := int(xRaw) % (n + 1)
 		r := rng.New(seed)
-		ch := RandomChannel(k, n, x, r.Split(1))
-		res, err := Threshold(ch, n, th, r.Split(2))
+		ch := randomChannel(k, n, x, r.Split(1))
+		res, err := Threshold(ch, n, th, r.Split(2), nil)
 		return err == nil && res.Decision == (x >= th)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

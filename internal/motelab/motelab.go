@@ -152,6 +152,13 @@ type Lab struct {
 	root      *rng.Source
 	parts     []*mote.Participant
 	initiator *mote.Initiator
+
+	// The controller's per-run scratch, reused run after run: the run's
+	// stream, the positive draw (SampleInto's result and scratch) and
+	// each mote's configured predicate.
+	r        rng.Source
+	ids, idx []int
+	positive []bool
 }
 
 // initiatorID keeps the querying mote's radio ID clear of the
@@ -202,8 +209,12 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		pub       obs.Publisher
 		observers []query.Observer
 	)
+	if len(l.positive) != len(l.parts) {
+		l.positive = make([]bool, len(l.parts))
+	}
+	positive := l.positive
 	for rep := 0; rep < repeats; rep++ {
-		r := l.root.Split(uint64(threshold)<<40 | uint64(x)<<20 | uint64(rep))
+		l.root.SplitInto(uint64(threshold)<<40|uint64(x)<<20|uint64(rep), &l.r)
 
 		// Reboot everything "to remove the effect of the previous run".
 		l.initiator.Reboot()
@@ -212,8 +223,9 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		}
 
 		// Configure the run: x random positives and the threshold.
-		positive := make(map[int]bool, x)
-		for _, id := range r.Sample(len(l.parts), x) {
+		clear(positive)
+		l.ids, l.idx = l.r.SampleInto(len(l.parts), x, l.ids, l.idx)
+		for _, id := range l.ids {
 			positive[id] = true
 		}
 		for _, p := range l.parts {
@@ -229,7 +241,11 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 
 		// Replay the initiator's poll record through a Tap, so the metrics,
 		// span and bus observers see the run as they see a live session.
-		label := fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", core.TwoTBins{}.Name(), threshold, x, rep)
+		var label string
+		bus := l.cfg.Obs
+		if l.cfg.Audit != nil || bus != nil {
+			label = fmt.Sprintf("motelab/%s/t=%d/x=%d/rep=%d", core.TwoTBins{}.Name(), threshold, x, rep)
+		}
 		observers = observers[:0]
 		if m := l.cfg.Metrics; m != nil {
 			mo.Reset(m)
@@ -239,7 +255,6 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		if b != nil {
 			observers = append(observers, &so)
 		}
-		bus := l.cfg.Obs
 		if bus != nil {
 			pub = obs.Publisher{Bus: bus, Session: label, Trial: rep}
 			observers = append(observers, &pub)
@@ -272,7 +287,7 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 			for i, rec := range outcome.Trace {
 				polls[i] = audit.ReplayPoll{Bin: rec.Bin, Resp: rp.response(i)}
 			}
-			truth := audit.TruthFunc(func(id int) bool { return positive[id] })
+			truth := audit.TruthFunc(func(id int) bool { return id >= 0 && id < len(positive) && positive[id] })
 			v := audit.GradeReplay(threshold, x, truth,
 				query.Traits{Model: query.OnePlus}, polls, outcome.Decision)
 			if c := l.cfg.Audit; c != nil {

@@ -58,10 +58,10 @@ func NewField(width, height, nodesPerRegion int, load float64) (*Field, error) {
 // Regions returns the number of regions in the field.
 func (f *Field) Regions() int { return f.Width * f.Height }
 
-// Neighbors returns the 4-neighborhood of region i in row-major order.
-func (f *Field) Neighbors(i int) []int {
+// AppendNeighbors appends the 4-neighborhood of region i, in row-major
+// order, to out.
+func (f *Field) AppendNeighbors(out []int, i int) []int {
 	x, y := i%f.Width, i/f.Width
-	var out []int
 	if y > 0 {
 		out = append(out, i-f.Width)
 	}
@@ -82,7 +82,8 @@ func (f *Field) Neighbors(i int) []int {
 // offered load L contributes an independent busy probability L·coupling.
 func (f *Field) InterferenceAt(i int, coupling float64) float64 {
 	quiet := 1.0
-	for _, nb := range f.Neighbors(i) {
+	var hood [4]int
+	for _, nb := range f.AppendNeighbors(hood[:0], i) {
 		quiet *= 1 - f.Load[nb]*coupling
 	}
 	return 1 - quiet
@@ -169,11 +170,12 @@ func (c Campaign) Run(seed uint64) ([]RegionResult, Summary, error) {
 
 // regionState is the session state one worker reuses from region to
 // region, and through regionPool from campaign to campaign: the 2tBins
-// arena, the participants and the pollcast session over them, the
-// positive-draw buffers and the region's random streams. It is used by
-// one goroutine at a time.
+// arena, the participants and the pollcast session over them, the radio
+// medium, the positive-draw buffers and the region's random streams. It
+// is used by one goroutine at a time.
 type regionState struct {
 	arena core.Arena
+	med   radio.Medium
 	parts []pollcast.Participant
 	// sess holds one session per primitive over parts, so campaigns
 	// that alternate pollcast and backcast rebuild neither.
@@ -238,10 +240,11 @@ func (c Campaign) runRegion(i int, root *rng.Source, st *regionState) (RegionRes
 		st.parts[id].Positive = true
 	}
 	st.region.SplitInto(2, &st.medium)
-	sess.Reset(radio.NewMedium(radio.Config{
+	st.med.Reset(radio.Config{
 		InterferenceProb: f.InterferenceAt(i, c.Coupling),
 		InterferenceJams: c.Jam,
-	}, &st.medium))
+	}, &st.medium)
+	sess.Reset(&st.med)
 	st.region.SplitInto(3, &st.alg)
 	res, err := (core.TwoTBins{}).RunIn(&st.arena, sess, n, c.Threshold, &st.alg)
 	if err != nil {

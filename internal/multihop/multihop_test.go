@@ -44,7 +44,7 @@ func TestNeighbors(t *testing.T) {
 		8: {5, 7},       // corner
 	}
 	for region, want := range cases {
-		got := f.Neighbors(region)
+		got := f.AppendNeighbors(nil, region)
 		if len(got) != len(want) {
 			t.Fatalf("Neighbors(%d) = %v, want %v", region, got, want)
 		}
@@ -260,12 +260,12 @@ func TestQuickNeighborsSymmetric(t *testing.T) {
 			return false
 		}
 		i := int(iRaw) % field.Regions()
-		for _, j := range field.Neighbors(i) {
+		for _, j := range field.AppendNeighbors(nil, i) {
 			if j == i {
 				return false
 			}
 			back := false
-			for _, k := range field.Neighbors(j) {
+			for _, k := range field.AppendNeighbors(nil, j) {
 				if k == i {
 					back = true
 				}

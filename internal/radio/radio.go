@@ -156,7 +156,16 @@ type Medium struct {
 
 // NewMedium creates a channel with the given imperfections.
 func NewMedium(cfg Config, r *rng.Source) *Medium {
-	return &Medium{cfg: cfg, r: r}
+	m := new(Medium)
+	m.Reset(cfg, r)
+	return m
+}
+
+// Reset returns the medium to the state NewMedium(cfg, r) creates — slot
+// zero, no air time, no open slot — keeping its frame buffers, so pooled
+// trial state reuses one medium without allocating.
+func (m *Medium) Reset(cfg Config, r *rng.Source) {
+	*m = Medium{cfg: cfg, r: r, cur: m.cur[:0], incoming: m.incoming[:0]}
 }
 
 // Slot returns the index of the current (or last completed) slot.

@@ -185,15 +185,25 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
+// PermInto fills dst with a uniformly random permutation of [0, n) and
+// returns it, reusing dst's storage when it holds n values. The draws are
+// an inside-out Fisher-Yates pass: index i ascends from 1, each drawing
+// one Intn(i+1), so a reused buffer's stale contents never matter.
+func (r *Source) PermInto(dst []int, n int) []int {
+	if cap(dst) < n {
+		dst = make([]int, n)
+	} else {
+		dst = dst[:n]
+	}
+	if n > 0 {
+		dst[0] = 0
+	}
 	for i := 1; i < n; i++ {
 		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
+		dst[i] = dst[j]
+		dst[j] = i
 	}
-	return p
+	return dst
 }
 
 // ShuffleInts shuffles s in place with the Fisher-Yates algorithm: swap

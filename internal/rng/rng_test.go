@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,8 +167,9 @@ func TestNormalMoments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	r := New(37)
+	var buf []int
 	for n := 0; n < 30; n++ {
-		p := r.Perm(n)
+		p := r.PermInto(buf, n)
 		if len(p) != n {
 			t.Fatalf("Perm(%d) has length %d", n, len(p))
 		}
@@ -178,6 +180,38 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
+		buf = p
+	}
+}
+
+// TestPermIntoMatchesFreshBuffer: a reused buffer of any size and
+// contents draws the same permutation, from the same draws, as a fresh
+// zeroed one filled by the inside-out Fisher-Yates reference.
+func TestPermIntoMatchesFreshBuffer(t *testing.T) {
+	dirty := make([]int, 0, 64)
+	for i := 0; i < cap(dirty); i++ {
+		dirty = append(dirty, 1000+i)
+	}
+	for n := 0; n < 40; n++ {
+		want, ref := make([]int, n), New(uint64(n))
+		for i := 1; i < n; i++ {
+			j := ref.Intn(i + 1)
+			want[i] = want[j]
+			want[j] = i
+		}
+		r := New(uint64(n))
+		got := r.PermInto(dirty, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("PermInto(dirty, %d) = %v, want %v", n, got, want)
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("PermInto(dirty, %d) consumed a different number of draws", n)
+		}
+	}
+	r := New(9)
+	buf := r.PermInto(nil, 128)
+	if allocs := testing.AllocsPerRun(50, func() { buf = r.PermInto(buf, 128) }); allocs != 0 {
+		t.Errorf("warm PermInto: %v allocs, want 0", allocs)
 	}
 }
 
@@ -185,8 +219,10 @@ func TestPermUniformFirstElement(t *testing.T) {
 	r := New(41)
 	const n, trials = 5, 50000
 	counts := make([]int, n)
+	var buf []int
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(n)[0]]++
+		buf = r.PermInto(buf, n)
+		counts[buf[0]]++
 	}
 	want := float64(trials) / n
 	for i, c := range counts {

@@ -136,7 +136,7 @@ func (o *layerOutputs) dump(t *testing.T) []string {
 	}
 	if o.tb != nil {
 		o.tb.Graft()
-		data, err := trace.EncodeBytes(o.tb.Trace())
+		data, err := encodeBytes(o.tb.Trace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,4 +516,11 @@ func TestValidate(t *testing.T) {
 	if _, err := Model("3+"); err == nil {
 		t.Error("unknown model accepted")
 	}
+}
+
+// encodeBytes renders a trace to a byte slice through Encode.
+func encodeBytes(tr *trace.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	err := trace.Encode(&buf, tr)
+	return buf.Bytes(), err
 }

@@ -166,22 +166,18 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// EncodeBytes renders the trace to a byte slice.
-func EncodeBytes(t *Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, t); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// WriteFile encodes the trace into path.
+// WriteFile encodes the trace into path, streaming Encode's chunks to
+// the file so a trace of any size costs one encode buffer.
 func WriteFile(path string, t *Trace) error {
-	data, err := EncodeBytes(t)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	if err := Encode(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Decode parses a JSONL trace, validating the schema version and the

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,7 +204,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	root := rng.New(2011)
 	for i := 0; i < 50; i++ {
 		tr := randomTrace(root.Split(uint64(i)))
-		enc1, err := trace.EncodeBytes(tr)
+		enc1, err := encodeBytes(tr)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
@@ -210,7 +212,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		enc2, err := trace.EncodeBytes(dec)
+		enc2, err := encodeBytes(dec)
 		if err != nil {
 			t.Fatalf("case %d: re-encode: %v", i, err)
 		}
@@ -235,6 +237,46 @@ func TestCodecFileRoundTrip(t *testing.T) {
 	}
 	if d := trace.Diff(tr, got); !d.Identical {
 		t.Fatalf("file round trip differs: %s", d)
+	}
+}
+
+// TestWriteFileStreams: WriteFile writes exactly Encode's bytes for
+// a trace many encode chunks long, and streams them, so the bytes it
+// allocates do not grow with the trace.
+func TestWriteFileStreams(t *testing.T) {
+	dir := t.TempDir()
+	written := func(polls int) ([]byte, uint64) {
+		tr := wideTrace(polls)
+		path := filepath.Join(dir, "t.jsonl")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := trace.WriteFile(path, tr); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeBytes(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d polls: file holds %d bytes that differ from Encode's %d", polls, len(got), len(want))
+		}
+		return got, after.TotalAlloc - before.TotalAlloc
+	}
+	small, smallBytes := written(10)
+	large, largeBytes := written(40000)
+	if len(large) < 64<<10 {
+		t.Fatalf("large trace is %d bytes, want over 64 KB", len(large))
+	}
+	// One encode buffer either way; the slack absorbs the runtime's own
+	// allocations between the two MemStats reads.
+	if largeBytes > smallBytes+16<<10 {
+		t.Errorf("WriteFile allocated %d B for %d trace bytes but %d B for %d: not flat",
+			largeBytes, len(large), smallBytes, len(small))
 	}
 }
 
@@ -320,7 +362,7 @@ func TestDiffLengthMismatch(t *testing.T) {
 // re-encodes to bytes that decode and re-encode identically.
 func FuzzTraceDecode(f *testing.F) {
 	for i := uint64(0); i < 4; i++ {
-		enc, err := trace.EncodeBytes(randomTrace(rng.New(i)))
+		enc, err := encodeBytes(randomTrace(rng.New(i)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -334,7 +376,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc1, err := trace.EncodeBytes(tr)
+		enc1, err := encodeBytes(tr)
 		if err != nil {
 			t.Fatalf("encode of a decoded trace: %v", err)
 		}
@@ -342,7 +384,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of a re-encoded trace: %v\n%s", err, enc1)
 		}
-		enc2, err := trace.EncodeBytes(back)
+		enc2, err := encodeBytes(back)
 		if err != nil {
 			t.Fatalf("second encode: %v", err)
 		}
@@ -350,4 +392,11 @@ func FuzzTraceDecode(f *testing.F) {
 			t.Fatalf("re-encoding not stable:\n%s\nvs\n%s", enc1, enc2)
 		}
 	})
+}
+
+// encodeBytes renders a trace to a byte slice through Encode.
+func encodeBytes(tr *trace.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	err := trace.Encode(&buf, tr)
+	return buf.Bytes(), err
 }

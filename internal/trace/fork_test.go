@@ -34,7 +34,7 @@ func TestGraftMatchesSerialEmission(t *testing.T) {
 		emitTrial(serial, i)
 	}
 	serial.End()
-	want, err := EncodeBytes(serial.Trace())
+	want, err := encodeBytes(serial.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGraftMatchesSerialEmission(t *testing.T) {
 	}
 	forked.Graft()
 	forked.End()
-	got, err := EncodeBytes(forked.Trace())
+	got, err := encodeBytes(forked.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,4 +142,11 @@ func TestDropForks(t *testing.T) {
 	if b.now != 0 || len(b.Trace().Roots) != 0 {
 		t.Fatal("dropped forks leaked into the trace")
 	}
+}
+
+// encodeBytes renders a trace to a byte slice through Encode.
+func encodeBytes(tr *Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	err := Encode(&buf, tr)
+	return buf.Bytes(), err
 }

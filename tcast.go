@@ -212,7 +212,7 @@ func (d *Detector) Repeats() int { return d.det.R }
 // (the high mode) is present, plus the number of polls spent.
 func (d *Detector) Detect(nw *Network) (activity bool, queries int) {
 	ch, r := nw.session()
-	return d.det.Detect(ch, d.members, r)
+	return d.det.Detect(ch, d.members, r, nil)
 }
 
 // QueryAtMost answers "are at most t nodes positive?" — the complement
@@ -255,7 +255,7 @@ func (nw *Network) EstimateCount(repeats int) (estimate float64, queries int) {
 	for i := range members {
 		members[i] = i
 	}
-	return count.Estimate(ch, members, count.EstimateOptions{Repeats: repeats}, r)
+	return count.Estimate(ch, members, count.EstimateOptions{Repeats: repeats}, r, nil)
 }
 
 // Bimodal re-exports the Section VI workload model for building
