@@ -241,7 +241,8 @@ func (v Verdict) Correct() bool { return v.Outcome == OutcomeCorrect }
 // partition, each label set partitions its total exactly.
 const (
 	// MetricAuditPolls counts graded polls, partitioned by a class="..."
-	// label.
+	// label. It moves once per session, by the session's class counts,
+	// when the auditor flushes (Flush, Finish).
 	MetricAuditPolls = "tcast_audit_polls_total"
 	// MetricAuditSessions counts graded sessions, partitioned by an
 	// outcome="..." label.
@@ -273,6 +274,7 @@ type Auditor struct {
 
 	polls      []PollRecord
 	classes    [NumClasses]int
+	flushed    bool // classes added to the registry (Flush)
 	violations []Violation
 
 	initiator energy.SlotLedger
@@ -345,6 +347,7 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 	a.nodes.reset(cfg.N)
 	a.polls = a.polls[:0]
 	a.classes = [NumClasses]int{}
+	a.flushed = false
 	a.violations = a.violations[:0]
 	a.initiator = energy.SlotLedger{}
 	a.verdict = nil
@@ -403,23 +406,32 @@ func (a *Auditor) OnRound(int) { a.shadow.StartRound() }
 
 // OnPoll implements query.Observer: grade the response, check the
 // Knowledge invariants around a shadow Apply, account channel occupancy.
+// One pass over the bin checks it against the candidates before the
+// poll, counts its true positives (one IsPositive per member) and charges
+// the node ledgers.
 func (a *Auditor) OnPoll(_ int, bin []int, resp query.Response) {
 	idx := len(a.polls)
 	traits := a.Traits()
 
+	subset, stray, k := true, 0, 0
 	for _, id := range bin {
-		if id < 0 || id >= a.n || !a.shadow.Candidates.Contains(id) {
-			a.violate(idx, InvariantBinSubset,
-				fmt.Sprintf("node %d polled outside the candidate set", id))
-			break
+		inField := id >= 0 && id < a.n
+		if subset && (!inField || !a.shadow.Candidates.Contains(id)) {
+			subset, stray = false, id
 		}
-	}
-
-	k := 0
-	for _, id := range bin {
-		if a.truth.IsPositive(id) {
+		positive := a.truth.IsPositive(id)
+		if positive {
 			k++
 		}
+		if inField {
+			a.charge(id, positive)
+		}
+	}
+	a.initiator.Tx++
+	a.initiator.Rx++
+	if !subset {
+		a.violate(idx, InvariantBinSubset,
+			fmt.Sprintf("node %d polled outside the candidate set", stray))
 	}
 	class := classify(bin, resp, traits, a.truth, k)
 
@@ -444,11 +456,7 @@ func (a *Auditor) OnPoll(_ int, bin []int, resp query.Response) {
 		}
 	}
 
-	a.account(bin)
 	a.classes[class]++
-	if c := a.mPolls[class]; c != nil {
-		c.Inc()
-	}
 	a.polls = append(a.polls, PollRecord{
 		BinSize: len(bin), Kind: resp.Kind, TruePositives: k, Class: class,
 	})
@@ -461,10 +469,28 @@ func (a *Auditor) violate(poll int, inv Invariant, detail string) {
 	}
 }
 
-// Finish grades the finished session's decision and returns the Verdict.
-// Call it before the span layer's EndSession so the causal-poll
-// attributes land on the closing session span.
+// Flush adds the session's graded polls to tcast_audit_polls_total, by
+// class, once per session: Finish calls it, and a session that ends
+// without a decision calls it in Finish's place. Later calls before the
+// next Reset add nothing.
+func (a *Auditor) Flush() {
+	if a.flushed {
+		return
+	}
+	a.flushed = true
+	for c, n := range a.classes {
+		if m := a.mPolls[c]; m != nil && n > 0 {
+			m.Add(int64(n))
+		}
+	}
+}
+
+// Finish grades the finished session's decision, flushes the session's
+// poll classes to the registry and returns the Verdict. Call it before
+// the span layer's EndSession so the causal-poll attributes land on the
+// closing session span.
 func (a *Auditor) Finish(decision bool) Verdict {
+	a.Flush()
 	truth := a.trueX >= a.t
 	outcome, causal := attribute(decision, truth, a.polls)
 	v := Verdict{

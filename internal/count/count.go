@@ -15,33 +15,50 @@ package count
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tcast/internal/binning"
 	"tcast/internal/query"
 	"tcast/internal/rng"
 )
 
+// Scratch is Identify's reusable state: the identity bin it splits, the
+// stack of pending sub-bins and the positives found. Pooled trials keep
+// one per worker, so a warm call allocates nothing; a nil *Scratch gives
+// the call fresh buffers. Not safe for concurrent use.
+type Scratch struct {
+	all       []int
+	stack     [][]int
+	positives []int
+}
+
 // Identify returns the exact set of positive nodes among {0..n-1} using
 // adaptive binary splitting, plus the number of group polls spent. Under
 // the 2+ model, decoded replies short-circuit part of the recursion.
 // Results are sorted. The cost is at most 2x·(log2(n)+1)+1 polls for x
-// positives.
-func Identify(q query.Querier, n int) (positives []int, queries int, err error) {
+// positives. The positives are sc's storage, valid until sc's next call.
+func Identify(q query.Querier, n int, sc *Scratch) (positives []int, queries int, err error) {
 	if n < 0 {
 		return nil, 0, fmt.Errorf("count: negative population %d", n)
 	}
 	if n == 0 {
 		return nil, 0, nil
 	}
-	traits := q.Traits()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	if sc == nil {
+		sc = new(Scratch)
 	}
+	traits := q.Traits()
+	all := sc.all[:0]
+	for i := 0; i < n; i++ {
+		all = append(all, i)
+	}
+	sc.all = all
+	positives = sc.positives[:0]
 	// Depth-first over sub-bins; each element is a candidate set known
-	// to possibly contain positives.
-	stack := [][]int{all}
+	// to possibly contain positives. The pending sub-bins are disjoint
+	// runs of all, so a decoded bin is filtered in place.
+	stack := append(sc.stack[:0], all)
+	defer func() { sc.stack, sc.positives = stack[:0], positives[:0] }()
 	const maxPolls = 1 << 24 // livelock guard; legal sessions stay far below
 	for len(stack) > 0 {
 		bin := stack[len(stack)-1]
@@ -59,10 +76,9 @@ func Identify(q query.Querier, n int) (positives []int, queries int, err error) 
 			// Whole sub-bin negative.
 		case query.Decoded:
 			positives = append(positives, resp.DecodedID)
-			rest := without(bin, resp.DecodedID)
 			if traits.CaptureEffect {
 				// Others may still be positive: re-test the remainder.
-				if len(rest) > 0 {
+				if rest := without(bin, resp.DecodedID); len(rest) > 0 {
 					stack = append(stack, rest)
 				}
 			}
@@ -77,12 +93,14 @@ func Identify(q query.Querier, n int) (positives []int, queries int, err error) 
 			stack = append(stack, bin[:mid], bin[mid:])
 		}
 	}
-	sort.Ints(positives)
+	slices.Sort(positives)
 	return positives, queries, nil
 }
 
+// without drops every id from bin in place and returns the remainder, a
+// prefix of bin in its original order.
 func without(bin []int, id int) []int {
-	out := make([]int, 0, len(bin)-1)
+	out := bin[:0]
 	for _, v := range bin {
 		if v != id {
 			out = append(out, v)

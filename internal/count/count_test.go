@@ -1,7 +1,9 @@
 package count
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +16,7 @@ func identifyOn(t *testing.T, n, x int, cfg fastsim.Config, seed uint64) ([]int,
 	t.Helper()
 	r := rng.New(seed)
 	ch, truth := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-	got, queries, err := Identify(ch, n)
+	got, queries, err := Identify(ch, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +84,11 @@ func TestIdentifyQueryBound(t *testing.T) {
 func TestIdentifyEdgeCases(t *testing.T) {
 	r := rng.New(1)
 	ch, _ := fastsim.RandomPositives(0, 0, fastsim.DefaultConfig(), r)
-	got, queries, err := Identify(ch, 0)
+	got, queries, err := Identify(ch, 0, nil)
 	if err != nil || len(got) != 0 || queries != 0 {
 		t.Fatalf("n=0: %v, %d, %v", got, queries, err)
 	}
-	if _, _, err := Identify(ch, -1); err == nil {
+	if _, _, err := Identify(ch, -1, nil); err == nil {
 		t.Fatal("negative n accepted")
 	}
 }
@@ -101,7 +103,7 @@ func TestQuickIdentifyExact(t *testing.T) {
 		}
 		r := rng.New(seed)
 		ch, truth := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-		got, _, err := Identify(ch, n)
+		got, _, err := Identify(ch, n, nil)
 		if err != nil {
 			return false
 		}
@@ -200,7 +202,7 @@ func BenchmarkIdentify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := root.Split(uint64(i))
 		ch, _ := fastsim.RandomPositives(128, 16, fastsim.DefaultConfig(), r)
-		if _, _, err := Identify(ch, 128); err != nil {
+		if _, _, err := Identify(ch, 128, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,6 +259,126 @@ func TestEstimateBufferKeepsDraws(t *testing.T) {
 			xb, qb := Estimate(ch, members(n), EstimateOptions{Repeats: 16}, r2, buf)
 			if xa != xb || qa != qb || r1.Uint64() != r2.Uint64() {
 				t.Fatalf("x=%d cap %d: estimate (%v, %d), want (%v, %d) on the same draws", x, cap(buf), xb, qb, xa, qa)
+			}
+		}
+	}
+}
+
+// identifyReference is Identify as it stood before Scratch: a fresh
+// identity bin, bin stack and result per call, and a fresh remainder per
+// decode.
+func identifyReference(q query.Querier, n int) ([]int, int, error) {
+	if n == 0 {
+		return nil, 0, nil
+	}
+	traits := q.Traits()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	var positives []int
+	queries := 0
+	stack := [][]int{all}
+	for len(stack) > 0 {
+		bin := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if len(bin) == 0 {
+			continue
+		}
+		resp := q.Query(bin)
+		queries++
+		switch resp.Kind {
+		case query.Empty:
+		case query.Decoded:
+			positives = append(positives, resp.DecodedID)
+			rest := make([]int, 0, len(bin)-1)
+			for _, v := range bin {
+				if v != resp.DecodedID {
+					rest = append(rest, v)
+				}
+			}
+			if traits.CaptureEffect && len(rest) > 0 {
+				stack = append(stack, rest)
+			}
+		default:
+			if len(bin) == 1 {
+				positives = append(positives, bin[0])
+				continue
+			}
+			mid := len(bin) / 2
+			stack = append(stack, bin[:mid], bin[mid:])
+		}
+	}
+	slices.Sort(positives)
+	return positives, queries, nil
+}
+
+// binLog records every polled bin below the querier it wraps.
+type binLog struct {
+	query.Querier
+	bins []string
+}
+
+func (l *binLog) Query(bin []int) query.Response {
+	l.bins = append(l.bins, fmt.Sprint(bin))
+	return l.Querier.Query(bin)
+}
+
+// TestIdentifyScratchMatchesReference: one warm Scratch, reused across
+// models, capture settings, lossy channels and field sizes, polls the
+// same bins in the same order and identifies the same positives as the
+// allocating reference.
+func TestIdentifyScratchMatchesReference(t *testing.T) {
+	lossy := fastsim.DefaultConfig()
+	lossy.MissProb, lossy.FalseActiveProb = 0.2, 0.05
+	cfgs := []fastsim.Config{
+		fastsim.DefaultConfig(),
+		fastsim.TwoPlusConfig(),
+		{Model: query.TwoPlus, Capture: fastsim.NoCapture(), CaptureEffectPresent: false},
+		lossy,
+	}
+	var sc Scratch
+	for ci, cfg := range cfgs {
+		for _, tc := range []struct{ n, x int }{{1, 1}, {16, 3}, {64, 10}, {128, 40}, {100, 99}, {33, 0}} {
+			for seed := uint64(0); seed < 4; seed++ {
+				chA, _ := fastsim.RandomPositives(tc.n, tc.x, cfg, rng.New(seed))
+				chB, _ := fastsim.RandomPositives(tc.n, tc.x, cfg, rng.New(seed))
+				ref, got := &binLog{Querier: chA}, &binLog{Querier: chB}
+				wantPos, wantQ, err := identifyReference(ref, tc.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotPos, gotQ, err := Identify(got, tc.n, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameInts(gotPos, wantPos) || gotQ != wantQ || !slices.Equal(got.bins, ref.bins) {
+					t.Fatalf("cfg %d n=%d x=%d seed=%d: got %v in %d polls, want %v in %d polls (bins equal: %v)",
+						ci, tc.n, tc.x, seed, gotPos, gotQ, wantPos, wantQ, slices.Equal(got.bins, ref.bins))
+				}
+			}
+		}
+	}
+}
+
+// TestIdentifyWarmAllocationFree: a warm Scratch identifies without
+// allocating, under 1+ and under 2+ with capture (where every decode
+// filters a remainder).
+func TestIdentifyWarmAllocationFree(t *testing.T) {
+	for _, cfg := range []fastsim.Config{fastsim.DefaultConfig(), fastsim.TwoPlusConfig()} {
+		for _, x := range []int{0, 5, 40, 128} {
+			ch, _ := fastsim.RandomPositives(128, x, cfg, rng.New(uint64(x)))
+			var sc Scratch
+			if _, _, err := Identify(ch, 128, &sc); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, _, err := Identify(ch, 128, &sc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("model %v x=%d: %v allocations per warm Identify, want 0", cfg.Model, x, allocs)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 func ExampleIdentify() {
 	r := rng.New(1)
 	ch := fastsim.New(64, []int{5, 23, 42}, fastsim.DefaultConfig(), r)
-	positives, queries, err := count.Identify(ch, 64)
+	positives, queries, err := count.Identify(ch, 64, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,7 @@ func TestIdentifyUnderLossOnlyMisses(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r := root.Split(uint64(i))
 		ch, truth := fastsim.RandomPositives(64, 12, cfg, r.Split(1))
-		got, _, err := Identify(ch, 64)
+		got, _, err := Identify(ch, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestIdentifyUnderFalseActivityOvercounts(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := root.Split(uint64(i))
 		ch, _ := fastsim.RandomPositives(64, 4, cfg, r.Split(1))
-		got, _, err := Identify(ch, 64)
+		got, _, err := Identify(ch, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

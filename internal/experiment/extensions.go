@@ -353,7 +353,7 @@ func init() {
 			}
 			ident, err := sweep("Identify (exact set)", xs, o, root.Split(1), pooled(func(sc *trialScratch, x int, r *rng.Source) (float64, error) {
 				ch := sc.channel(defaultN, x, fastsim.DefaultConfig(), r)
-				got, queries, err := count.Identify(ch, defaultN)
+				got, queries, err := count.Identify(ch, defaultN, &sc.ident)
 				if err != nil {
 					return 0, err
 				}

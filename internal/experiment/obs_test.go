@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/faults"
+	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 )
@@ -205,3 +208,66 @@ type queryFunc func([]int) query.Response
 
 func (f queryFunc) Query(bin []int) query.Response { return f(bin) }
 func (f queryFunc) Traits() query.Traits           { return query.Traits{} }
+
+// TestPollCountRegistryMatchesPollReader: observed figures, run in
+// parallel on a poll-blind plane (sketch and the event counter), leave
+// the same cost-model, audit and event-count series — every
+// obs_events_total and tcast_audit_polls_total series included — as on
+// the same plane with a sink that reads every poll event. (SLO
+// transitions and the sweeps' timings depend on scheduling, so the test
+// declares no rules and compares no timing.) CI runs it under the race
+// detector at 1, 2 and 4 CPUs.
+func TestPollCountRegistryMatchesPollReader(t *testing.T) {
+	run := func(readPolls bool) string {
+		reg := metrics.New()
+		plane, err := obs.Config{Sketch: true}.Build(io.Discard, reg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var read atomic.Int64
+		if readPolls {
+			plane.Bus().Subscribe(obs.SinkFunc(func(e obs.Event) {
+				if e.Kind == obs.KindPoll {
+					read.Add(1)
+				}
+			}))
+		}
+		fcfg, err := faults.ParseSpec("burst=6,frac=0.3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"fig1", "fig5"} {
+			e, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := Options{Runs: 4, Seed: 5, Workers: 3, Metrics: reg, Audit: &audit.Collector{}, Obs: plane.Bus()}
+			if id == "fig5" {
+				o.Faults, o.Retry = &fcfg, query.RetryPolicy{MaxRetries: 1, Backoff: 1}
+			}
+			if _, err := e.Run(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		polls := reg.Counter(obs.MetricEvents, "kind", obs.KindPoll.String()).Value()
+		if polls == 0 || (readPolls && read.Load() != polls) {
+			t.Fatalf("%s{kind=poll} = %d with %d poll events read", obs.MetricEvents, polls, read.Load())
+		}
+		var b strings.Builder
+		snap := reg.Snapshot()
+		for _, c := range snap.Counters {
+			if strings.HasPrefix(c.Name, "tcast_") || strings.HasPrefix(c.Name, obs.MetricEvents) {
+				fmt.Fprintf(&b, "%s %v\n", c.Name, c.Value)
+			}
+		}
+		for _, h := range snap.Histograms {
+			if strings.HasPrefix(h.Name, "tcast_") {
+				fmt.Fprintf(&b, "%s count=%d sum=%v\n", h.Name, h.Count, h.Sum)
+			}
+		}
+		return b.String()
+	}
+	if blind, reading := run(false), run(true); blind != reading {
+		t.Fatalf("registries differ:\npoll-blind:\n%s\npoll-reading:\n%s", blind, reading)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/core"
+	"tcast/internal/count"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
 	"tcast/internal/idset"
@@ -41,6 +42,7 @@ type trialScratch struct {
 	perNode  []float64 // energy.Report.PerNode
 	kch      kplus.Channel
 	ksc      kplus.Scratch
+	ident    count.Scratch
 	// members is the identity list {0..n-1} a probe samples from and
 	// probe the buffer it is drawn into.
 	members, probe []int

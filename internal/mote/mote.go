@@ -71,7 +71,8 @@ type QueryOutcome struct {
 	// Rounds is the number of 2tBins rounds.
 	Rounds int
 	// Trace lists every group query in order, for offline analysis by
-	// the lab controller.
+	// the lab controller. It and its bins are the initiator's storage,
+	// valid until its next Query.
 	Trace []QueryRecord
 }
 
@@ -114,7 +115,9 @@ func (ini *Initiator) Query() (QueryOutcome, error) {
 }
 
 // backcastQuerier implements query.Querier over the medium with live
-// participant firmware, recording a trace of every group query.
+// participant firmware, recording a trace of every group query. The
+// trace's bins are consecutive runs of one ID arena, reused run after
+// run, like the fault injector's event lists.
 type backcastQuerier struct {
 	med          radio.Channel
 	initiatorID  int
@@ -124,6 +127,7 @@ type backcastQuerier struct {
 	slots        int
 	armed        []int // scratch, reused by every poll
 	trace        []QueryRecord
+	ids          []int // the run's polled bins, in poll order
 }
 
 // Traits implements query.Querier. Backcast is a 1+ primitive.
@@ -166,8 +170,24 @@ func (b *backcastQuerier) Query(bin []int) query.Response {
 	if obs.Frame != nil && obs.Frame.Kind == radio.FrameHACK && obs.Frame.Addr == b.addr {
 		resp.Kind = query.Active
 	}
-	b.trace = append(b.trace, QueryRecord{Bin: append([]int(nil), bin...), Empty: resp.Kind == query.Empty})
+	// The record's Bin is only a length until bindTrace: the arena may
+	// move while it grows.
+	at := len(b.ids)
+	b.ids = append(b.ids, bin...)
+	b.trace = append(b.trace, QueryRecord{Bin: b.ids[at:], Empty: resp.Kind == query.Empty})
 	return resp
+}
+
+// bindTrace points every trace record's Bin at its run of the arena, as
+// the run left it, each capped at its length so that appending to one
+// cannot clobber the next.
+func (b *backcastQuerier) bindTrace() {
+	at := 0
+	for i := range b.trace {
+		end := at + len(b.trace[i].Bin)
+		b.trace[i].Bin = b.ids[at:end:end]
+		at = end
+	}
 }
 
 func (ini *Initiator) runTCast() (QueryOutcome, error) {
@@ -180,13 +200,14 @@ func (ini *Initiator) runTCast() (QueryOutcome, error) {
 		}
 	}
 	// Every run starts from the same sequence number and ephemeral
-	// address, with a trace of its own for the caller to keep.
+	// address, and records its trace over the last run's.
 	q := &ini.q
-	q.seq, q.addr, q.slots, q.trace = 0, 0x8000, 0, nil
+	q.seq, q.addr, q.slots, q.trace, q.ids = 0, 0x8000, 0, q.trace[:0], q.ids[:0]
 	res, err := core.RunIn(&ini.arena, core.TwoTBins{}, q, len(ini.participants), ini.threshold, ini.r)
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("mote: tcast failed: %w", err)
 	}
+	q.bindTrace()
 	return QueryOutcome{
 		Decision: res.Decision,
 		Queries:  res.Queries,

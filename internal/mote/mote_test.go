@@ -1,8 +1,11 @@
 package mote
 
 import (
+	"slices"
 	"testing"
 
+	"tcast/internal/core"
+	"tcast/internal/query"
 	"tcast/internal/radio"
 	"tcast/internal/rng"
 )
@@ -195,9 +198,9 @@ func TestBadRosterRejected(t *testing.T) {
 	}
 }
 
-// TestBackcastPollAllocs pins the firmware's per-poll cost: the armed set
-// and the medium's scratch are reused, so a poll of a 12-mote testbed
-// allocates only the trace record's copy of its bin.
+// TestBackcastPollAllocs pins the firmware's per-poll cost: the armed
+// set, the medium's scratch, the trace and its ID arena are reused, so a
+// poll of a 12-mote testbed allocates nothing.
 func TestBackcastPollAllocs(t *testing.T) {
 	ini, parts := bootLab(t, 12, 0.05, 9)
 	configure(parts, 0, 3, 6, 9)
@@ -205,18 +208,68 @@ func TestBackcastPollAllocs(t *testing.T) {
 	q.addr = 0x8000
 	bin := []int{0, 1, 2, 3, 4, 5}
 	allocs := testing.AllocsPerRun(100, func() {
-		q.trace = q.trace[:0]
+		q.trace, q.ids = q.trace[:0], q.ids[:0]
 		q.Query(bin)
 	})
-	if allocs > 1 {
-		t.Fatalf("%v allocs per backcast poll, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocs per backcast poll, want 0", allocs)
+	}
+}
+
+// copyingQuerier is the backcast querier as it traced before the ID
+// arena: a fresh copy of every polled bin.
+type copyingQuerier struct {
+	q     *backcastQuerier
+	trace []QueryRecord
+}
+
+func (c *copyingQuerier) Query(bin []int) query.Response {
+	resp := c.q.Query(bin)
+	c.trace = append(c.trace, QueryRecord{Bin: append([]int(nil), bin...), Empty: resp.Kind == query.Empty})
+	return resp
+}
+
+func (c *copyingQuerier) Traits() query.Traits { return c.q.Traits() }
+
+// TestTraceArenaMatchesCopies: run after run on a lossy testbed, the
+// arena-backed trace an initiator reports equals the bin copies a twin
+// initiator, driven through the same firmware state, records.
+func TestTraceArenaMatchesCopies(t *testing.T) {
+	ini, parts := bootLab(t, 24, 0.1, 4)
+	twin, twinParts := bootLab(t, 24, 0.1, 4)
+	r := rng.New(8)
+	for run := 0; run < 30; run++ {
+		pos := r.Sample(24, 2+run%9)
+		configure(parts, pos...)
+		configure(twinParts, pos...)
+		ini.Configure(4)
+		twin.Configure(4)
+		out, err := ini.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := &twin.q
+		q.seq, q.addr, q.slots = 0, 0x8000, 0
+		ref := &copyingQuerier{q: q}
+		res, err := core.RunIn(&twin.arena, core.TwoTBins{}, ref, len(twin.participants), twin.threshold, twin.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Decision != res.Decision || len(out.Trace) != len(ref.trace) {
+			t.Fatalf("run %d: decision %v in %d polls, twin %v in %d", run, out.Decision, len(out.Trace), res.Decision, len(ref.trace))
+		}
+		for i, rec := range out.Trace {
+			want := ref.trace[i]
+			if rec.Empty != want.Empty || !slices.Equal(rec.Bin, want.Bin) || cap(rec.Bin) != len(rec.Bin) {
+				t.Fatalf("run %d poll %d: record %v (cap %d), want %v", run, i, rec, cap(rec.Bin), want)
+			}
+		}
 	}
 }
 
 // TestWarmQueryAllocs pins a warm TCast run on the 12-mote testbed: the
-// 2tBins session scratch and the backcast querier are the initiator's,
-// so a run allocates only its poll record — one bin copy per poll and
-// the record's growth.
+// 2tBins session scratch, the backcast querier, its trace and the trace's
+// ID arena are the initiator's, so a warm run allocates nothing.
 func TestWarmQueryAllocs(t *testing.T) {
 	ini, parts := bootLab(t, 12, 0, 9)
 	configure(parts, 1, 4, 7, 10)
@@ -234,7 +287,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, run)
 	perRun := float64(queries) / (runs + 1) // AllocsPerRun adds a warm-up call
-	if limit := perRun + 6; allocs > limit {
-		t.Fatalf("%v allocs per warm query of %.1f polls, want at most %.1f", allocs, perRun, limit)
+	if allocs != 0 {
+		t.Fatalf("%v allocs per warm query of %.1f polls, want 0", allocs, perRun)
 	}
 }

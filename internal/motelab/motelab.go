@@ -279,6 +279,9 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		if l.cfg.Metrics != nil {
 			mo.Finish(tap.Polls(), tap.Nodes())
 		}
+		if bus != nil {
+			pub.Flush()
+		}
 		if l.cfg.Audit != nil || bus != nil {
 			// Grade the run from the initiator's poll record. Backcast
 			// responses are binary (Empty/Active), so the 1+ traits apply

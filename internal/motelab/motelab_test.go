@@ -1,8 +1,13 @@
 package motelab
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"tcast/internal/obs"
 )
 
 func newLab(t *testing.T, cfg Config) *Lab {
@@ -180,5 +185,60 @@ func TestDeterministicAcrossLabs(t *testing.T) {
 	}
 	if sa.TotalQueries != sb.TotalQueries || sa.FalseNegatives != sb.FalseNegatives {
 		t.Fatalf("same seed diverged: %+v vs %+v", sa, sb)
+	}
+}
+
+// pollBlindRecorder records every event it is shown and the poll counts
+// handed to it; it reads no poll events.
+type pollBlindRecorder struct {
+	events []string
+	polls  uint64
+}
+
+func (r *pollBlindRecorder) OnEvent(e obs.Event) { r.events = append(r.events, fmt.Sprintf("%+v", e)) }
+func (r *pollBlindRecorder) ReadsPolls() bool    { return false }
+func (r *pollBlindRecorder) OnPolls(n uint64)    { r.polls += n }
+
+// TestPollCountReplay: a campaign replayed onto a poll-blind bus counts
+// every replayed poll exactly, and publishes the same non-poll events
+// with the same Seq as onto a bus where a sink reads the polls.
+func TestPollCountReplay(t *testing.T) {
+	run := func(readPolls bool) (*pollBlindRecorder, int, int) {
+		cfg := DefaultConfig()
+		cfg.Obs = obs.NewBus()
+		rec := &pollBlindRecorder{}
+		cfg.Obs.Subscribe(rec)
+		read := 0
+		if readPolls {
+			cfg.Obs.Subscribe(obs.SinkFunc(func(e obs.Event) {
+				if e.Kind == obs.KindPoll {
+					read++
+				}
+			}))
+		}
+		lab := newLab(t, cfg)
+		queries := 0
+		for _, x := range []int{0, 3, 7} {
+			st, err := lab.RunBatch(4, x, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries += st.TotalQueries
+		}
+		return rec, queries, read
+	}
+	blind, queries, _ := run(false)
+	reading, readQueries, read := run(true)
+	if blind.polls != uint64(queries) || queries != readQueries || read != queries {
+		t.Fatalf("poll-blind bus counted %d polls, reading bus read %d; campaigns polled %d and %d", blind.polls, read, queries, readQueries)
+	}
+	var nonPoll []string
+	for _, e := range reading.events {
+		if !strings.Contains(e, "Kind:poll ") {
+			nonPoll = append(nonPoll, e)
+		}
+	}
+	if !slices.Equal(blind.events, nonPoll) {
+		t.Fatalf("non-poll events differ:\npoll-blind:\n%s\npoll-reading:\n%s", strings.Join(blind.events, "\n"), strings.Join(nonPoll, "\n"))
 	}
 }

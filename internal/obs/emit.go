@@ -93,11 +93,13 @@ func PublishDecision(b *Bus, session string, trial int, decision, truth bool, po
 // the bus: one KindFault event per injected fault (Poll is the
 // substrate-level attempt index of the injector's own log) and a
 // KindRetryExhausted event when any poll spent its whole retry budget on
-// silence.
+// silence. It first flushes the poll count of every Publisher on the
+// chain, so the chain events follow the session's polls in Seq.
 func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 	if b == nil {
 		return
 	}
+	flushPublishers(q)
 	rq, inj := chainLayers(q)
 	if inj != nil {
 		for i := 0; i < inj.NumEvents(); i++ {

@@ -9,7 +9,10 @@
 //     session starts and verdicts, poll outcomes, fault injections, retry
 //     exhaustion, anomalies. Publishing consumes no randomness and never
 //     touches a trial's RNG streams, so obs-on runs stay byte-identical
-//     to bare ones (the CI identity test pins this).
+//     to bare ones (the CI identity test pins this). Poll events are
+//     built only while some sink reads them (see PollBlind); otherwise
+//     each session's polls reach the bus as one count, so the
+//     obs_events_total poll series moves once per session.
 //   - LogSink (log.go): log/slog text and JSON sinks behind the cmds'
 //     -log/-log-json flags.
 //   - FlightRecorder (recorder.go): a bounded ring of recent events that

@@ -10,9 +10,9 @@ import (
 
 // LogSink renders bus events through a log/slog handler — the sink
 // behind the cmds' -log (text) and -log-json flags. Events below the
-// handler's level are skipped before a record is built, so a sweep
-// publishing millions of debug-level poll events pays almost nothing
-// when the sink logs at info.
+// handler's level are skipped before a record is built, and a sink
+// logging above debug level is poll-blind (see PollBlind), so a sweep
+// builds no poll events at all for it.
 type LogSink struct {
 	mu sync.Mutex // slog handlers are concurrency-safe; the mutex keeps whole records atomic on shared writers
 	h  slog.Handler
@@ -44,6 +44,15 @@ func (s *LogSink) OnEvent(e Event) {
 	defer s.mu.Unlock()
 	_ = s.h.Handle(ctx, r)
 }
+
+// ReadsPolls implements PollBlind: a sink logging above debug level
+// never renders a poll event.
+func (s *LogSink) ReadsPolls() bool {
+	return s.h.Enabled(context.Background(), KindPoll.Level())
+}
+
+// OnPolls implements PollBlind; a poll count has nothing to log.
+func (s *LogSink) OnPolls(uint64) {}
 
 // ParseLevel maps the -log-level flag values onto slog levels.
 func ParseLevel(s string) (slog.Level, bool) {

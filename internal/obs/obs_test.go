@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -629,5 +630,64 @@ func TestWithPhase(t *testing.T) {
 	WithPhase("test-phase", func() { ran = true })
 	if !ran {
 		t.Fatal("phase body not run")
+	}
+}
+
+// TestPollCountSinks: each sink states whether it reads poll events; a
+// bus reads polls while any subscribed sink does, and a Publisher on a
+// poll-blind bus builds no poll event but flushes its count into the Seq
+// and every poll-blind sink.
+func TestPollCountSinks(t *testing.T) {
+	reg := metrics.New()
+	for _, c := range []struct {
+		name  string
+		sink  Sink
+		reads bool
+	}{
+		{"sketch", NewSketchSink(nil), false},
+		{"slo", NewSLO(nil, 4, nil), false},
+		{"event counter", newEventCounter(reg), false},
+		{"log info", NewLogSink(io.Discard, false, slog.LevelInfo), false},
+		{"log debug", NewLogSink(io.Discard, true, slog.LevelDebug), true},
+		{"flight recorder", NewFlightRecorder(8, ""), true},
+		{"sse", &sseSink{ch: make(chan Event, 1)}, true},
+		{"func", SinkFunc(func(Event) {}), true},
+	} {
+		b := NewBus()
+		b.Subscribe(c.sink)
+		if got := b.subscribers().readsPolls; got != c.reads {
+			t.Errorf("%s: bus reads polls = %v, want %v", c.name, got, c.reads)
+		}
+	}
+
+	b := NewBus()
+	counter := newEventCounter(reg)
+	b.Subscribe(counter)
+	p := NewPublisher(stubQuerier{}, b, "sess", 0)
+	for i := 0; i < 5; i++ {
+		p.Query([]int{i})
+	}
+	if got := b.seq.Load(); got != 0 {
+		t.Fatalf("counted polls claimed Seq %d before the flush", got)
+	}
+	PublishChainEvents(b, "sess", 0, p)
+	if got, polls := b.seq.Load(), counter[KindPoll].Value(); got != 5 || polls != 5 {
+		t.Fatalf("after the flush Seq = %d and %d polls counted, want 5 and 5", got, polls)
+	}
+
+	// A reader joining mid-session gets the later polls one by one; the
+	// counted ones still reach the totals at the flush.
+	var c collect
+	p.Query([]int{0})
+	b.Subscribe(&c)
+	p.Query([]int{1})
+	b.Unsubscribe(&c)
+	p.Query([]int{2})
+	PublishChainEvents(b, "sess", 0, p)
+	if got := c.all(); len(got) != 1 || got[0].Kind != KindPoll || got[0].Poll != 6 || got[0].Seq != 6 {
+		t.Fatalf("reader saw %+v, want poll 6 at Seq 6", got)
+	}
+	if got, polls := b.seq.Load(), counter[KindPoll].Value(); got != 8 || polls != 8 {
+		t.Fatalf("Seq = %d and %d polls counted, want 8 and 8", got, polls)
 	}
 }

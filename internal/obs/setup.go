@@ -10,7 +10,9 @@ import (
 )
 
 // MetricEvents counts published events in the registry, partitioned by a
-// kind="..." label — the obs plane's own meta-observability.
+// kind="..." label — the obs plane's own meta-observability. Its poll
+// series moves once per session, by the session's poll count, when the
+// session's Publisher flushes.
 const MetricEvents = "obs_events_total"
 
 // Config is the obs plane's shared flag surface; every cmd registers the
@@ -103,26 +105,39 @@ func (c Config) Build(w io.Writer, reg *metrics.Registry, force bool) (*Plane, e
 		p.dropped = &metrics.Counter{}
 	}
 	if reg != nil {
-		counters := countersFor(reg)
-		p.bus.Subscribe(SinkFunc(func(e Event) {
-			if e.Kind >= 0 && int(e.Kind) < NumKinds {
-				counters[e.Kind].Inc()
-			}
-		}))
+		p.bus.Subscribe(newEventCounter(reg))
 	}
 	return p, nil
 }
 
-// countersFor resolves the per-kind event counters up front, so the sink
-// path is a single atomic increment and the partition's zero-valued
+// eventCounter is the sink folding per-kind event counts into the
+// registry. It is poll-blind: a session's polls reach it as one OnPolls
+// count, so obs_events_total{kind="poll"} moves once per session.
+type eventCounter [NumKinds]*metrics.Counter
+
+// newEventCounter resolves the per-kind event counters up front, so the
+// sink path is a single atomic increment and the partition's zero-valued
 // series still appear in dumps.
-func countersFor(reg *metrics.Registry) [NumKinds]*metrics.Counter {
-	var out [NumKinds]*metrics.Counter
+func newEventCounter(reg *metrics.Registry) *eventCounter {
+	var c eventCounter
 	for k := Kind(0); int(k) < NumKinds; k++ {
-		out[k] = reg.Counter(MetricEvents, "kind", k.String())
+		c[k] = reg.Counter(MetricEvents, "kind", k.String())
 	}
-	return out
+	return &c
 }
+
+// OnEvent implements Sink.
+func (c *eventCounter) OnEvent(e Event) {
+	if e.Kind >= 0 && int(e.Kind) < NumKinds {
+		c[e.Kind].Inc()
+	}
+}
+
+// ReadsPolls implements PollBlind.
+func (c *eventCounter) ReadsPolls() bool { return false }
+
+// OnPolls implements PollBlind.
+func (c *eventCounter) OnPolls(n uint64) { c[KindPoll].Add(int64(n)) }
 
 // Bus returns the plane's bus; nil on a nil plane, which every publish
 // helper accepts.

@@ -55,6 +55,12 @@ func NewSketchSink(reg *metrics.Registry) *SketchSink {
 	return &SketchSink{polls: reg.Summary(MetricSessionPolls), slots: reg.Summary(MetricSessionSlots)}
 }
 
+// ReadsPolls implements PollBlind: only session verdicts are summarized.
+func (s *SketchSink) ReadsPolls() bool { return false }
+
+// OnPolls implements PollBlind.
+func (s *SketchSink) OnPolls(uint64) {}
+
 // OnEvent implements Sink: only session verdicts are summarized.
 func (s *SketchSink) OnEvent(e Event) {
 	if e.Kind != KindSessionVerdict {

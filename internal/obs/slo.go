@@ -164,6 +164,13 @@ func NewSLO(rules []Rule, window int, bus *Bus) *SLO {
 	}
 }
 
+// ReadsPolls implements PollBlind: only session verdicts advance the
+// window.
+func (s *SLO) ReadsPolls() bool { return false }
+
+// OnPolls implements PollBlind.
+func (s *SLO) OnPolls(uint64) {}
+
 // OnEvent implements Sink: only session verdicts advance the window;
 // everything else (including the engine's own transition events coming
 // back around the bus) is ignored before any lock is taken.

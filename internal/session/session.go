@@ -307,9 +307,11 @@ func (s *Session) Reset(sp Spec, r *rng.Source) error {
 
 // Run executes the algorithm and finishes the observers: the audit
 // verdict first (so it annotates the closing session span), then the
-// session span, then the metrics totals. A session that errors before
-// deciding is voided in the collector, its span records the error, and
-// its polls still reach the metrics' per-poll series.
+// session span, then the metrics totals, then the bus's poll count (see
+// obs.Publisher), so Publish's events follow the polls in Seq. A session
+// that errors before deciding is voided in the collector, its span
+// records the error, and its polls still reach the metrics' per-poll
+// series, the audit's class partition and the bus's poll count.
 func (s *Session) Run() (core.Result, error) {
 	sp := &s.spec
 	obs.PublishSessionStart(sp.Obs, sp.Label, sp.Trial)
@@ -324,6 +326,8 @@ func (s *Session) Run() (core.Result, error) {
 					s.attributed = true
 				}
 			}
+		} else {
+			s.auditor.Flush()
 		}
 		s.Record(sp.Audit)
 	}
@@ -344,6 +348,9 @@ func (s *Session) Run() (core.Result, error) {
 		} else {
 			s.mo.Flush()
 		}
+	}
+	if sp.Obs != nil {
+		s.pub.Flush()
 	}
 	return s.res, s.err
 }

@@ -243,7 +243,7 @@ func (nw *Network) QueryMonotone(f func(count int) bool, alg Algorithm) (Result,
 // detected it?").
 func (nw *Network) Identify() (positives []int, queries int, err error) {
 	ch, _ := nw.session()
-	return count.Identify(ch, nw.n)
+	return count.Identify(ch, nw.n, nil)
 }
 
 // EstimateCount approximates the number of positive nodes with a
